@@ -8,9 +8,8 @@ disjoint provenance, linearly otherwise.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from typing import Tuple, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Tuple
 
 import numpy as np
 
@@ -66,26 +65,6 @@ class BudgetReport:
     offset_pass: bool
     stability_margin_hz: float
     offset_margin_hz: float
-
-    def to_dict(self) -> dict:
-        return {
-            "node": {
-                "nominal_hz": self.node.nominal_hz,
-                "sigma_abs_hz": self.node.sigma_abs_hz,
-                "sigma_tau_s": self.node.sigma_tau_s,
-                "offset_hz": self.node.offset_hz,
-                "provenance": list(self.node.provenance),
-            },
-            "afc": {
-                "center_hz": self.afc.center_hz,
-                "width_hz": self.afc.width_hz,
-                "stability_target_hz": self.afc.stability_target_hz,
-            },
-            "stability_pass": self.stability_pass,
-            "offset_pass": self.offset_pass,
-            "stability_margin_hz": self.stability_margin_hz,
-            "offset_margin_hz": self.offset_margin_hz,
-        }
 
 
 def shg(a: ChainNode) -> ChainNode:
@@ -221,14 +200,7 @@ def evaluate_chain(doc: dict) -> dict:
                 raise ParameterError(f"operations[{i}]: unknown op {kind!r}")
         except KeyError as exc:
             raise ParameterError(f"operations[{i}]: unresolved node {exc}") from None
-    result = {
-        "nodes": {
-            name: {"nominal_hz": n.nominal_hz, "sigma_abs_hz": n.sigma_abs_hz,
-                   "sigma_tau_s": n.sigma_tau_s, "offset_hz": n.offset_hz,
-                   "provenance": list(n.provenance)}
-            for name, n in nodes.items()
-        }
-    }
+    result = {"nodes": {name: asdict(n) for name, n in nodes.items()}}
     if "afc" in doc:
         afc = AfcSpec(
             center_hz=int(doc["afc"]["center_hz"]),
@@ -238,10 +210,5 @@ def evaluate_chain(doc: dict) -> dict:
         budget_name = doc.get("budget_node")
         if budget_name not in nodes:
             raise ParameterError(f"budget_node {budget_name!r} is not a defined node")
-        result["budget"] = afc_budget(nodes[budget_name], afc).to_dict()
+        result["budget"] = asdict(afc_budget(nodes[budget_name], afc))
     return result
-
-
-def load_chain(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -4,21 +4,22 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 
 import click
 
 from . import chain as chainmod
 from .errors import ParameterError
-from .lockloop import simulate_lock, servo_for_bandwidth
+from .lockloop import simulate_lock
 from .metrology import (
-    UNITS_HZ,
     adev_nonoverlapping,
     adev_overlapping,
+    octave_taus,
     read_series_csv,
     to_fractional,
     write_allan_csv,
 )
-from .noisegen import synth_power_law, write_trace_csv
+from .noisegen import derive_seed, synth_power_law, write_trace_csv
 from .scenario import (
     OUT_DIR_ENV,
     RunReport,
@@ -27,15 +28,22 @@ from .scenario import (
     load_config,
     noise_spec_from_dict,
     run_scenario,
-    validate_config,
 )
 
 
-def _out_root(explicit):
-    return explicit or os.environ.get(OUT_DIR_ENV, "runs")
+class _Group(click.Group):
+    """Exit status 2 with the message on stderr for a ParameterError from any command;
+    status 1 stays reserved for failed envelopes and budgets."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParameterError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Offset-lock simulation and time-frequency metrology toolkit."""
 
@@ -54,7 +62,6 @@ def synth(spec_path, duration, dt, seed, nominal_hz, out):
         spec = noise_spec_from_dict(json.load(fh))
     trace = synth_power_law(spec, duration, dt, seed)
     if nominal_hz:
-        from dataclasses import replace
         trace = replace(trace, nominal_hz=nominal_hz)
     write_trace_csv(trace, out)
     click.echo(f"wrote {len(trace)} samples to {out}")
@@ -67,29 +74,18 @@ def synth(spec_path, duration, dt, seed, nominal_hz, out):
 def lock(config, lock_id, out_dir):
     """Run one time-domain lock block of a scenario; export a LockRun directory."""
     cfg = load_config(config)
-    block = next((b for b in cfg.locks if b.id == lock_id), None)
+    block = cfg.locks.get(lock_id)
     if block is None:
-        raise click.ClickException(f"no lock block with id {lock_id!r}")
+        raise click.UsageError(f"no lock block with id {lock_id!r}")
     if block.fidelity != "time-domain":
-        raise click.ClickException(
+        raise click.UsageError(
             "the lock command runs time-domain blocks only; "
             "use 'offsetlock run' for spectral-fidelity scenarios")
-    from .lockloop import lock_points
-    from .noisegen import comb_line_oscillator, derive_seed
-    from .scenario import resolve_comb_line
-    laser = cfg.oscillators[block.laser]
-    comb = cfg.combs[block.comb]
-    n, _ = resolve_comb_line(laser, comb)
-    line = comb_line_oscillator(comb, n)
-    pts = lock_points(block.disc, 0.0, block.f_lock_hz * 2.0 + 1.0 / block.disc.delay_s)
-    if not pts:
-        raise click.ClickException(f"lock {lock_id!r}: no lock point near f_lock")
-    f0 = min((p.f_hz for p in pts), key=lambda f: abs(f - block.f_lock_hz))
-    servo = block.servo or servo_for_bandwidth(block.disc, f0, block.loop_bandwidth_hz)
-    run = simulate_lock(laser, line, block.disc, servo, f0,
+    run = simulate_lock(block.laser, block.line, block.disc, block.servo, block.f0_hz,
                         cfg.duration_s, cfg.dt_s, derive_seed(cfg.seed, f"lock:{block.id}"),
                         thermal=block.thermal)
-    out_dir = out_dir or os.path.join(_out_root(None), f"{cfg.name}_{lock_id}")
+    out_dir = out_dir or os.path.join(os.environ.get(OUT_DIR_ENV, "runs"),
+                                      f"{cfg.name}_{lock_id}")
     written = run.export(out_dir)
     click.echo(f"lock fraction {run.status['lock_fraction']:.3f}; wrote {len(written)} files to {out_dir}")
 
@@ -107,7 +103,6 @@ def adev(series_csv, taus, overlapping, fractional_hz, out):
     """Allan standard deviation of a CounterSeries CSV."""
     series = read_series_csv(series_csv)
     if taus == "octave":
-        from .metrology import octave_taus
         tau_list = octave_taus(series.gate_s, series.span_s)
     else:
         tau_list = [float(t) for t in taus.split(",")]
@@ -132,8 +127,8 @@ def adev(series_csv, taus, overlapping, fractional_hz, out):
               help="BudgetReport JSON (default: stdout).")
 def chain_cmd(chain_json, out):
     """Evaluate a chain-description JSON; emit the budget report."""
-    doc = chainmod.load_chain(chain_json)
-    result = chainmod.evaluate_chain(doc)
+    with open(chain_json) as fh:
+        result = chainmod.evaluate_chain(json.load(fh))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -149,24 +144,15 @@ def chain_cmd(chain_json, out):
 @main.command()
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--out-dir", "-o", type=click.Path(), default=None)
-@click.option("--seeds", type=int, default=1, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=1, show_default=True,
               help="Expand into N runs with consecutive seeds.")
 def run(config, out_dir, seeds):
-    """Run a full scenario config; exit nonzero if any envelope fails."""
-    with open(config) as fh:
-        doc = json.load(fh)
-    docs = [doc] if seeds == 1 else expand_seeds(doc, seeds)
+    """Run a full scenario config; exit 1 if any envelope fails, 2 on an error."""
+    cfg = load_config(config)
     worst = 0
-    for d in docs:
-        cfg, errors = validate_config(d)
-        if errors:
-            for e in errors:
-                click.echo(f"config error: {e}", err=True)
-            sys.exit(2)
-        target = out_dir
-        if target is not None and len(docs) > 1:
-            target = os.path.join(out_dir, cfg.name)
-        report = run_scenario(cfg, target)
+    for c in [cfg] if seeds == 1 else expand_seeds(cfg, seeds):
+        target = out_dir if out_dir is None or seeds == 1 else os.path.join(out_dir, c.name)
+        report = run_scenario(c, target)
         code, verdict = compare_expected(report)
         click.echo(json.dumps(verdict, indent=2, sort_keys=True))
         worst = max(worst, code)
@@ -178,8 +164,7 @@ def run(config, out_dir, seeds):
 def compare(report_json):
     """Re-check a report's envelopes; exit zero iff all pass."""
     with open(report_json) as fh:
-        report = RunReport.from_dict(json.load(fh))
-    code, verdict = compare_expected(report)
+        code, verdict = compare_expected(RunReport(**json.load(fh)))
     click.echo(json.dumps(verdict, indent=2, sort_keys=True))
     sys.exit(code)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -356,15 +356,8 @@ def simulate_lock(
         "duration_s": duration_s,
         "dt_s": dt_s,
         "seed": int(seed),
-        "discriminator": {
-            "delay_s": disc.delay_s, "amplitude_v": disc.amplitude_v, "sign": disc.sign,
-            "bandpass_center_hz": disc.bandpass_center_hz,
-            "bandpass_halfwidth_hz": disc.bandpass_halfwidth_hz,
-            "noise_v2_per_hz": disc.noise_v2_per_hz,
-        },
-        "servo": {"kp": servo.kp, "ki": servo.ki,
-                  "actuator_limit_hz": servo.actuator_limit_hz,
-                  "update_dt_s": servo.update_dt_s},
+        "discriminator": asdict(disc),
+        "servo": asdict(servo),
     }
     return LockRun(
         laser_offset_trace=FrequencyTrace(

@@ -7,7 +7,7 @@ overlapping or non-overlapping, in absolute Hz or fractional form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,15 +25,12 @@ class CounterConfig:
 
     gate_s: float
     dead_time_s: float = 0.0
-    mode: str = "pi"
 
     def __post_init__(self):
         if self.gate_s <= 0.0:
             raise ParameterError("gate_s must be > 0")
         if self.dead_time_s < 0.0:
             raise ParameterError("dead_time_s must be >= 0")
-        if self.mode != "pi":
-            raise ParameterError(f"unsupported counter mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +36,6 @@ from .lockloop import (
 from .metrology import (
     UNITS_FRACTIONAL,
     UNITS_HZ,
-    AllanResult,
     CounterConfig,
     adev_nonoverlapping,
     adev_overlapping,
@@ -58,7 +58,10 @@ from .noisegen import (
 )
 
 OUT_DIR_ENV = "OLS_OUT_DIR"
-DEFAULT_TIME_DOMAIN_CAP_S = 60.0
+#: Longest duration the time-domain servo model runs, s.
+TIME_DOMAIN_CAP_S = 60.0
+#: What the model constructors raise on a malformed config value.
+_BAD_VALUE = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def noise_spec_from_dict(d: dict) -> NoiseSpec:
 
 
 def oscillator_from_dict(d: dict) -> OscillatorModel:
-    nominal = int(d["nominal_hz"])
+    nominal = d["nominal_hz"]
     profile = d.get("adev_profile")
     if "linewidth_hz" in d:
         model = laser_from_linewidth(
@@ -95,8 +98,8 @@ def comb_from_dict(d: dict) -> CombModel:
     ref = d.get("reference_noise")
     profile = d.get("adev_profile")
     return CombModel(
-        f_rep_hz=int(d["f_rep_hz"]),
-        f_ceo_hz=int(d.get("f_ceo_hz", 0)),
+        f_rep_hz=d["f_rep_hz"],
+        f_ceo_hz=d.get("f_ceo_hz", 0),
         reference_noise=noise_spec_from_dict(ref) if ref is not None else None,
         adev_profile=tuple(map(tuple, profile)) if profile is not None else None,
     )
@@ -125,17 +128,84 @@ def thermal_from_dict(d: dict) -> ThermalModel:
     return ThermalModel(tempco_per_K=float(d["tempco_per_K"]), temperature_profile=profile)
 
 
+def _finite(x) -> bool:
+    """A JSON number that converts to a finite float; booleans are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
+
+
+def _named(table: dict, key):
+    """``table[key]`` for a string key, else None (JSON may put any value there)."""
+    return table.get(key) if isinstance(key, str) else None
+
+
+def _multiple(x: float, unit: float, rtol: float) -> int:
+    """The integer m with x == m * unit to within ``rtol * x``; 0 if there is none."""
+    q = x / unit
+    m = round(q) if math.isfinite(q) else 0
+    return m if abs(m * unit - x) <= rtol * x else 0
+
+
+def _comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, int, OscillatorModel]:
+    """(index, |beat| Hz, oscillator) of the comb line nearest the laser carrier."""
+    n, f_beat = chainmod.comb_beat(laser.nominal_hz, comb)
+    return n, f_beat, comb_line_oscillator(comb, n)
+
+
+def _lock_point(disc: DiscriminatorConfig, f_lock_hz: float) -> float:
+    """The lock point nearest ``f_lock_hz``; it must lie inside its capture half-range."""
+    hw = capture_halfwidth(disc)
+    pts = [p.f_hz for p in lock_points(disc, f_lock_hz - hw, f_lock_hz + hw)]
+    f0 = min(pts, key=lambda f: abs(f - f_lock_hz), default=math.inf)
+    if not abs(f0 - f_lock_hz) < hw:
+        raise ParameterError(f"f_lock_hz: no passband lock point within the capture "
+                             f"half-range {hw:.6g} Hz of {f_lock_hz!r}")
+    return f0
+
+
 @dataclass(frozen=True)
 class LockBlock:
+    """A lock resolved against its comb: the line nearest the laser and the lock point f0."""
+
     id: str
-    laser: str
-    comb: str
-    f_lock_hz: float
+    laser: OscillatorModel
+    line: OscillatorModel
+    line_index: int
+    beat_hz: int
+    f0_hz: float
     disc: DiscriminatorConfig
     fidelity: str  # "spectral" | "time-domain"
-    loop_bandwidth_hz: Optional[float] = None
-    servo: Optional[ServoConfig] = None
-    thermal: Optional[ThermalModel] = None
+    loop_bandwidth_hz: Optional[float]
+    servo: Optional[ServoConfig]  # time-domain: as given, or derived from the bandwidth
+    thermal: Optional[ThermalModel]
+
+
+@dataclass(frozen=True)
+class Signal:
+    """A parsed ``kind:source[:ref]`` signal reference."""
+
+    kind: str  # "freerun" | "locked" | "inloop" | "outofloop"
+    source: str  # oscillator name (freerun) or lock id
+    ref: Optional[str]  # outofloop: key of ScenarioConfig.references
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """One measurement with every default applied and its tau grid resolved."""
+
+    id: str
+    kind: str  # one of _MEASUREMENT_KINDS
+    signal: Signal
+    baseline: Optional[Signal]  # adev_ratio_max only
+    gate_s: float
+    taus_s: Tuple[float, ...]  # adev kinds: explicit, or the octave grid of the series
+    estimator: str
+    fractional_hz: Optional[int]  # adev: carrier of fractional units; None for Hz
+    pick_tau_s: Optional[float]
+    window_s: Optional[float]  # peak_to_peak: leading window; None for the whole series
 
 
 @dataclass(frozen=True)
@@ -145,194 +215,281 @@ class ScenarioConfig:
     duration_s: float
     dt_s: float
     oscillators: Dict[str, OscillatorModel]
-    combs: Dict[str, CombModel]
-    locks: List[LockBlock]
-    measurements: List[dict]
-    chain: Optional[dict]
+    #: Out-of-loop references by free-run seed label: an oscillator name, or
+    #: ``<comb>:line<n>`` for the comb line nearest the lock's laser.
+    references: Dict[str, OscillatorModel]
+    locks: Dict[str, LockBlock]
+    measurements: List[Measurement]
+    chain: Optional[dict]  # evaluated chain: nodes and budget report
     expectations: Dict[str, Tuple[float, float]]
-    time_domain_cap_s: float = DEFAULT_TIME_DOMAIN_CAP_S
-    raw: dict = field(default_factory=dict)
+    raw: dict
 
 
 _MEASUREMENT_KINDS = ("peak_to_peak", "adev", "adev_ratio_max")
-
-
-def _check_signal(sig, cfg_locks, cfg_osc, cfg_combs, path, errors):
-    parts = str(sig).split(":")
-    kind = parts[0] if parts else ""
-    if kind == "freerun" and len(parts) == 2:
-        if parts[1] not in cfg_osc:
-            errors.append(f"{path}: unknown oscillator {parts[1]!r}")
-    elif kind in ("locked", "inloop") and len(parts) == 2:
-        if parts[1] not in cfg_locks:
-            errors.append(f"{path}: unknown lock id {parts[1]!r}")
-    elif kind == "outofloop" and len(parts) == 3:
-        if parts[1] not in cfg_locks:
-            errors.append(f"{path}: unknown lock id {parts[1]!r}")
-        if parts[2] not in cfg_osc and parts[2] not in cfg_combs:
-            errors.append(f"{path}: unknown out-of-loop reference {parts[2]!r}")
-    else:
-        errors.append(f"{path}: malformed signal {sig!r}")
+_SIGNAL_ARITY = {"freerun": 1, "locked": 1, "inloop": 1, "outofloop": 2}  # names after the kind
+_ESTIMATORS = ("overlapping", "non-overlapping")
+_CHAIN_STATISTICS = ("chain_nominal_hz", "chain_sigma_abs_hz",
+                     "chain_stability_pass", "chain_offset_pass")
 
 
 def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
-    """Full structural and referential validation; all errors reported at once."""
+    """Full structural and referential validation; all errors reported at once.
+
+    Never raises: any JSON value gives ``(config, [])`` or ``(None, errors)``,
+    and a config that validates runs to a report or fails before its first write.
+    """
     errors: List[str] = []
     if isinstance(raw, (str, bytes)):
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             return None, [f"$: invalid JSON ({exc})"]
     else:
         doc = raw
     if not isinstance(doc, dict):
         return None, ["$: config must be a JSON object"]
 
+    def section(key, kind):
+        value = doc.get(key, kind())
+        if isinstance(value, kind):
+            return value
+        errors.append(f"{key}: must be a JSON {'object' if kind is dict else 'array'}")
+        return kind()
+
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         errors.append("name: required non-empty string")
         name = "unnamed"
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed: must be an integer")
         seed = 0
     duration = doc.get("duration_s")
-    if not isinstance(duration, (int, float)) or duration <= 0:
+    if not _positive(duration):
         errors.append("duration_s: must be a positive number")
         duration = 1.0
     dt = doc.get("dt_s")
-    if not isinstance(dt, (int, float)) or dt <= 0:
+    if not _positive(dt):
         errors.append("dt_s: must be a positive number")
         dt = 1.0
     elif duration < 2 * dt:
         errors.append("duration_s: must be at least 2*dt_s")
-    cap = float(doc.get("time_domain_cap_s", DEFAULT_TIME_DOMAIN_CAP_S))
+    elif math.isinf(duration / dt):
+        errors.append("dt_s: too small for duration_s")
+        dt = duration
+    duration, dt = float(duration), float(dt)
+    n_samples = int(round(duration / dt))
 
     oscillators: Dict[str, OscillatorModel] = {}
-    for oname, od in doc.get("oscillators", {}).items():
+    for oname, od in section("oscillators", dict).items():
         try:
             oscillators[oname] = oscillator_from_dict(od)
-        except (ParameterError, KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             errors.append(f"oscillators.{oname}: {exc}")
     combs: Dict[str, CombModel] = {}
-    for cname, cd in doc.get("combs", {}).items():
+    for cname, cd in section("combs", dict).items():
         try:
             combs[cname] = comb_from_dict(cd)
-        except (ParameterError, KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             errors.append(f"combs.{cname}: {exc}")
 
-    locks: List[LockBlock] = []
+    locks: Dict[str, LockBlock] = {}
     lock_ids = set()
-    for i, ld in enumerate(doc.get("locks", [])):
+    for i, ld in enumerate(section("locks", list)):
         path = f"locks[{i}]"
+        if not isinstance(ld, dict):
+            errors.append(f"{path}: must be a JSON object")
+            continue
+        n_errors = len(errors)
         lid = ld.get("id", f"lock{i}")
+        if not isinstance(lid, str) or lid != os.path.basename(lid):
+            errors.append(f"{path}.id: must be a string usable as a file name")
+            continue
         if lid in lock_ids:
             errors.append(f"{path}.id: duplicate lock id {lid!r}")
         lock_ids.add(lid)
-        if ld.get("laser") not in oscillators:
+        laser = _named(oscillators, ld.get("laser"))
+        if laser is None:
             errors.append(f"{path}.laser: unknown oscillator {ld.get('laser')!r}")
-        if ld.get("comb") not in combs:
+        comb = _named(combs, ld.get("comb"))
+        if comb is None:
             errors.append(f"{path}.comb: unknown comb {ld.get('comb')!r}")
         fidelity = ld.get("fidelity", "spectral")
         if fidelity not in ("spectral", "time-domain"):
             errors.append(f"{path}.fidelity: must be 'spectral' or 'time-domain'")
-        if fidelity == "time-domain" and duration > cap:
-            errors.append(f"{path}: time-domain fidelity requires duration_s <= {cap}")
+        if fidelity == "time-domain" and duration > TIME_DOMAIN_CAP_S:
+            errors.append(f"{path}: time-domain fidelity requires duration_s <= {TIME_DOMAIN_CAP_S}")
         try:
             disc = discriminator_from_dict(ld.get("discriminator", {}))
-        except (ParameterError, KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             errors.append(f"{path}.discriminator: {exc}")
             continue
         bw = ld.get("loop_bandwidth_hz")
-        servo = None
-        if ld.get("servo") is not None:
-            try:
-                sd = ld["servo"]
-                servo = ServoConfig(
-                    kp=float(sd.get("kp", 0.0)), ki=float(sd.get("ki", 0.0)),
-                    actuator_limit_hz=float(sd.get("actuator_limit_hz", 50e6)),
-                    update_dt_s=float(sd.get("update_dt_s", 1e-3)),
-                )
-            except (ParameterError, TypeError, ValueError) as exc:
-                errors.append(f"{path}.servo: {exc}")
+        servo = thermal = None
         if fidelity == "spectral":
-            if not isinstance(bw, (int, float)) or bw <= 0:
+            for key in ("servo", "thermal"):
+                if ld.get(key) is not None:
+                    errors.append(f"{path}.{key}: applies to time-domain fidelity only")
+            if not _positive(bw):
                 errors.append(f"{path}.loop_bandwidth_hz: required positive number for spectral fidelity")
             elif bw >= 1.0 / (2.0 * dt):
                 errors.append(f"{path}.loop_bandwidth_hz: must be below Nyquist 1/(2*dt_s)")
-        elif servo is None and not isinstance(bw, (int, float)):
-            errors.append(f"{path}: time-domain lock needs 'servo' gains or 'loop_bandwidth_hz'")
-        thermal = None
-        if ld.get("thermal") is not None:
-            try:
-                thermal = thermal_from_dict(ld["thermal"])
-            except (ParameterError, KeyError, TypeError, ValueError) as exc:
-                errors.append(f"{path}.thermal: {exc}")
+        else:
+            if ld.get("servo") is not None:
+                try:
+                    servo = ServoConfig(**{k: float(v) for k, v in ld["servo"].items()})
+                except _BAD_VALUE as exc:
+                    errors.append(f"{path}.servo: {exc}")
+            elif not _positive(bw):
+                errors.append(f"{path}: time-domain lock needs 'servo' gains or 'loop_bandwidth_hz'")
+            if ld.get("thermal") is not None:
+                try:
+                    thermal = thermal_from_dict(ld["thermal"])
+                except _BAD_VALUE as exc:
+                    errors.append(f"{path}.thermal: {exc}")
         f_lock = ld.get("f_lock_hz")
-        if not isinstance(f_lock, (int, float)) or f_lock <= 0:
+        if not _positive(f_lock):
             errors.append(f"{path}.f_lock_hz: required positive number")
-            f_lock = 1.0
-        locks.append(LockBlock(
-            id=lid, laser=ld.get("laser", ""), comb=ld.get("comb", ""),
-            f_lock_hz=float(f_lock), disc=disc, fidelity=fidelity,
-            loop_bandwidth_hz=float(bw) if isinstance(bw, (int, float)) else None,
+        if len(errors) > n_errors:
+            continue
+        try:
+            n, f_beat, line = _comb_line(laser, comb)
+            f0 = _lock_point(disc, float(f_lock))
+            if fidelity == "time-domain" and servo is None:
+                servo = servo_for_bandwidth(disc, f0, float(bw))
+        except _BAD_VALUE as exc:
+            errors.append(f"{path}: {exc}")
+            continue
+        locks[lid] = LockBlock(
+            id=lid, laser=laser, line=line, line_index=n, beat_hz=f_beat, f0_hz=f0,
+            disc=disc, fidelity=fidelity,
+            loop_bandwidth_hz=float(bw) if fidelity == "spectral" else None,
             servo=servo, thermal=thermal,
-        ))
+        )
 
-    measurements: List[dict] = []
-    stat_ids = set()
-    for i, md in enumerate(doc.get("measurements", [])):
+    references: Dict[str, OscillatorModel] = {}
+
+    def parse_signal(text, path) -> Optional[Signal]:
+        kind, *names = text.split(":") if isinstance(text, str) else [""]
+        if len(names) != _SIGNAL_ARITY.get(kind):
+            errors.append(f"{path}: malformed signal {text!r}")
+            return None
+        source, ref = names[0], None
+        if kind == "freerun" and source not in oscillators:
+            errors.append(f"{path}: unknown oscillator {source!r}")
+        elif kind != "freerun" and source not in lock_ids:
+            errors.append(f"{path}: unknown lock id {source!r}")
+        if kind == "outofloop":
+            ref = names[1]
+            if ref in combs and source in locks:
+                try:
+                    n, _, line = _comb_line(locks[source].laser, combs[ref])
+                except ParameterError as exc:
+                    errors.append(f"{path}: {exc}")
+                    return None
+                ref = f"{ref}:line{n}"
+                references[ref] = line
+            elif ref in oscillators:
+                references[ref] = oscillators[ref]
+            elif ref not in combs:
+                errors.append(f"{path}: unknown out-of-loop reference {ref!r}")
+        return Signal(kind, source, ref)
+
+    measurements: List[Measurement] = []
+    measurement_ids, stat_ids = set(), set()
+    for i, md in enumerate(section("measurements", list)):
         path = f"measurements[{i}]"
+        if not isinstance(md, dict):
+            errors.append(f"{path}: must be a JSON object")
+            continue
+        n_errors = len(errors)
         mid = md.get("id")
-        if not isinstance(mid, str) or not mid:
-            errors.append(f"{path}.id: required non-empty string")
+        if not isinstance(mid, str) or not mid or mid != os.path.basename(mid):
+            errors.append(f"{path}.id: required non-empty string usable as a file name")
             mid = f"m{i}"
-        if mid in stat_ids:
+        if mid in measurement_ids:
             errors.append(f"{path}.id: duplicate measurement id {mid!r}")
-        stat_ids.add(mid)
+        measurement_ids.add(mid)
         kind = md.get("kind")
         if kind not in _MEASUREMENT_KINDS:
             errors.append(f"{path}.kind: must be one of {_MEASUREMENT_KINDS}")
             continue
-        _check_signal(md.get("signal"), lock_ids, oscillators, combs, f"{path}.signal", errors)
+        pick = md.get("pick_tau_s")
+        if kind != "adev" or pick is not None:
+            stat_ids.add(mid)
+        signal = parse_signal(md.get("signal"), f"{path}.signal")
+        baseline = None
+        if kind == "adev_ratio_max":
+            baseline = parse_signal(md.get("baseline"), f"{path}.baseline")
         gate = md.get("gate_s", 1.0)
-        if not isinstance(gate, (int, float)) or gate <= 0:
-            errors.append(f"{path}.gate_s: must be a positive number")
-        elif abs(round(gate / dt) * dt - gate) > 1e-6 * gate or round(gate / dt) < 1:
-            errors.append(f"{path}.gate_s: must be an integer multiple of dt_s")
-        if kind in ("adev", "adev_ratio_max"):
-            taus = md.get("taus_s", "octave")
-            if taus != "octave" and not (isinstance(taus, list) and taus
-                                         and all(isinstance(t, (int, float)) for t in taus)):
-                errors.append(f"{path}.taus_s: must be 'octave' or a list of numbers")
+        gate = float(gate) if _positive(gate) else 0.0
+        m_gate = _multiple(gate, dt, 1e-6)
+        if not 2 <= m_gate <= n_samples:
+            errors.append(f"{path}.gate_s: must be an integer multiple of dt_s, "
+                          f"from 2*dt_s up to duration_s")
+            continue
+        n_gates = n_samples // m_gate
+        span = gate * n_gates
+        window = md.get("window_s")
+        if kind == "peak_to_peak" and window is not None:
+            if not (_positive(window) and 1 <= _multiple(float(window), gate, 1e-9) <= n_gates):
+                errors.append(f"{path}.window_s: must be a multiple of gate_s within the run")
+        taus: Tuple[float, ...] = ()
+        estimator = md.get("estimator", "overlapping")
+        if kind != "peak_to_peak":
+            spec = md.get("taus_s", "octave")
+            grid = octave_taus(gate, span) if spec == "octave" else spec
+            numeric = isinstance(grid, list) and all(_positive(t) for t in grid)
+            taus = tuple(float(t) for t in grid) if numeric else ()
+            multiples = [_multiple(t, gate, 1e-9) for t in taus]
+            fits = [m * gate for m in multiples if 2 * m <= n_gates]
+            if not numeric or not all(multiples):
+                errors.append(f"{path}.taus_s: must be 'octave' or a list of multiples of gate_s")
+            elif not fits:
+                errors.append(f"{path}.taus_s: no tau fits twice into the series")
+            if estimator not in _ESTIMATORS:
+                errors.append(f"{path}.estimator: must be 'overlapping' or 'non-overlapping'")
+        fractional_hz = None
         if kind == "adev":
             units = md.get("units", UNITS_HZ)
-            if units not in (UNITS_HZ, UNITS_FRACTIONAL):
+            if units == UNITS_FRACTIONAL:
+                ref = _named(oscillators, md.get("fractional_ref"))
+                if ref is None:
+                    errors.append(f"{path}.fractional_ref: unknown oscillator "
+                                  f"{md.get('fractional_ref')!r} (required for fractional units)")
+                else:
+                    fractional_hz = ref.nominal_hz
+            elif units != UNITS_HZ:
                 errors.append(f"{path}.units: must be '{UNITS_HZ}' or '{UNITS_FRACTIONAL}'")
-            if units == UNITS_FRACTIONAL and md.get("fractional_ref") not in oscillators:
-                errors.append(f"{path}.fractional_ref: unknown oscillator "
-                              f"{md.get('fractional_ref')!r} (required for fractional units)")
-            if md.get("estimator", "overlapping") not in ("overlapping", "non-overlapping"):
-                errors.append(f"{path}.estimator: must be 'overlapping' or 'non-overlapping'")
-        if kind == "adev_ratio_max":
-            _check_signal(md.get("baseline"), lock_ids, oscillators, combs,
-                          f"{path}.baseline", errors)
-        measurements.append(dict(md, id=mid))
+            if pick is not None and not (_positive(pick)
+                                         and np.isclose(fits, pick, rtol=1e-9).any()):
+                errors.append(f"{path}.pick_tau_s: must be a tau of the grid that fits "
+                              f"twice into the series")
+        if len(errors) == n_errors:
+            measurements.append(Measurement(
+                id=mid, kind=kind, signal=signal, baseline=baseline, gate_s=gate, taus_s=taus,
+                estimator=estimator, fractional_hz=fractional_hz,
+                pick_tau_s=float(pick) if kind == "adev" and pick is not None else None,
+                window_s=float(window) if kind == "peak_to_peak" and window is not None else None,
+            ))
 
-    chain_doc = doc.get("chain")
-    if chain_doc is not None:
-        for stat in ("chain_nominal_hz", "chain_sigma_abs_hz",
-                     "chain_stability_pass", "chain_offset_pass"):
-            stat_ids.add(stat)
+    chain = None
+    if doc.get("chain") is not None:
+        try:
+            chain = chainmod.evaluate_chain(doc["chain"])
+        except _BAD_VALUE as exc:
+            errors.append(f"chain: {exc}")
+        else:
+            if "budget" in chain:
+                stat_ids.update(_CHAIN_STATISTICS)
 
     expectations: Dict[str, Tuple[float, float]] = {}
-    for sid, env in doc.get("expectations", {}).items():
+    for sid, env in section("expectations", dict).items():
         path = f"expectations.{sid}"
         if sid not in stat_ids:
             errors.append(f"{path}: no measurement produces statistic {sid!r}")
             continue
-        if (not isinstance(env, list) or len(env) != 2
-                or not all(isinstance(v, (int, float)) for v in env)):
+        if not isinstance(env, list) or len(env) != 2 or not all(_finite(v) for v in env):
             errors.append(f"{path}: envelope must be [min, max]")
             continue
         if env[0] > env[1]:
@@ -343,10 +500,9 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     if errors:
         return None, errors
     return ScenarioConfig(
-        name=name, seed=seed, duration_s=float(duration), dt_s=float(dt),
-        oscillators=oscillators, combs=combs, locks=locks,
-        measurements=measurements, chain=chain_doc, expectations=expectations,
-        time_domain_cap_s=cap, raw=doc,
+        name=name, seed=seed, duration_s=duration, dt_s=dt,
+        oscillators=oscillators, references=references, locks=locks,
+        measurements=measurements, chain=chain, expectations=expectations, raw=doc,
     ), []
 
 
@@ -354,7 +510,7 @@ def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
         cfg, errors = validate_config(fh.read())
     if errors:
-        raise ParameterError(f"{path}: " + "; ".join(errors))
+        raise ParameterError(f"config error in {path}: " + "; ".join(errors))
     return cfg
 
 
@@ -369,95 +525,41 @@ class RunReport:
     config_echo: dict
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistics": self.statistics,
-            "verdicts": self.verdicts,
-            "overall_pass": self.overall_pass,
-            "unchecked": self.unchecked,
-            "manifest": self.manifest,
-            "config_echo": self.config_echo,
-            "wall_time_s": self.wall_time_s,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            name=d["name"], statistics=d["statistics"], verdicts=d["verdicts"],
-            overall_pass=d["overall_pass"], unchecked=d.get("unchecked", False),
-            manifest=d.get("manifest", []), config_echo=d.get("config_echo", {}),
-            wall_time_s=d.get("wall_time_s", 0.0),
-        )
-
-
-class _LockResult:
-    def __init__(self, locked_trace, inloop_trace, line_nominal, f_lock_hz, status):
-        self.locked_trace = locked_trace
-        self.inloop_trace = inloop_trace
-        self.line_nominal = line_nominal
-        self.f_lock_hz = f_lock_hz
-        self.status = status
-
-
-def resolve_comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, int]:
-    """(line index, |beat| Hz) of the comb line nearest the laser carrier."""
-    n, f_beat = chainmod.comb_beat(laser.nominal_hz, comb)
-    return n, f_beat
-
-
-def execute_lock(cfg: ScenarioConfig, block: LockBlock) -> _LockResult:
-    laser = cfg.oscillators[block.laser]
-    comb = cfg.combs[block.comb]
-    n, f_beat = resolve_comb_line(laser, comb)
-    line = comb_line_oscillator(comb, n)
+def execute_lock(cfg: ScenarioConfig,
+                 block: LockBlock) -> Tuple[FrequencyTrace, FrequencyTrace, dict]:
+    """Run one lock block: (locked laser trace, in-loop beat trace, status)."""
     seed = derive_seed(cfg.seed, f"lock:{block.id}")
-    pts = lock_points(block.disc, 0.0, block.f_lock_hz * 2.0 + 1.0 / block.disc.delay_s)
-    if not pts:
-        raise ParameterError(f"lock {block.id}: no lock point near f_lock")
-    f0 = min((p.f_hz for p in pts), key=lambda f: abs(f - block.f_lock_hz))
     if block.fidelity == "time-domain":
-        servo = block.servo
-        if servo is None:
-            servo = servo_for_bandwidth(block.disc, f0, block.loop_bandwidth_hz)
-        run = simulate_lock(
-            laser, line, block.disc, servo, f0, cfg.duration_s, cfg.dt_s, seed,
-            thermal=block.thermal,
-            initial_beat_offset_hz=0.0,
-        )
-        return _LockResult(run.laser_offset_trace, run.inloop_beat_trace,
-                           line.nominal_hz, f0, run.status)
-    slope = abs(discriminator_slope(block.disc, f0))
-    det_hz2 = block.disc.noise_v2_per_hz / slope**2
+        run = simulate_lock(block.laser, block.line, block.disc, block.servo, block.f0_hz,
+                            cfg.duration_s, cfg.dt_s, seed, thermal=block.thermal)
+        return run.laser_offset_trace, run.inloop_beat_trace, run.status
+    slope = abs(discriminator_slope(block.disc, block.f0_hz))
     locked_off, ref_off, _ = closed_loop_components(
-        laser, line, block.loop_bandwidth_hz, cfg.duration_s, cfg.dt_s, seed,
-        detection_noise_hz2_per_hz=det_hz2)
-    polarity = 1.0 if laser.nominal_hz >= line.nominal_hz else -1.0
-    locked_trace = FrequencyTrace(nominal_hz=laser.nominal_hz, dt_s=cfg.dt_s,
+        block.laser, block.line, block.loop_bandwidth_hz, cfg.duration_s, cfg.dt_s, seed,
+        detection_noise_hz2_per_hz=block.disc.noise_v2_per_hz / slope**2)
+    polarity = 1.0 if block.laser.nominal_hz >= block.line.nominal_hz else -1.0
+    locked_trace = FrequencyTrace(nominal_hz=block.laser.nominal_hz, dt_s=cfg.dt_s,
                                   samples=locked_off, seed=seed)
-    inloop_trace = FrequencyTrace(nominal_hz=int(f_beat), dt_s=cfg.dt_s,
+    inloop_trace = FrequencyTrace(nominal_hz=block.beat_hz, dt_s=cfg.dt_s,
                                   samples=polarity * (locked_off - ref_off), seed=seed)
     status = {"model": "spectral", "loop_bandwidth_hz": block.loop_bandwidth_hz,
-              "f_lock_hz": f0, "comb_line": n}
-    return _LockResult(locked_trace, inloop_trace, line.nominal_hz, f0, status)
+              "f_lock_hz": block.f0_hz, "comb_line": block.line_index}
+    return locked_trace, inloop_trace, status
 
 
-def _reference_trace(cfg: ScenarioConfig, lock_result: _LockResult, block: LockBlock,
-                     ref_name: str) -> FrequencyTrace:
-    if ref_name in cfg.combs:
-        comb = cfg.combs[ref_name]
-        laser = cfg.oscillators[block.laser]
-        n, _ = resolve_comb_line(laser, comb)
-        line = comb_line_oscillator(comb, n)
-        return oscillator_trace(line, cfg.duration_s, cfg.dt_s,
-                                derive_seed(cfg.seed, f"freerun:{ref_name}:line{n}"))
-    osc = cfg.oscillators[ref_name]
-    return oscillator_trace(osc, cfg.duration_s, cfg.dt_s,
-                            derive_seed(cfg.seed, f"freerun:{ref_name}"))
+def _write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunReport:
-    """Execute a validated scenario; writes artifacts and returns the report."""
+    """Execute a validated scenario; writes artifacts and returns the report.
+
+    Every statistic is computed before the first artifact is written, so a
+    run that fails leaves no partial output behind.
+    """
     t_start = time.monotonic()
     if out_dir is None:
         root = os.environ.get(OUT_DIR_ENV, "runs")
@@ -471,105 +573,71 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     except OSError as exc:
         raise ParameterError(f"output directory {out_dir!r} is not writable: {exc}")
 
-    manifest: List[str] = []
-    lock_results: Dict[str, _LockResult] = {}
-    blocks = {b.id: b for b in cfg.locks}
-    for block in cfg.locks:
-        lock_results[block.id] = execute_lock(cfg, block)
+    traces: Dict[Signal, FrequencyTrace] = {}
+    lockruns = []  # written last, as (file name, writer, payload) like every artifact
+    for lid, block in cfg.locks.items():
+        locked, inloop, status = execute_lock(cfg, block)
+        traces[Signal("locked", lid, None)] = locked
+        traces[Signal("inloop", lid, None)] = inloop
+        lockruns.append((f"{lid}_lockrun.json", _write_json, {
+            "f_lock_hz": block.f0_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
 
-    trace_cache: Dict[str, FrequencyTrace] = {}
+    def freerun(name: str, osc: OscillatorModel) -> FrequencyTrace:
+        return oscillator_trace(osc, cfg.duration_s, cfg.dt_s,
+                                derive_seed(cfg.seed, f"freerun:{name}"))
 
-    def signal_trace(sig: str) -> FrequencyTrace:
-        if sig in trace_cache:
-            return trace_cache[sig]
-        parts = sig.split(":")
-        if parts[0] == "freerun":
-            osc = cfg.oscillators[parts[1]]
-            tr = oscillator_trace(osc, cfg.duration_s, cfg.dt_s,
-                                  derive_seed(cfg.seed, f"freerun:{parts[1]}"))
-        elif parts[0] == "locked":
-            tr = lock_results[parts[1]].locked_trace
-        elif parts[0] == "inloop":
-            tr = lock_results[parts[1]].inloop_trace
-        elif parts[0] == "outofloop":
-            lr = lock_results[parts[1]]
-            ref = _reference_trace(cfg, lr, blocks[parts[1]], parts[2])
-            tr = out_of_loop_beat(lr.locked_trace, ref)
-        else:  # unreachable after validation
-            raise ParameterError(f"malformed signal {sig!r}")
-        trace_cache[sig] = tr
-        return tr
+    def counted(sig: Signal, gate_s: float):
+        if sig not in traces:
+            if sig.kind == "freerun":
+                traces[sig] = freerun(sig.source, cfg.oscillators[sig.source])
+            else:  # outofloop; the reference trace is used once, so it is not kept
+                traces[sig] = out_of_loop_beat(traces[Signal("locked", sig.source, None)],
+                                               freerun(sig.ref, cfg.references[sig.ref]))
+        return count(traces[sig], CounterConfig(gate_s=gate_s))
 
-    def compute_adev(md: dict, sig: str) -> AllanResult:
-        gate = float(md.get("gate_s", 1.0))
-        series = count(signal_trace(sig), CounterConfig(gate_s=gate))
-        taus = md.get("taus_s", "octave")
-        if taus == "octave":
-            taus = octave_taus(gate, series.span_s)
-        estimator = md.get("estimator", "overlapping")
-        fn = adev_overlapping if estimator == "overlapping" else adev_nonoverlapping
-        return fn(series, taus)
+    def allan(m: Measurement, series):
+        fn = adev_overlapping if m.estimator == "overlapping" else adev_nonoverlapping
+        return fn(series, m.taus_s)
 
     statistics: Dict[str, float] = {}
-    for md in cfg.measurements:
-        mid = md["id"]
-        kind = md["kind"]
-        sig = md["signal"]
-        gate = float(md.get("gate_s", 1.0))
-        series = count(signal_trace(sig), CounterConfig(gate_s=gate))
-        series_path = os.path.join(out_dir, f"{mid}_series.csv")
-        write_series_csv(series, series_path)
-        manifest.append(os.path.basename(series_path))
-        if kind == "peak_to_peak":
-            statistics[mid] = peak_to_peak(series, md.get("window_s"))
-        elif kind == "adev":
-            result = compute_adev(md, sig)
-            if md.get("units", UNITS_HZ) == UNITS_FRACTIONAL:
-                nominal = cfg.oscillators[md["fractional_ref"]].nominal_hz
-                result = to_fractional(result, nominal)
-            adev_path = os.path.join(out_dir, f"{mid}_adev.csv")
-            write_allan_csv(result, adev_path)
-            manifest.append(os.path.basename(adev_path))
-            pick = md.get("pick_tau_s")
-            if pick is not None:
-                statistics[mid] = result.sigma_at(float(pick))
-        elif kind == "adev_ratio_max":
-            num = compute_adev(md, sig)
-            den = compute_adev(md, md["baseline"])
+    artifacts = []  # (file name, writer, payload), written once every statistic exists
+    for m in cfg.measurements:
+        series = counted(m.signal, m.gate_s)
+        artifacts.append((f"{m.id}_series.csv", write_series_csv, series))
+        if m.kind == "peak_to_peak":
+            statistics[m.id] = peak_to_peak(series, m.window_s)
+        elif m.kind == "adev":
+            result = allan(m, series)
+            if m.fractional_hz is not None:
+                result = to_fractional(result, m.fractional_hz)
+            artifacts.append((f"{m.id}_adev.csv", write_allan_csv, result))
+            if m.pick_tau_s is not None:
+                statistics[m.id] = result.sigma_at(m.pick_tau_s)
+        else:
+            num = allan(m, series)
+            den = allan(m, counted(m.baseline, m.gate_s))
             shared = [t for t in num.taus_s if any(np.isclose(t, den.taus_s))]
             ratios = [num.sigma_at(t) / den.sigma_at(t) for t in shared if den.sigma_at(t) > 0]
             if not ratios:
-                raise ParameterError(f"measurement {mid}: no shared taus with baseline")
-            statistics[mid] = float(max(ratios))
+                raise ParameterError(f"measurement {m.id}: baseline ADEV is zero at every tau")
+            statistics[m.id] = float(max(ratios))
 
     if cfg.chain is not None:
-        chain_result = chainmod.evaluate_chain(cfg.chain)
-        chain_path = os.path.join(out_dir, "chain_budget.json")
-        with open(chain_path, "w") as fh:
-            json.dump(chain_result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest.append(os.path.basename(chain_path))
-        budget = chain_result.get("budget")
+        artifacts.append(("chain_budget.json", _write_json, cfg.chain))
+        budget = cfg.chain.get("budget")
         if budget is not None:
             statistics["chain_nominal_hz"] = float(budget["node"]["nominal_hz"])
             statistics["chain_sigma_abs_hz"] = float(budget["node"]["sigma_abs_hz"])
             statistics["chain_stability_pass"] = 1.0 if budget["stability_pass"] else 0.0
             statistics["chain_offset_pass"] = 1.0 if budget["offset_pass"] else 0.0
+    artifacts += lockruns
 
-    verdicts = {}
-    for sid, (lo, hi) in cfg.expectations.items():
-        if sid not in statistics:
-            raise ParameterError(f"expectation {sid!r} has no computed statistic")
-        v = statistics[sid]
-        verdicts[sid] = bool(lo <= v <= hi)  # closed interval: endpoints pass
-
-    for lid, lr in lock_results.items():
-        path = os.path.join(out_dir, f"{lid}_lockrun.json")
-        with open(path, "w") as fh:
-            json.dump({"f_lock_hz": lr.f_lock_hz, "line_nominal_hz": lr.line_nominal,
-                       "status": lr.status}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest.append(os.path.basename(path))
+    verdicts = {sid: bool(lo <= statistics[sid] <= hi)  # closed interval: endpoints pass
+                for sid, (lo, hi) in cfg.expectations.items()}
+    manifest: List[str] = []
+    for name, write, payload in artifacts:
+        write(payload, os.path.join(out_dir, name))
+        manifest.append(name)
 
     report = RunReport(
         name=cfg.name,
@@ -581,39 +649,29 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         config_echo=cfg.raw,
         wall_time_s=time.monotonic() - t_start,
     )
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    report.manifest.append(os.path.basename(report_path))
+    _write_json(asdict(report), os.path.join(out_dir, "report.json"))
+    report.manifest.append("report.json")
     return report
 
 
-def compare_expected(report) -> Tuple[int, dict]:
+def compare_expected(report: RunReport) -> Tuple[int, dict]:
     """Exit status and machine-readable verdict for a completed report."""
-    if isinstance(report, RunReport):
-        rep = report
-    else:
-        rep = RunReport.from_dict(report)
     verdict = {
-        "name": rep.name,
-        "overall_pass": rep.overall_pass,
-        "unchecked": rep.unchecked,
-        "failed": sorted(sid for sid, ok in rep.verdicts.items() if not ok),
-        "statistics": rep.statistics,
+        "name": report.name,
+        "overall_pass": report.overall_pass,
+        "unchecked": report.unchecked,
+        "failed": sorted(sid for sid, ok in report.verdicts.items() if not ok),
+        "statistics": report.statistics,
     }
-    return (0 if rep.overall_pass else 1), verdict
+    return (0 if report.overall_pass else 1), verdict
 
 
-def expand_seeds(doc: dict, n_seeds: int) -> List[dict]:
-    """One scenario = one seed; ensembles are N configs with derived seeds."""
+def expand_seeds(cfg: ScenarioConfig, n_seeds: int) -> List[ScenarioConfig]:
+    """One scenario = one seed; ensembles are N configs with consecutive seeds."""
     if n_seeds < 1:
         raise ParameterError("n_seeds must be >= 1")
-    base = int(doc.get("seed", 0))
     out = []
-    for i in range(n_seeds):
-        d = dict(doc)
-        d["seed"] = base + i
-        d["name"] = f"{doc.get('name', 'scenario')}_seed{base + i}"
-        out.append(d)
+    for seed in range(cfg.seed, cfg.seed + n_seeds):
+        name = f"{cfg.name}_seed{seed}"
+        out.append(replace(cfg, seed=seed, name=name, raw=dict(cfg.raw, seed=seed, name=name)))
     return out

@@ -130,6 +130,35 @@ class TestRunCommand:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    def test_invalid_json_exit_two(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "invalid JSON" in result.stderr
+        assert result.stdout == ""
+
+    def test_unwritable_out_dir_exit_two(self, runner, tmp_path):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("file in the way")
+        result = runner.invoke(main, ["run", golden_path("chain_afc_606.json"),
+                                      "-o", str(blocker / "sub")])
+        assert result.exit_code == 2
+        assert "not writable" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("seed, n_seeds", [(1.7, "2"), (1, "0")])
+    def test_bad_seeds_exit_two(self, runner, tmp_path, seed, n_seeds):
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "chain_afc_606.json").read_text())
+        doc["seed"] = seed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out"),
+                                      "--seeds", n_seeds])
+        assert result.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_seeds_expansion(self, runner, tmp_path):
         doc = {
             "name": "tiny", "seed": 1, "duration_s": 8.0, "dt_s": 0.5,
@@ -145,6 +174,9 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "tiny_seed1").is_dir()
         assert (tmp_path / "out" / "tiny_seed2").is_dir()
+        echo = json.loads((tmp_path / "out" / "tiny_seed2" / "report.json").read_text())
+        assert echo["config_echo"]["seed"] == 2
+        assert echo["config_echo"]["name"] == "tiny_seed2"
 
     def test_out_dir_env_var(self, runner, tmp_path):
         result = runner.invoke(main, ["run", golden_path("chain_afc_606.json")],
@@ -164,13 +196,25 @@ class TestLockCommand:
     def test_spectral_block_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["lock", golden_path("fig3_lock_1514.json"),
                                       "--lock-id", "lock1514", "-o", str(tmp_path / "run")])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
         assert "spectral" in result.output
 
     def test_unknown_lock_id(self, runner, tmp_path):
         result = runner.invoke(main, ["lock", golden_path("fig3_lock_1514.json"),
                                       "--lock-id", "nope", "-o", str(tmp_path / "run")])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+
+    def test_invalid_config_exit_two(self, runner, tmp_path):
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "fig4_lock_1010_timedomain.json").read_text())
+        doc["locks"][0]["f_lock_hz"] = 5e6
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["lock", str(path), "--lock-id", "lock1010",
+                                      "-o", str(tmp_path / "run")])
+        assert result.exit_code == 2
+        assert "config error" in result.stderr
+        assert not (tmp_path / "run").exists()
 
 
 class TestCompareCommand:

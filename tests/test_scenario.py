@@ -1,8 +1,12 @@
 import copy
 import json
+import os
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from offsetlock import (
     ParameterError,
@@ -12,6 +16,7 @@ from offsetlock import (
     run_scenario,
     validate_config,
 )
+from offsetlock import scenario
 from offsetlock.scenario import expand_seeds
 
 GOLDEN_NAMES = [
@@ -108,6 +113,14 @@ class TestValidateConfig:
         cfg, errors = validate_config(doc)
         assert any("fractional_ref" in e for e in errors)
 
+    def test_ids_must_be_file_names(self):
+        doc = json.loads(golden_text("fig4_lock_1010_timedomain.json"))
+        doc["locks"][0]["id"] = "a/b"
+        doc["measurements"][0]["id"] = "../escape"
+        cfg, errors = validate_config(doc)
+        assert any(e.startswith("locks[0].id") for e in errors)
+        assert any(e.startswith("measurements[0].id") for e in errors)
+
     def test_malformed_signal(self):
         doc = small_doc()
         doc["measurements"][0]["signal"] = "bogus"
@@ -119,6 +132,40 @@ class TestValidateConfig:
         doc["locks"][0]["loop_bandwidth_hz"] = 1000.0
         cfg, errors = validate_config(doc)
         assert any("Nyquist" in e for e in errors)
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        # 5 and 50 MHz both sit outside the 9.89 MHz capture half-range of the
+        # 29.68 MHz lock point that 30 MHz selects
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "f_lock_hz"), 5e6, "capture",
+                     id="f_lock-5MHz"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "f_lock_hz"), 50e6, "capture",
+                     id="f_lock-50MHz"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "servo"), {"ki": 1.0},
+                     "time-domain fidelity only", id="servo-on-spectral"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "ramp_K_per_s": 0.01},
+                     "time-domain fidelity only", id="thermal-on-spectral"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010", "nominal_hz"),
+                     1.5e14 + 0.7, "exact integer", id="fractional-nominal_hz"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "f_rep_hz"),
+                     107000000.5, "exact integer", id="fractional-f_rep_hz"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "f_ceo_hz"),
+                     20000000.5, "exact integer", id="fractional-f_ceo_hz"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("seed",), True, "seed",
+                     id="boolean-seed"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
+                     {"ki": 1.0, "k_i": 2.0}, "k_i", id="misspelled-servo-key"),
+    ])
+    def test_rejects_silently_altered_input(self, name, path, value, message):
+        doc = json.loads(golden_text(name))
+        *parents, key = path
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[key] = value
+        cfg, errors = validate_config(doc)
+        assert cfg is None
+        assert any(message in e for e in errors), errors
 
     def test_all_errors_reported_at_once(self):
         doc = small_doc()
@@ -148,7 +195,7 @@ class TestRunScenario:
         cfg, _ = validate_config(small_doc())
         report = run_scenario(cfg, tmp_path / "out")
         with open(tmp_path / "out" / "report.json") as fh:
-            back = RunReport.from_dict(json.load(fh))
+            back = RunReport(**json.load(fh))
         assert back.statistics == report.statistics
         assert back.overall_pass == report.overall_pass
 
@@ -174,6 +221,22 @@ class TestRunScenario:
         cfg, _ = validate_config(small_doc())
         with pytest.raises(ParameterError):
             run_scenario(cfg, blocker / "sub")
+
+    def test_each_counted_signal_counted_once(self, tmp_path, monkeypatch):
+        doc = small_doc()
+        doc["measurements"] += [
+            {"id": "a", "kind": "adev", "signal": "freerun:osc", "pick_tau_s": 1.0},
+            {"id": "r", "kind": "adev_ratio_max", "signal": "freerun:osc",
+             "baseline": "freerun:osc"},
+        ]
+        cfg, errors = validate_config(doc)
+        assert not errors
+        calls = []
+        real_count = scenario.count
+        monkeypatch.setattr(scenario, "count", lambda *a: calls.append(a) or real_count(*a))
+        report = run_scenario(cfg, tmp_path / "out")
+        assert report.statistics["r"] == 1.0
+        assert len(calls) == 4  # pp, a, and r's signal and baseline
 
     def test_failing_envelope(self, tmp_path):
         doc = small_doc()
@@ -219,13 +282,17 @@ class TestLoadConfigAndSeeds:
             load_config(path)
 
     def test_expand_seeds(self):
-        docs = expand_seeds(small_doc(), 3)
-        assert [d["seed"] for d in docs] == [3, 4, 5]
-        assert [d["name"] for d in docs] == ["tiny_seed3", "tiny_seed4", "tiny_seed5"]
+        cfg, _ = validate_config(small_doc())
+        cfgs = expand_seeds(cfg, 3)
+        assert [c.seed for c in cfgs] == [3, 4, 5]
+        assert [c.name for c in cfgs] == ["tiny_seed3", "tiny_seed4", "tiny_seed5"]
+        assert [(c.raw["seed"], c.raw["name"]) for c in cfgs] == [
+            (c.seed, c.name) for c in cfgs]
 
     def test_expand_seeds_invalid(self):
+        cfg, _ = validate_config(small_doc())
         with pytest.raises(ParameterError):
-            expand_seeds(small_doc(), 0)
+            expand_seeds(cfg, 0)
 
 
 class TestGoldenChainScenario:
@@ -236,3 +303,78 @@ class TestGoldenChainScenario:
         assert report.statistics["chain_nominal_hz"] == 495_000_076_000_000
         assert report.statistics["chain_sigma_abs_hz"] == pytest.approx(1226.4, rel=1e-3)
         assert (tmp_path / "out" / "chain_budget.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Properties: validation never raises, and a config that validates runs.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _subtree_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _subtree_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_goldens(draw):
+    """A golden scenario with 1-3 random subtrees replaced by random JSON."""
+    doc = json.loads(golden_text(draw(st.sampled_from(GOLDEN_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(list(_subtree_paths(doc))))
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(JSON_VALUES, mutated_goldens()))
+def test_validate_config_never_raises(doc):
+    cfg, errors = validate_config(doc)
+    if cfg is None:
+        assert errors and all(isinstance(e, str) for e in errors)
+    else:
+        assert errors == []
+
+
+@st.composite
+def tiny_drift_configs(draw):
+    """A drift-only scenario of at most 32 samples with one random measurement."""
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    duration = dt * draw(st.integers(2, 32))
+    number = st.one_of(st.integers(0, 40).map(lambda k: k * dt / 2), st.floats(-1.0, 40.0),
+                       st.booleans(), st.sampled_from(["1", "octave", None]))
+    md = {"id": "m", "kind": draw(st.sampled_from(["peak_to_peak", "adev", "adev_ratio_max"])),
+          "signal": "freerun:osc", "baseline": "freerun:ref"}
+    for key, values in (("gate_s", number), ("pick_tau_s", number), ("window_s", number),
+                        ("taus_s", number | st.lists(number, max_size=4))):
+        if draw(st.booleans()):
+            md[key] = draw(values)
+    drift = {"noise": {"drift_rate_hz_per_s": 1.0}}
+    return {
+        "name": "tiny", "seed": 1, "duration_s": duration, "dt_s": dt,
+        "oscillators": {"osc": dict(drift, nominal_hz=10**14),
+                        "ref": dict(drift, nominal_hz=2 * 10**14)},
+        "measurements": [md],
+    }
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_drift_configs())
+def test_validated_config_runs_to_a_report(doc):
+    cfg, errors = validate_config(doc)
+    if errors:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        report = run_scenario(cfg, out)
+        assert sorted(report.manifest) == sorted(os.listdir(out))
