@@ -38,13 +38,13 @@ from .lockloop import (
     ThermalModel,
     cable_delay,
     capture_halfwidth,
+    closed_loop_components,
     discriminator_slope,
     error_signal,
     lock_points,
     out_of_loop_beat,
     servo_for_bandwidth,
     simulate_lock,
-    spectral_lock,
     thermal_lockpoint_shift,
 )
 from .chain import (

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .noisegen import CombModel
+from .noisegen import CombModel, exact_int
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,11 @@ class ChainNode:
     provenance: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.nominal_hz, (int, np.integer)) or isinstance(self.nominal_hz, bool):
-            raise ParameterError("nominal_hz must be an exact integer")
+        object.__setattr__(self, "nominal_hz", exact_int(self.nominal_hz, "nominal_hz"))
         if self.nominal_hz <= 0:
             raise ParameterError("nominal_hz must be > 0")
         if self.sigma_abs_hz < 0.0:
             raise ParameterError("sigma_abs_hz must be >= 0")
-        object.__setattr__(self, "nominal_hz", int(self.nominal_hz))
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
 
@@ -52,7 +50,7 @@ class AfcSpec:
     stability_target_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center_hz", int(self.center_hz))
+        object.__setattr__(self, "center_hz", exact_int(self.center_hz, "center_hz"))
         if not 0.0 < self.stability_target_hz < self.width_hz:
             raise ParameterError("need 0 < stability_target_hz < width_hz")
 
@@ -106,9 +104,7 @@ def sfg(a: ChainNode, b: ChainNode) -> ChainNode:
 
 def aom_double_pass(a: ChainNode, f_rf_hz: int) -> ChainNode:
     """Double-pass AOM: shift nominal by 2*f_rf (sigma unchanged)."""
-    if not isinstance(f_rf_hz, (int, np.integer)) or isinstance(f_rf_hz, bool):
-        raise ParameterError("f_rf_hz must be an exact integer")
-    return replace(a, nominal_hz=a.nominal_hz + 2 * int(f_rf_hz))
+    return replace(a, nominal_hz=a.nominal_hz + 2 * exact_int(f_rf_hz, "f_rf_hz"))
 
 
 def solve_aom(target_hz: int, current: ChainNode) -> float:
@@ -160,7 +156,7 @@ def afc_budget(node: ChainNode, afc: AfcSpec) -> BudgetReport:
 
 def _node_from_dict(d: dict, label: str) -> ChainNode:
     return ChainNode(
-        nominal_hz=int(d["nominal_hz"]),
+        nominal_hz=d["nominal_hz"],
         sigma_abs_hz=float(d.get("sigma_abs_hz", 0.0)),
         sigma_tau_s=float(d.get("sigma_tau_s", 1.0)),
         offset_hz=float(d.get("offset_hz", 0.0)),
@@ -195,7 +191,7 @@ def evaluate_chain(doc: dict) -> dict:
                 a, b = op["in"]
                 nodes[out] = sfg(nodes[a], nodes[b])
             elif kind == "aom":
-                nodes[out] = aom_double_pass(nodes[op["in"]], int(op["f_rf_hz"]))
+                nodes[out] = aom_double_pass(nodes[op["in"]], op["f_rf_hz"])
             else:
                 raise ParameterError(f"operations[{i}]: unknown op {kind!r}")
         except KeyError as exc:
@@ -203,7 +199,7 @@ def evaluate_chain(doc: dict) -> dict:
     result = {"nodes": {name: asdict(n) for name, n in nodes.items()}}
     if "afc" in doc:
         afc = AfcSpec(
-            center_hz=int(doc["afc"]["center_hz"]),
+            center_hz=doc["afc"]["center_hz"],
             width_hz=float(doc["afc"]["width_hz"]),
             stability_target_hz=float(doc["afc"]["stability_target_hz"]),
         )

@@ -98,6 +98,12 @@ class ThermalModel:
     def __post_init__(self):
         if abs(self.tempco_per_K) >= 1e-2:
             raise ParameterError("|tempco_per_K| must be < 1e-2")
+        if not callable(self.temperature_profile):
+            times, temps = (np.asarray(v, dtype=float) for v in self.temperature_profile)
+            if not times.ndim == temps.ndim == 1 or not 0 < times.size == temps.size:
+                raise ParameterError("times_s and temps_K must be non-empty and of equal length")
+            if not (np.isfinite(times).all() and np.isfinite(temps).all()) or np.any(np.diff(times) <= 0):
+                raise ParameterError("times_s and temps_K must be finite, times_s strictly increasing")
 
     def delta_t(self, t_s: float) -> float:
         if callable(self.temperature_profile):
@@ -249,6 +255,29 @@ class LockRun:
         return written
 
 
+def servo_stride(disc: DiscriminatorConfig, servo: ServoConfig, f_lock_hz: float,
+                 dt_s: float) -> int:
+    """Samples per servo update at lock point ``f_lock_hz``; raises on unrunnable timing or gains."""
+    if dt_s > servo.update_dt_s * (1.0 + 1e-9):
+        raise ParameterError("dt must not exceed servo.update_dt_s")
+    stride = int(round(servo.update_dt_s / dt_s))
+    if abs(stride * dt_s - servo.update_dt_s) > 1e-6 * servo.update_dt_s:
+        raise ParameterError("servo.update_dt_s must be an integer multiple of dt")
+    implied_bw = abs(discriminator_slope(disc, f_lock_hz)) * (
+        abs(servo.ki) / (2.0 * np.pi) + abs(servo.kp) / (2.0 * np.pi * servo.update_dt_s))
+    if not implied_bw < 1.0 / (10.0 * dt_s):  # NaN gains fail too
+        raise ParameterError("servo gains imply a loop bandwidth above the 1/(10 dt) guard")
+    return stride
+
+
+def _mean(v: List[float]) -> float:
+    """``np.mean`` of a short list, bit for bit: numpy adds 8 or more values pairwise."""
+    if len(v) == 10:
+        return ((((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7])))
+                + v[8] + v[9]) / 10
+    return float(np.add.reduce(v)) / len(v)
+
+
 def simulate_lock(
     laser: OscillatorModel,
     reference: OscillatorModel,
@@ -272,23 +301,12 @@ def simulate_lock(
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
-    if dt_s > servo.update_dt_s * (1.0 + 1e-9):
-        raise ParameterError("dt must not exceed servo.update_dt_s")
-    stride = int(round(servo.update_dt_s / dt_s))
-    if abs(stride * dt_s - servo.update_dt_s) > 1e-6 * servo.update_dt_s:
-        raise ParameterError("servo.update_dt_s must be an integer multiple of dt")
     if duration_s < 2.0 * dt_s:
         raise ParameterError("duration must be at least 2*dt")
+    # negative feedback for either slope sign; raises unless f_lock_hz is a lock point
+    fb = 1.0 if discriminator_slope(disc, f_lock_hz) > 0 else -1.0
     f0 = _nearest_lock_point(disc, f_lock_hz)
-    if abs(f_lock_hz - f0) > 1e-6 * capture_halfwidth(disc):
-        raise ParameterError(f"f_lock={f_lock_hz} Hz is not a lock point of the discriminator")
-    slope_signed = discriminator_slope(disc, f0)
-    fb = 1.0 if slope_signed > 0 else -1.0  # negative feedback for either slope sign
-    slope = abs(slope_signed)
-    implied_bw = slope * (abs(servo.ki) / (2.0 * np.pi)
-                          + abs(servo.kp) / (2.0 * np.pi * servo.update_dt_s))
-    if implied_bw >= 1.0 / (10.0 * dt_s):
-        raise ParameterError("servo gains imply a loop bandwidth above the 1/(10 dt) guard")
+    stride = servo_stride(disc, servo, f0, dt_s)
 
     n = int(round(duration_s / dt_s))
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
@@ -306,41 +324,44 @@ def simulate_lock(
     else:
         v_noise = np.zeros(n_upd)
 
-    beat_signed = np.empty(n)
-    act_arr = np.empty(n)
-    err_arr = np.empty(n)
-    lockpoint_arr = np.empty(n)
-    halfwidth_arr = np.empty(n)
-
-    act_cmd = 0.0  # correction in beat-frequency frame, Hz
+    # Plain floats per update: numpy calls on a 10-sample slice cost far more than the
+    # arithmetic.  This is error_signal() inlined, in its rounding order (2 pi f) tau.
+    act_upd = np.empty(n_upd)  # polarity * actuator command, held for one update
+    err_upd = np.empty(n_upd)
+    tau_upd = np.full(n_upd, disc.delay_s)
+    tau_d = disc.delay_s
+    v0 = disc.sign * disc.amplitude_v
+    two_pi = 2.0 * np.pi
+    center, half = disc.bandpass_center_hz, disc.bandpass_halfwidth_hz
+    pa = 0.0  # polarity * actuator command (a correction in the beat frame, Hz)
     integ = 0.0
-    limit = servo.actuator_limit_hz
     railed_updates = 0
     for j in range(n_upd):
         k0 = j * stride
-        k1 = min(k0 + stride, n)
-        t = k0 * dt_s
-        tau_d = thermal.delay_at(disc, t) if thermal is not None else disc.delay_s
-        if j == 0:
-            f_abs = np.abs(base[k0:k0 + 1] + polarity * act_cmd)
-        else:
-            f_abs = np.abs(beat_signed[k0 - stride:k0])
-        e = float(np.mean(error_signal(f_abs, disc, delay_s=tau_d))) + v_noise[j]
+        if thermal is not None:
+            tau_d = tau_upd[j] = thermal.delay_at(disc, k0 * dt_s)
+        # the discriminator sees the beat of the previous interval (the first sample at j=0)
+        volts = []
+        for b in base[k0 - stride:k0].tolist() if j else base[:1].tolist():
+            f = abs(b + pa)
+            volts.append(v0 * math.cos(two_pi * f * tau_d) if abs(f - center) < half else 0.0)
+        e = _mean(volts) + v_noise.item(j)
         integ += e * servo.update_dt_s
         u = servo.kp * e + servo.ki * integ
         act_cmd = -fb * u
-        if abs(act_cmd) > limit:
-            act_cmd = math.copysign(limit, act_cmd)
+        if abs(act_cmd) > servo.actuator_limit_hz:
+            act_cmd = math.copysign(servo.actuator_limit_hz, act_cmd)
             if servo.ki != 0.0:  # anti-windup: pin the integrator at the rail
                 integ = (-fb * act_cmd - servo.kp * e) / servo.ki
             railed_updates += 1
-        beat_signed[k0:k1] = base[k0:k1] + polarity * act_cmd
-        act_arr[k0:k1] = polarity * act_cmd
-        err_arr[k0:k1] = e
-        lockpoint_arr[k0:k1] = f0 * disc.delay_s / tau_d
-        halfwidth_arr[k0:k1] = 1.0 / (4.0 * tau_d)
+        act_upd[j] = pa = polarity * act_cmd
+        err_upd[j] = e
 
-    f_abs_arr = np.abs(beat_signed)
+    act_arr = np.repeat(act_upd, stride)[:n]
+    err_arr = np.repeat(err_upd, stride)[:n]
+    lockpoint_arr = np.repeat(f0 * disc.delay_s / tau_upd, stride)[:n]
+    halfwidth_arr = np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]
+    f_abs_arr = np.abs(base + act_arr)
     lock_flag = np.abs(f_abs_arr - lockpoint_arr) <= halfwidth_arr
     rail_fraction = railed_updates / n_upd
     beat_nominal = int(round(f0))
@@ -408,27 +429,6 @@ def closed_loop_components(
     lp = _one_pole_lowpass(seen, loop_bandwidth_hz, dt_s)
     hp = laser_free - _one_pole_lowpass(laser_free, loop_bandwidth_hz, dt_s)
     return lp + hp, ref_free, laser_free
-
-
-def spectral_lock(
-    laser: OscillatorModel,
-    reference: OscillatorModel,
-    loop_bandwidth_hz: float,
-    duration_s: float,
-    dt_s: float,
-    seed: int,
-    detection_noise_hz2_per_hz: float = 0.0,
-) -> FrequencyTrace:
-    """Fast-path closed-loop model for long runs (single-pole noise shaping).
-
-    Returns the locked laser's offsets from its own nominal; agrees with
-    :func:`simulate_lock` in distribution when the PI gains correspond to
-    the same first-order bandwidth.
-    """
-    locked, _, _ = closed_loop_components(
-        laser, reference, loop_bandwidth_hz, duration_s, dt_s, seed,
-        detection_noise_hz2_per_hz=detection_noise_hz2_per_hz)
-    return FrequencyTrace(nominal_hz=laser.nominal_hz, dt_s=dt_s, samples=locked, seed=int(seed))
 
 
 def out_of_loop_beat(locked: FrequencyTrace, independent_ref: FrequencyTrace) -> FrequencyTrace:

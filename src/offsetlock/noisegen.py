@@ -120,6 +120,13 @@ def _validate_profile(profile) -> Tuple[Tuple[float, float], ...]:
     return pts
 
 
+def exact_int(value, name: str) -> int:
+    """``value`` as a Python int; a float, even an integral one, or a bool is rejected."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an exact integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OscillatorModel:
     """A noise recipe bound to an exact integer carrier.
@@ -134,11 +141,9 @@ class OscillatorModel:
     adev_profile: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
-        if not isinstance(self.nominal_hz, (int, np.integer)) or isinstance(self.nominal_hz, bool):
-            raise ParameterError("nominal_hz must be an exact integer")
+        object.__setattr__(self, "nominal_hz", exact_int(self.nominal_hz, "nominal_hz"))
         if self.nominal_hz <= 0:
             raise ParameterError("nominal_hz must be > 0")
-        object.__setattr__(self, "nominal_hz", int(self.nominal_hz))
         if self.adev_profile is not None:
             object.__setattr__(self, "adev_profile", _validate_profile(self.adev_profile))
 
@@ -158,10 +163,7 @@ class CombModel:
 
     def __post_init__(self):
         for name in ("f_rep_hz", "f_ceo_hz"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an exact integer")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.f_rep_hz <= 0:
             raise ParameterError("f_rep_hz must be > 0")
         if not 0 <= self.f_ceo_hz < self.f_rep_hz:

@@ -31,6 +31,7 @@ from .lockloop import (
     lock_points,
     out_of_loop_beat,
     servo_for_bandwidth,
+    servo_stride,
     simulate_lock,
 )
 from .metrology import (
@@ -355,8 +356,9 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         try:
             n, f_beat, line = _comb_line(laser, comb)
             f0 = _lock_point(disc, float(f_lock))
-            if fidelity == "time-domain" and servo is None:
-                servo = servo_for_bandwidth(disc, f0, float(bw))
+            if fidelity == "time-domain":
+                servo = servo or servo_for_bandwidth(disc, f0, float(bw))
+                servo_stride(disc, servo, f0, dt)
         except _BAD_VALUE as exc:
             errors.append(f"{path}: {exc}")
             continue

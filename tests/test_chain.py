@@ -237,3 +237,11 @@ class TestEvaluateChain:
         }
         result = evaluate_chain(doc)
         assert result["nodes"]["b"]["nominal_hz"] == 10**14 + 160_000_000
+
+    def test_fractional_aom_frequency_rejected(self):
+        doc = {
+            "sources": {"a": {"nominal_hz": 10**14}},
+            "operations": [{"op": "aom", "in": "a", "f_rf_hz": 80_000_000.5, "out": "b"}],
+        }
+        with pytest.raises(ParameterError, match="f_rf_hz must be an exact integer"):
+            evaluate_chain(doc)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,17 @@ from offsetlock import (
     adev_overlapping,
     cable_delay,
     capture_halfwidth,
+    closed_loop_components,
     count,
+    derive_seed,
     discriminator_slope,
     error_signal,
     laser_from_linewidth,
     lock_points,
+    oscillator_trace,
     out_of_loop_beat,
     servo_for_bandwidth,
     simulate_lock,
-    spectral_lock,
     thermal_lockpoint_shift,
 )
 from offsetlock.lockloop import linear_ramp
@@ -291,16 +295,134 @@ class TestSimulateLock:
         assert "inloop_beat.csv" in names
 
 
+def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s, dt_s, seed,
+                            thermal=None, initial_beat_offset_hz=0.0):
+    """The servo loop as first written, with numpy calls on each update's slice.
+
+    Kept as the oracle for the scalar loop in ``simulate_lock``, which must
+    reproduce it bit for bit.  Returns the traces and the status block.
+    """
+    stride = int(round(servo.update_dt_s / dt_s))
+    f0 = lock_points(disc, f_lock_hz - 1.0, f_lock_hz + 1.0)[0].f_hz
+    fb = 1.0 if discriminator_slope(disc, f0) > 0 else -1.0
+    n = int(round(duration_s / dt_s))
+    laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
+    ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
+    beat0 = laser.nominal_hz - reference.nominal_hz
+    polarity = 1.0 if beat0 >= 0 else -1.0
+    base = float(beat0) + initial_beat_offset_hz + laser_free - ref_free
+    n_upd = (n + stride - 1) // stride
+    if disc.noise_v2_per_hz > 0.0:
+        rng = np.random.default_rng(derive_seed(seed, "detector"))
+        v_noise = rng.standard_normal(n_upd) * math.sqrt(
+            disc.noise_v2_per_hz / (2.0 * servo.update_dt_s))
+    else:
+        v_noise = np.zeros(n_upd)
+    beat_signed, act_arr, err_arr = np.empty(n), np.empty(n), np.empty(n)
+    lockpoint_arr, halfwidth_arr = np.empty(n), np.empty(n)
+    act_cmd = 0.0
+    integ = 0.0
+    railed_updates = 0
+    for j in range(n_upd):
+        k0 = j * stride
+        k1 = min(k0 + stride, n)
+        tau_d = thermal.delay_at(disc, k0 * dt_s) if thermal is not None else disc.delay_s
+        if j == 0:
+            f_abs = np.abs(base[k0:k0 + 1] + polarity * act_cmd)
+        else:
+            f_abs = np.abs(beat_signed[k0 - stride:k0])
+        e = float(np.mean(error_signal(f_abs, disc, delay_s=tau_d))) + v_noise[j]
+        integ += e * servo.update_dt_s
+        act_cmd = -fb * (servo.kp * e + servo.ki * integ)
+        if abs(act_cmd) > servo.actuator_limit_hz:
+            act_cmd = math.copysign(servo.actuator_limit_hz, act_cmd)
+            if servo.ki != 0.0:
+                integ = (-fb * act_cmd - servo.kp * e) / servo.ki
+            railed_updates += 1
+        beat_signed[k0:k1] = base[k0:k1] + polarity * act_cmd
+        act_arr[k0:k1] = polarity * act_cmd
+        err_arr[k0:k1] = e
+        lockpoint_arr[k0:k1] = f0 * disc.delay_s / tau_d
+        halfwidth_arr[k0:k1] = 1.0 / (4.0 * tau_d)
+    f_abs_arr = np.abs(beat_signed)
+    lock_flag = np.abs(f_abs_arr - lockpoint_arr) <= halfwidth_arr
+    rail_fraction = railed_updates / n_upd
+    status = {
+        "lock_fraction": float(np.mean(lock_flag)),
+        "mean_beat_hz": float(np.mean(f_abs_arr)),
+        "actuator_rail_fraction": float(rail_fraction),
+        "unstable": bool(rail_fraction > 0.5),
+    }
+    traces = {
+        "laser_offset": laser_free + act_arr,
+        "inloop_beat": f_abs_arr - int(round(f0)),
+        "error": err_arr,
+        "actuator": act_arr,
+        "lock_flag": lock_flag,
+        "lockpoint": lockpoint_arr,
+    }
+    return traces, status
+
+
+NOISY_LASER = laser_from_linewidth(198_000_019_000_000, 40e3, drift_rate=500.0)
+NOISY_LOW_LASER = laser_from_linewidth(197_999_959_000_000, 40e3, drift_rate=500.0)
+NOISY_REF = OscillatorModel(197_999_989_000_000, NoiseSpec(h_coeffs={0: 1e3}))
+
+
+class TestScalarLoopMatchesReference:
+    """simulate_lock against the numpy-per-update loop it replaced: equal to the bit."""
+
+    @pytest.mark.parametrize("case", [
+        dict(id="thermal-ramp", thermal=ThermalModel(1.7e-4, linear_ramp(0.1))),
+        dict(id="thermal-sampled",
+             thermal=ThermalModel(1.7e-4, ([0.0, 0.4, 2.0], [0.0, 1.5, -0.5]))),
+        # the needed correction shrinks from 5 to 1 MHz: railed for a quarter of the run
+        dict(id="railed-anti-windup", initial_beat_offset_hz=5e6,
+             laser=laser_from_linewidth(198_000_019_000_000, 40e3, drift_rate=-2e6),
+             servo=ServoConfig(kp=1e6, ki=4e9, actuator_limit_hz=4e6)),
+        dict(id="railed-throughout", initial_beat_offset_hz=5e6,
+             servo=ServoConfig(ki=4e9, actuator_limit_hz=1e5)),
+        dict(id="kp-and-ki", initial_beat_offset_hz=1e6,
+             servo=ServoConfig(kp=1e5, ki=2e9)),
+        dict(id="detector-noise", disc=wide_disc(noise_v2_per_hz=1e-8)),
+        dict(id="laser-below-line", laser=NOISY_LOW_LASER, disc=wide_disc(sign=-1)),
+        dict(id="stride-7-ragged-end", duration_s=1.2345,
+             servo=ServoConfig(ki=2e9, update_dt_s=7e-4)),
+        dict(id="narrow-passband", initial_beat_offset_hz=12e6,
+             disc=wide_disc(bandpass_center_hz=30e6, bandpass_halfwidth_hz=10e6)),
+    ], ids=lambda case: case["id"])
+    def test_bitwise_equal(self, case):
+        disc = case.get("disc", wide_disc())
+        servo = case.get("servo", servo_for_bandwidth(disc, 30e6, 100.0))
+        args = (case.get("laser", NOISY_LASER), NOISY_REF, disc, servo, 30e6,
+                case.get("duration_s", 2.0), 1e-4, 7)
+        kwargs = dict(thermal=case.get("thermal"),
+                      initial_beat_offset_hz=case.get("initial_beat_offset_hz", 0.0))
+        run = simulate_lock(*args, **kwargs)
+        expected, status = reference_simulate_lock(*args, **kwargs)
+        got = {
+            "laser_offset": run.laser_offset_trace.samples,
+            "inloop_beat": run.inloop_beat_trace.samples,
+            "error": run.error_trace,
+            "actuator": run.actuator_trace,
+            "lock_flag": run.lock_flag,
+            "lockpoint": run.thermal_lockpoint_trace,
+        }
+        for name, want in expected.items():
+            assert got[name].tobytes() == want.tobytes(), name
+        assert run.status == status
+
+
 class TestSpectralLock:
     def test_noiseless_all_zero(self):
-        trace = spectral_lock(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-3, seed=1)
-        assert np.allclose(trace.samples, 0.0)
+        locked, _, _ = closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-3, seed=1)
+        assert np.allclose(locked, 0.0)
 
     def test_white_laser_suppressed_at_long_tau(self):
-        from offsetlock import oscillator_trace
         laser = laser_from_linewidth(198_000_019_000_000, 300e3)
         free = oscillator_trace(laser, 256.0, 2e-3, seed=2)
-        locked = spectral_lock(laser, IDEAL_REF, 100.0, 256.0, 2e-3, seed=2)
+        locked_off, _, _ = closed_loop_components(laser, IDEAL_REF, 100.0, 256.0, 2e-3, seed=2)
+        locked = FrequencyTrace(laser.nominal_hz, 2e-3, locked_off)
         taus = [1.0, 8.0]
         s_free = adev_overlapping(count(free, CounterConfig(1.0)), taus).sigmas
         s_locked = adev_overlapping(count(locked, CounterConfig(1.0)), taus).sigmas
@@ -308,14 +430,14 @@ class TestSpectralLock:
 
     def test_bandwidth_above_nyquist_rejected(self):
         with pytest.raises(ParameterError):
-            spectral_lock(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-1, seed=1)
+            closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-1, seed=1)
 
     def test_reference_passes_through_below_bandwidth(self):
         # A drifting reference within the loop bandwidth is followed 1:1.
         ref = OscillatorModel(197_999_989_000_000, NoiseSpec(drift_rate=100.0))
-        locked = spectral_lock(IDEAL, ref, 50.0, 20.0, 1e-3, seed=3)
+        locked, _, _ = closed_loop_components(IDEAL, ref, 50.0, 20.0, 1e-3, seed=3)
         expected_drift = 100.0 * 20.0
-        assert locked.samples[-1] - locked.samples[0] == pytest.approx(expected_drift, rel=0.05)
+        assert locked[-1] - locked[0] == pytest.approx(expected_drift, rel=0.05)
 
 
 class TestOutOfLoopBeat:

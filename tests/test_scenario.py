@@ -155,6 +155,30 @@ class TestValidateConfig:
                      id="boolean-seed"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
                      {"ki": 1.0, "k_i": 2.0}, "k_i", id="misspelled-servo-key"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
+                     {"ki": 1.0, "update_dt_s": 5e-5}, "must not exceed",
+                     id="servo-update-below-dt"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
+                     {"ki": 1.0, "update_dt_s": 0.00015}, "integer multiple",
+                     id="servo-update-not-dt-multiple"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"), {"ki": 1e13},
+                     "1/(10 dt)", id="servo-gain-above-guard"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
+                     {"ki": float("nan")}, "1/(10 dt)", id="servo-gain-nan"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "times_s": [0.0, 30.0, 60.0], "temps_K": [0.0, 1.0]},
+                     "equal length", id="thermal-length-mismatch"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "times_s": [0.0, 60.0, 30.0],
+                      "temps_K": [0.0, 1.0, 2.0]},
+                     "strictly increasing", id="thermal-times-decreasing"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "times_s": [], "temps_K": []},
+                     "non-empty", id="thermal-empty"),
+        pytest.param("chain_afc_606.json", ("chain", "sources", "laser1514", "nominal_hz"),
+                     198000019000000.7, "exact integer", id="fractional-chain-nominal_hz"),
+        pytest.param("chain_afc_606.json", ("chain", "afc", "center_hz"),
+                     495000076000000.5, "exact integer", id="fractional-afc-center_hz"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = json.loads(golden_text(name))
