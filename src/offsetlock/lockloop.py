@@ -27,6 +27,7 @@ from .noisegen import (
     derive_seed,
     oscillator_trace,
     synth_power_law,
+    write_column,
     write_trace_csv,
 )
 
@@ -104,6 +105,8 @@ class ThermalModel:
                 raise ParameterError("times_s and temps_K must be non-empty and of equal length")
             if not (np.isfinite(times).all() and np.isfinite(temps).all()) or np.any(np.diff(times) <= 0):
                 raise ParameterError("times_s and temps_K must be finite, times_s strictly increasing")
+            if not np.all(1.0 + self.tempco_per_K * temps > 0.0):
+                raise ParameterError("temperature excursion drives the delay to zero or below")
 
     def delta_t(self, t_s: float) -> float:
         if callable(self.temperature_profile):
@@ -232,26 +235,18 @@ class LockRun:
     def export(self, out_dir) -> List[str]:
         """Write trace CSVs and a lockrun.json summary; returns written paths."""
         os.makedirs(out_dir, exist_ok=True)
-        written = []
-        for name, trace in (
-            ("laser_offset.csv", self.laser_offset_trace),
-            ("inloop_beat.csv", self.inloop_beat_trace),
-        ):
-            path = os.path.join(out_dir, name)
-            write_trace_csv(trace, path)
-            written.append(path)
-        for name, arr in (("error_v.csv", self.error_trace), ("actuator_hz.csv", self.actuator_trace)):
-            path = os.path.join(out_dir, name)
+        written = [os.path.join(out_dir, name) for name in (
+            "laser_offset.csv", "inloop_beat.csv", "error_v.csv", "actuator_hz.csv", "lockrun.json")]
+        laser_csv, beat_csv, error_csv, actuator_csv, summary = written
+        write_trace_csv(self.laser_offset_trace, laser_csv)
+        write_trace_csv(self.inloop_beat_trace, beat_csv)
+        for path, arr in ((error_csv, self.error_trace), (actuator_csv, self.actuator_trace)):
             with open(path, "w") as fh:
-                fh.write(f"# dt={self.laser_offset_trace.dt_s:.17g}\n")
-                fh.writelines(f"{v:.17g}\n" for v in arr)
-            written.append(path)
-        path = os.path.join(out_dir, "lockrun.json")
-        with open(path, "w") as fh:
+                write_column(fh, f"# dt={self.laser_offset_trace.dt_s:.17g}", arr)
+        with open(summary, "w") as fh:
             json.dump({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
-        written.append(path)
         return written
 
 
@@ -340,6 +335,8 @@ def simulate_lock(
         k0 = j * stride
         if thermal is not None:
             tau_d = tau_upd[j] = thermal.delay_at(disc, k0 * dt_s)
+            if not tau_d > 0.0:
+                raise ParameterError(f"thermal delay {tau_d} s at t={k0 * dt_s} s is not positive")
         # the discriminator sees the beat of the previous interval (the first sample at j=0)
         volts = []
         for b in base[k0 - stride:k0].tolist() if j else base[:1].tolist():

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .noisegen import FrequencyTrace
+from .noisegen import FrequencyTrace, write_column
 
 UNITS_HZ = "hz"
 UNITS_FRACTIONAL = "fractional"
@@ -75,10 +75,6 @@ class AllanResult:
             raise ParameterError(f"no ADEV point at tau={tau_s}")
         return float(self.sigmas[idx[0]])
 
-    def relative_error(self) -> np.ndarray:
-        """1/sqrt(n_pairs) relative confidence band."""
-        return 1.0 / np.sqrt(np.maximum(self.n_pairs, 1))
-
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -90,8 +86,8 @@ class SlopeFit:
 
 def write_series_csv(series: CounterSeries, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# nominal_hz={series.nominal_hz} gate_s={series.gate_s:.17g}\n")
-        fh.writelines(f"{v:.17g}\n" for v in series.readings)
+        write_column(fh, f"# nominal_hz={series.nominal_hz} gate_s={series.gate_s:.17g}",
+                     series.readings)
 
 
 _SERIES_HEADER = re.compile(r"#\s*nominal_hz=(-?\d+)\s+gate_s=(\S+)")

@@ -346,6 +346,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             if ld.get("thermal") is not None:
                 try:
                     thermal = thermal_from_dict(ld["thermal"])
+                    if not all(thermal.delay_at(disc, t) > 0.0 for t in (0.0, duration)):
+                        raise ParameterError("temperature excursion drives the delay to zero or below")
                 except _BAD_VALUE as exc:
                     errors.append(f"{path}.thermal: {exc}")
         f_lock = ld.get("f_lock_hz")

@@ -24,6 +24,7 @@ from offsetlock import (
     lock_points,
     oscillator_trace,
     out_of_loop_beat,
+    read_trace_csv,
     servo_for_bandwidth,
     simulate_lock,
     thermal_lockpoint_shift,
@@ -185,6 +186,20 @@ class TestThermal:
         with pytest.raises(ParameterError):
             ThermalModel(0.5, linear_ramp(0.0))
 
+    def test_sampled_excursion_collapsing_delay_rejected(self):
+        with pytest.raises(ParameterError, match="zero or below"):
+            ThermalModel(5e-3, ([0.0, 1.0, 2.0], [0.0, -200.0, 0.0]))
+
+    def test_callable_profile_collapsing_delay_stops_the_run(self):
+        # a callable profile cannot be checked up front; the servo loop stops at the first
+        # update whose delay is not positive instead of reporting a meaningless lock
+        disc = wide_disc()
+        servo = servo_for_bandwidth(disc, 30e6, 100.0, update_dt_s=1e-3)
+        thermal = ThermalModel(5e-3, linear_ramp(-300.0))
+        with pytest.raises(ParameterError, match="not positive"):
+            simulate_lock(IDEAL, IDEAL_REF, disc, servo, 30e6, 2.0, 1e-4, seed=1,
+                          thermal=thermal)
+
 
 class TestConfigValidation:
     def test_passband_must_contain_lock_point(self):
@@ -286,13 +301,27 @@ class TestSimulateLock:
 
     def test_export_writes_manifest(self, tmp_path):
         disc = wide_disc()
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
+        laser = laser_from_linewidth(198_000_019_000_000, 1e3)
+        # 10 000 samples: two full write_column chunks and a ragged tail
+        run = simulate_lock(laser, IDEAL_REF, disc, self._servo(disc, 30e6),
                             30e6, 1.0, 1e-4, seed=1)
-        written = run.export(tmp_path / "run")
+        out = tmp_path / "run"
+        written = run.export(out)
         assert all((tmp_path / "run").joinpath(p.split("/")[-1]).exists() for p in written)
         names = {p.split("/")[-1] for p in written}
-        assert "lockrun.json" in names
-        assert "inloop_beat.csv" in names
+        assert names == {"laser_offset.csv", "inloop_beat.csv", "error_v.csv",
+                         "actuator_hz.csv", "lockrun.json"}
+        for name, trace in (("laser_offset.csv", run.laser_offset_trace),
+                            ("inloop_beat.csv", run.inloop_beat_trace)):
+            back = read_trace_csv(out / name)
+            assert (back.nominal_hz, back.dt_s, back.seed) == (
+                trace.nominal_hz, trace.dt_s, trace.seed)
+            assert np.array_equal(back.samples, trace.samples)
+        for name, arr in (("error_v.csv", run.error_trace), ("actuator_hz.csv", run.actuator_trace)):
+            assert (out / name).read_text().split("\n", 1)[0] == "# dt=0.0001"
+            back = np.loadtxt(out / name, skiprows=1)
+            assert back.size == 10_000
+            assert np.array_equal(back, arr)
 
 
 def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s, dt_s, seed,

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,14 @@ from offsetlock import (
     trace_from_adev_profile,
     write_trace_csv,
 )
-from offsetlock.noisegen import decompose_adev_profile, noise_spec_from_profile
+from offsetlock.lockloop import LockRun
+from offsetlock.metrology import CounterSeries, write_series_csv
+from offsetlock.noisegen import (
+    _COLUMN_CHUNK,
+    decompose_adev_profile,
+    noise_spec_from_profile,
+    write_column,
+)
 
 
 class TestDeriveSeed:
@@ -279,6 +288,68 @@ class TestTraceCsv:
         path.write_text("hello\n1.0\n")
         with pytest.raises(ParameterError):
             read_trace_csv(path)
+
+
+def per_value_column(header, values):
+    """The one-value-at-a-time writer that ``write_column`` replaced: its byte oracle."""
+    return header + "\n" + "".join(f"{v:.17g}\n" for v in values)
+
+
+SPECIAL_VALUES = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+                  1.0, -2.0, 1e16, 2.0**53, 123456789.0]
+# one value, exactly one chunk, one past it, two chunks and a ragged tail
+COLUMN_LENGTHS = [1, _COLUMN_CHUNK, _COLUMN_CHUNK + 1, 2 * _COLUMN_CHUNK + 3]
+
+
+def column_values(n):
+    """Special values interleaved with random ones spread over the whole exponent range."""
+    rng = np.random.default_rng(n)
+    spread = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return np.where(np.arange(n) % 2 == 0, np.resize(SPECIAL_VALUES, n), spread)
+
+
+class TestWriteColumn:
+    @pytest.mark.parametrize("n", [0] + COLUMN_LENGTHS)
+    def test_bytes_match_per_value_format(self, n):
+        values = column_values(n)
+        fh = io.StringIO()
+        write_column(fh, "# dt=0.5", values)
+        assert fh.getvalue() == per_value_column("# dt=0.5", values)
+
+    @pytest.mark.parametrize("n", COLUMN_LENGTHS)
+    def test_trace_csv_bytes(self, tmp_path, n):
+        trace = FrequencyTrace(198_000_019_000_000, 1.0 / 3.0, column_values(n), seed=2**63 - 1)
+        write_trace_csv(trace, tmp_path / "t.csv")
+        expected = per_value_column(
+            "# nominal_hz=198000019000000 dt=0.33333333333333331 seed=9223372036854775807",
+            trace.samples)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n", COLUMN_LENGTHS)
+    def test_series_csv_bytes(self, tmp_path, n):
+        series = CounterSeries(nominal_hz=30_000_000, gate_s=0.1, readings=column_values(n))
+        write_series_csv(series, tmp_path / "s.csv")
+        expected = per_value_column("# nominal_hz=30000000 gate_s=0.10000000000000001",
+                                    series.readings)
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n", COLUMN_LENGTHS)
+    def test_lockrun_export_bytes(self, tmp_path, n):
+        values = column_values(n)
+        trace = FrequencyTrace(29_679_453, 1e-4, values, seed=7)
+        run = LockRun(laser_offset_trace=trace, inloop_beat_trace=trace,
+                      error_trace=values[::-1].copy(), actuator_trace=values,
+                      lock_flag=np.ones(n, bool), thermal_lockpoint_trace=values,
+                      f_lock_hz=29_679_453.0, status={}, config={})
+        run.export(tmp_path)
+        trace_bytes = per_value_column("# nominal_hz=29679453 dt=0.0001 seed=7", values).encode()
+        assert (tmp_path / "laser_offset.csv").read_bytes() == trace_bytes
+        assert (tmp_path / "inloop_beat.csv").read_bytes() == trace_bytes
+        assert (tmp_path / "error_v.csv").read_bytes() == per_value_column(
+            "# dt=0.0001", values[::-1]).encode()
+        assert (tmp_path / "actuator_hz.csv").read_bytes() == per_value_column(
+            "# dt=0.0001", values).encode()
 
 
 @settings(max_examples=30, deadline=None)

@@ -175,6 +175,13 @@ class TestValidateConfig:
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 1e-5, "times_s": [], "temps_K": []},
                      "non-empty", id="thermal-empty"),
+        # 1 + tempco * dT must stay positive, or the delay line has zero or negative length
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 5e-3, "times_s": [0.0, 2.0], "temps_K": [0.0, -300.0]},
+                     "zero or below", id="thermal-sampled-delay-collapse"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 5e-3, "ramp_K_per_s": -5.0},
+                     "zero or below", id="thermal-ramp-delay-collapse"),
         pytest.param("chain_afc_606.json", ("chain", "sources", "laser1514", "nominal_hz"),
                      198000019000000.7, "exact integer", id="fractional-chain-nominal_hz"),
         pytest.param("chain_afc_606.json", ("chain", "afc", "center_hz"),
