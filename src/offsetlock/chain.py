@@ -173,38 +173,45 @@ def evaluate_chain(doc: dict) -> dict:
          "operations": [{"op": "shg"|"pdc"|"sfg"|"aom", "in": ..., "out": name, ...}],
          "afc": {center_hz, width_hz, stability_target_hz},   # optional
          "budget_node": name}                                 # required with afc
+
+    Any malformed document raises ParameterError.
     """
-    nodes = {}
-    for name, src in doc.get("sources", {}).items():
-        nodes[name] = _node_from_dict(src, name)
-    for i, op in enumerate(doc.get("operations", [])):
-        kind = op.get("op")
-        out = op.get("out")
-        if not out:
-            raise ParameterError(f"operations[{i}]: missing 'out'")
-        try:
-            if kind == "shg":
-                nodes[out] = shg(nodes[op["in"]])
-            elif kind == "pdc":
-                nodes[out] = pdc_degenerate(nodes[op["in"]])
-            elif kind == "sfg":
-                a, b = op["in"]
-                nodes[out] = sfg(nodes[a], nodes[b])
-            elif kind == "aom":
-                nodes[out] = aom_double_pass(nodes[op["in"]], op["f_rf_hz"])
-            else:
-                raise ParameterError(f"operations[{i}]: unknown op {kind!r}")
-        except KeyError as exc:
-            raise ParameterError(f"operations[{i}]: unresolved node {exc}") from None
-    result = {"nodes": {name: asdict(n) for name, n in nodes.items()}}
-    if "afc" in doc:
-        afc = AfcSpec(
-            center_hz=doc["afc"]["center_hz"],
-            width_hz=float(doc["afc"]["width_hz"]),
-            stability_target_hz=float(doc["afc"]["stability_target_hz"]),
-        )
-        budget_name = doc.get("budget_node")
-        if budget_name not in nodes:
-            raise ParameterError(f"budget_node {budget_name!r} is not a defined node")
-        result["budget"] = asdict(afc_budget(nodes[budget_name], afc))
-    return result
+    try:
+        nodes = {}
+        for name, src in doc.get("sources", {}).items():
+            nodes[name] = _node_from_dict(src, name)
+        for i, op in enumerate(doc.get("operations", [])):
+            kind = op.get("op")
+            out = op.get("out")
+            if not out:
+                raise ParameterError(f"operations[{i}]: missing 'out'")
+            try:
+                if kind == "shg":
+                    nodes[out] = shg(nodes[op["in"]])
+                elif kind == "pdc":
+                    nodes[out] = pdc_degenerate(nodes[op["in"]])
+                elif kind == "sfg":
+                    a, b = op["in"]
+                    nodes[out] = sfg(nodes[a], nodes[b])
+                elif kind == "aom":
+                    nodes[out] = aom_double_pass(nodes[op["in"]], op["f_rf_hz"])
+                else:
+                    raise ParameterError(f"operations[{i}]: unknown op {kind!r}")
+            except KeyError as exc:
+                raise ParameterError(f"operations[{i}]: unresolved node {exc}") from None
+        result = {"nodes": {name: asdict(n) for name, n in nodes.items()}}
+        if "afc" in doc:
+            afc = AfcSpec(
+                center_hz=doc["afc"]["center_hz"],
+                width_hz=float(doc["afc"]["width_hz"]),
+                stability_target_hz=float(doc["afc"]["stability_target_hz"]),
+            )
+            budget_name = doc.get("budget_node")
+            if budget_name not in nodes:
+                raise ParameterError(f"budget_node {budget_name!r} is not a defined node")
+            result["budget"] = asdict(afc_budget(nodes[budget_name], afc))
+        return result
+    except ParameterError:
+        raise
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed chain description ({type(exc).__name__}: {exc})") from None

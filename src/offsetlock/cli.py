@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import click
@@ -43,6 +44,15 @@ class _Group(click.Group):
             sys.exit(2)
 
 
+@contextmanager
+def _malformed(param: str):
+    """Report an input that does not parse as a ParameterError naming ``param`` (exit status 2)."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{param}: {exc}") from None
+
+
 @click.group(cls=_Group)
 def main():
     """Offset-lock simulation and time-frequency metrology toolkit."""
@@ -58,7 +68,7 @@ def main():
 @click.option("--out", "-o", type=click.Path(), required=True)
 def synth(spec_path, duration, dt, seed, nominal_hz, out):
     """Synthesize a power-law frequency-noise trace to a CSV."""
-    with open(spec_path) as fh:
+    with open(spec_path) as fh, _malformed("--spec"):
         spec = noise_spec_from_dict(json.load(fh))
     trace = synth_power_law(spec, duration, dt, seed)
     if nominal_hz:
@@ -101,11 +111,13 @@ def lock(config, lock_id, out_dir):
               help="Output CSV (default: stdout).")
 def adev(series_csv, taus, overlapping, fractional_hz, out):
     """Allan standard deviation of a CounterSeries CSV."""
-    series = read_series_csv(series_csv)
+    with _malformed("SERIES_CSV"):
+        series = read_series_csv(series_csv)
     if taus == "octave":
         tau_list = octave_taus(series.gate_s, series.span_s)
     else:
-        tau_list = [float(t) for t in taus.split(",")]
+        with _malformed("--taus"):
+            tau_list = [float(t) for t in taus.split(",")]
     fn = adev_overlapping if overlapping else adev_nonoverlapping
     result = fn(series, tau_list)
     if fractional_hz is not None:
@@ -127,7 +139,7 @@ def adev(series_csv, taus, overlapping, fractional_hz, out):
               help="BudgetReport JSON (default: stdout).")
 def chain_cmd(chain_json, out):
     """Evaluate a chain-description JSON; emit the budget report."""
-    with open(chain_json) as fh:
+    with open(chain_json) as fh, _malformed("CHAIN_JSON"):
         result = chainmod.evaluate_chain(json.load(fh))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if out:
@@ -163,7 +175,7 @@ def run(config, out_dir, seeds):
 @click.argument("report_json", type=click.Path(exists=True))
 def compare(report_json):
     """Re-check a report's envelopes; exit zero iff all pass."""
-    with open(report_json) as fh:
+    with open(report_json) as fh, _malformed("REPORT_JSON"):
         code, verdict = compare_expected(RunReport(**json.load(fh)))
     click.echo(json.dumps(verdict, indent=2, sort_keys=True))
     sys.exit(code)

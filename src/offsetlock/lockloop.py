@@ -25,6 +25,7 @@ from .noisegen import (
     NoiseSpec,
     OscillatorModel,
     derive_seed,
+    grid_steps,
     oscillator_trace,
     synth_power_law,
     write_column,
@@ -77,9 +78,8 @@ class DiscriminatorConfig:
             raise ParameterError("noise_v2_per_hz must be >= 0")
         lo = self.bandpass_center_hz - self.bandpass_halfwidth_hz
         hi = self.bandpass_center_hz + self.bandpass_halfwidth_hz
-        spacing = 1.0 / (2.0 * self.delay_s)
-        k_lo = math.ceil((lo * 4.0 * self.delay_s - 1.0) / 2.0)
-        if max(k_lo, 0) * spacing + 1.0 / (4.0 * self.delay_s) >= hi:
+        k = _lock_index(self, lo)  # the first zero crossing may sit on the open edge lo
+        if not any(self.in_passband(_lock_point(self, j).f_hz) for j in (k, k + 1)):
             raise ParameterError("bandpass passband contains no lock point")
 
     def in_passband(self, f_hz) -> np.ndarray:
@@ -155,38 +155,48 @@ class LockPoint:
     slope_sign: int
 
 
+def _lock_index(disc: DiscriminatorConfig, f_hz: float) -> int:
+    """Index k >= 0 of the first zero crossing at or above ``f_hz``."""
+    return max(0, math.ceil((f_hz * 4.0 * disc.delay_s - 1.0) / 2.0))
+
+
+def _lock_point(disc: DiscriminatorConfig, k: int) -> LockPoint:
+    """Zero crossing k at (2k+1)/(4 tau_d), where the error slope has sign -sign * (-1)^k."""
+    return LockPoint(f_hz=(2 * k + 1) / (4.0 * disc.delay_s),
+                     slope_sign=-disc.sign * (1 if k % 2 == 0 else -1))
+
+
 def lock_points(disc: DiscriminatorConfig, f_min_hz: float, f_max_hz: float) -> List[LockPoint]:
     """All zero crossings (2k+1)/(4 tau_d) inside [f_min, f_max] and the passband."""
     if f_min_hz >= f_max_hz:
         raise ParameterError("f_min must be < f_max")
-    tau = disc.delay_s
     out = []
-    k = max(0, math.ceil((f_min_hz * 4.0 * tau - 1.0) / 2.0))
-    while True:
-        f = (2 * k + 1) / (4.0 * tau)
-        if f > f_max_hz:
-            break
-        if f >= f_min_hz and disc.in_passband(f):
-            # d/df [sign V0 cos(2 pi f tau)] at f_k has sign: -sign * (-1)^k
-            out.append(LockPoint(f_hz=f, slope_sign=-disc.sign * (1 if k % 2 == 0 else -1)))
+    k = _lock_index(disc, f_min_hz)
+    while (p := _lock_point(disc, k)).f_hz <= f_max_hz:
+        if p.f_hz >= f_min_hz and disc.in_passband(p.f_hz):
+            out.append(p)
         k += 1
     return out
 
 
-def _nearest_lock_point(disc: DiscriminatorConfig, f_hz: float) -> float:
-    tau = disc.delay_s
-    k = max(0, round((f_hz * 4.0 * tau - 1.0) / 2.0))
-    return (2 * k + 1) / (4.0 * tau)
+def resolve_lock_point(disc: DiscriminatorConfig, f_hz: float, tolerance_hz: float) -> LockPoint:
+    """The passband lock point nearest ``f_hz``; raises unless it is closer than ``tolerance_hz``.
+
+    A scenario's f_lock_hz may lie anywhere inside the capture half-range; the model
+    functions take the lock point itself, to within 1e-6 of that half-range.
+    """
+    hw = capture_halfwidth(disc)
+    p = min(lock_points(disc, f_hz - hw, f_hz + hw), key=lambda p: abs(p.f_hz - f_hz), default=None)
+    if p is None or not abs(p.f_hz - f_hz) < tolerance_hz:
+        raise ParameterError(f"f_lock_hz {f_hz!r}: no passband lock point within {tolerance_hz:.6g} Hz "
+                             f"(capture half-range {hw:.6g} Hz)")
+    return p
 
 
 def discriminator_slope(disc: DiscriminatorConfig, f_lock_hz: float) -> float:
-    """Signed d(error)/df at a lock point; magnitude 2 pi V0 tau_d."""
-    f0 = _nearest_lock_point(disc, f_lock_hz)
-    if abs(f_lock_hz - f0) > 1e-6 * capture_halfwidth(disc):
-        raise ParameterError(f"{f_lock_hz} Hz is not a lock point (nearest {f0} Hz)")
-    magnitude = 2.0 * np.pi * disc.amplitude_v * disc.delay_s
-    k = round((f0 * 4.0 * disc.delay_s - 1.0) / 2.0)
-    return magnitude * (-disc.sign) * (1 if k % 2 == 0 else -1)
+    """Signed d(error)/df at a passband lock point; magnitude 2 pi V0 tau_d."""
+    p = resolve_lock_point(disc, f_lock_hz, 1e-6 * capture_halfwidth(disc))
+    return 2.0 * np.pi * disc.amplitude_v * disc.delay_s * p.slope_sign
 
 
 def capture_halfwidth(disc: DiscriminatorConfig) -> float:
@@ -253,11 +263,9 @@ class LockRun:
 def servo_stride(disc: DiscriminatorConfig, servo: ServoConfig, f_lock_hz: float,
                  dt_s: float) -> int:
     """Samples per servo update at lock point ``f_lock_hz``; raises on unrunnable timing or gains."""
-    if dt_s > servo.update_dt_s * (1.0 + 1e-9):
-        raise ParameterError("dt must not exceed servo.update_dt_s")
-    stride = int(round(servo.update_dt_s / dt_s))
-    if abs(stride * dt_s - servo.update_dt_s) > 1e-6 * servo.update_dt_s:
-        raise ParameterError("servo.update_dt_s must be an integer multiple of dt")
+    stride = grid_steps(servo.update_dt_s, dt_s, 1e-6)
+    if not stride:
+        raise ParameterError("servo.update_dt_s must be an integer multiple of dt (dt must not exceed it)")
     implied_bw = abs(discriminator_slope(disc, f_lock_hz)) * (
         abs(servo.ki) / (2.0 * np.pi) + abs(servo.kp) / (2.0 * np.pi * servo.update_dt_s))
     if not implied_bw < 1.0 / (10.0 * dt_s):  # NaN gains fail too
@@ -296,16 +304,15 @@ def simulate_lock(
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
-    if duration_s < 2.0 * dt_s:
-        raise ParameterError("duration must be at least 2*dt")
-    # negative feedback for either slope sign; raises unless f_lock_hz is a lock point
-    fb = 1.0 if discriminator_slope(disc, f_lock_hz) > 0 else -1.0
-    f0 = _nearest_lock_point(disc, f_lock_hz)
+    lock = resolve_lock_point(disc, f_lock_hz, 1e-6 * capture_halfwidth(disc))
+    fb = lock.slope_sign  # negative feedback for either slope sign
+    f0 = lock.f_hz
     stride = servo_stride(disc, servo, f0, dt_s)
 
-    n = int(round(duration_s / dt_s))
+    # synthesis raises unless duration_s is a multiple of dt_s of at least 2 samples
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
     ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
+    n = laser_free.size
 
     beat0 = laser.nominal_hz - reference.nominal_hz
     polarity = 1.0 if beat0 >= 0 else -1.0

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .noisegen import FrequencyTrace, write_column
+from .noisegen import FrequencyTrace, grid_steps, write_column
 
 UNITS_HZ = "hz"
 UNITS_FRACTIONAL = "fractional"
@@ -126,25 +126,15 @@ def read_allan_csv(path, estimator: str = "overlapping") -> AllanResult:
     )
 
 
-def _gate_samples(gate_s: float, dt_s: float) -> int:
-    m = int(round(gate_s / dt_s))
-    if m < 2:
-        raise ParameterError("gate must span at least 2 samples")
-    if abs(m * dt_s - gate_s) > 1e-6 * gate_s:
-        raise ParameterError("gate_s must be an integer multiple of trace dt (no resampling)")
-    return m
-
-
 def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
     """Apply a gated Pi counter to a trace; trailing partial gate discarded."""
-    m = _gate_samples(cfg.gate_s, trace.dt_s)
-    if cfg.dead_time_s > 0.0:
-        dead = int(round(cfg.dead_time_s / trace.dt_s))
-        if abs(dead * trace.dt_s - cfg.dead_time_s) > 1e-6 * cfg.dead_time_s:
-            raise ParameterError("dead_time_s must be an integer multiple of trace dt")
-        stride = m + dead
-    else:
-        stride = m
+    m = grid_steps(cfg.gate_s, trace.dt_s, 1e-6)
+    if m < 2:
+        raise ParameterError("gate_s must be a multiple of trace dt (no resampling) of 2 or more samples")
+    dead = grid_steps(cfg.dead_time_s, trace.dt_s, 1e-6)
+    if cfg.dead_time_s > 0.0 and not dead:
+        raise ParameterError("dead_time_s must be an integer multiple of trace dt")
+    stride = m + dead
     n_gates = (trace.samples.size - m) // stride + 1
     if n_gates < 1:
         raise ParameterError("trace shorter than one gate")
@@ -154,11 +144,25 @@ def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
     return CounterSeries(nominal_hz=trace.nominal_hz, gate_s=cfg.gate_s, readings=readings)
 
 
-def _tau_multiple(tau_s: float, gate_s: float) -> int:
-    m = int(round(tau_s / gate_s))
-    if m < 1 or abs(m * gate_s - tau_s) > 1e-9 * tau_s:
-        raise ParameterError(f"tau={tau_s} is not a multiple of gate={gate_s}")
-    return m
+def _allan(series: CounterSeries, taus: Sequence[float], estimator: str,
+           differences: Callable[[int], np.ndarray]) -> AllanResult:
+    """sigma(tau) = sqrt(0.5 * <d^2>) over the ``differences(m)`` of m-gate averages."""
+    out_t, out_s, out_n, omitted = [], [], [], []
+    for tau in taus:
+        m = grid_steps(tau, series.gate_s, 1e-9)
+        if not m:
+            raise ParameterError(f"tau={tau} is not a multiple of gate={series.gate_s}")
+        if series.readings.size < 2 * m:
+            omitted.append(float(tau))
+            continue
+        d = differences(m)
+        out_t.append(m * series.gate_s)
+        out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
+        out_n.append(d.size)
+    return AllanResult(
+        taus_s=np.array(out_t), sigmas=np.array(out_s), n_pairs=np.array(out_n),
+        units=UNITS_HZ, estimator=estimator, omitted_taus_s=tuple(omitted),
+    )
 
 
 def adev_overlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResult:
@@ -168,44 +172,22 @@ def adev_overlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResul
     starts k, with ybar_k the m-gate average beginning at reading k.
     Taus too large for the series are omitted and flagged, not raised.
     """
-    y = series.readings
-    c = np.concatenate([[0.0], np.cumsum(y)])
-    out_t, out_s, out_n, omitted = [], [], [], []
-    for tau in taus:
-        m = _tau_multiple(tau, series.gate_s)
-        if y.size < 2 * m:
-            omitted.append(float(tau))
-            continue
+    c = np.concatenate([[0.0], np.cumsum(series.readings)])
+
+    def differences(m: int) -> np.ndarray:
         avg = (c[m:] - c[:-m]) / m
-        d = avg[m:] - avg[:-m]
-        out_t.append(m * series.gate_s)
-        out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
-        out_n.append(d.size)
-    return AllanResult(
-        taus_s=np.array(out_t), sigmas=np.array(out_s), n_pairs=np.array(out_n),
-        units=UNITS_HZ, estimator="overlapping", omitted_taus_s=tuple(omitted),
-    )
+        return avg[m:] - avg[:-m]
+    return _allan(series, taus, "overlapping", differences)
 
 
 def adev_nonoverlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResult:
     """Non-overlapping (strided) Allan standard deviation over disjoint intervals."""
     y = series.readings
-    out_t, out_s, out_n, omitted = [], [], [], []
-    for tau in taus:
-        m = _tau_multiple(tau, series.gate_s)
-        n_blocks = y.size // m
-        if n_blocks < 2:
-            omitted.append(float(tau))
-            continue
-        blocks = y[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
-        d = blocks[1:] - blocks[:-1]
-        out_t.append(m * series.gate_s)
-        out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
-        out_n.append(d.size)
-    return AllanResult(
-        taus_s=np.array(out_t), sigmas=np.array(out_s), n_pairs=np.array(out_n),
-        units=UNITS_HZ, estimator="non-overlapping", omitted_taus_s=tuple(omitted),
-    )
+
+    def differences(m: int) -> np.ndarray:
+        blocks = y[: y.size // m * m].reshape(-1, m).mean(axis=1)
+        return blocks[1:] - blocks[:-1]
+    return _allan(series, taus, "non-overlapping", differences)
 
 
 def to_fractional(result: AllanResult, nominal_hz: int) -> AllanResult:
@@ -231,11 +213,9 @@ def peak_to_peak(series: CounterSeries, window_s: Optional[float] = None) -> flo
     if window_s is None:
         y = series.readings
     else:
-        k = int(round(window_s / series.gate_s))
-        if k < 1:
-            raise ParameterError("window shorter than one gate")
-        if window_s > series.span_s * (1.0 + 1e-9):
-            raise ParameterError("window exceeds series span")
+        k = grid_steps(window_s, series.gate_s, 1e-9)
+        if not 1 <= k <= series.readings.size:
+            raise ParameterError("window_s must be a multiple of gate_s within the series span")
         y = series.readings[:k]
     return float(y.max() - y.min())
 

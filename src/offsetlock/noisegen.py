@@ -12,6 +12,7 @@ granularity, so offsets are stored separately from the integer carrier.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Tuple
@@ -125,6 +126,16 @@ def exact_int(value, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ParameterError(f"{name} must be an exact integer")
     return int(value)
+
+
+def grid_steps(x: float, unit: float, rtol: float) -> int:
+    """The integer m with ``x == m * unit`` to within ``rtol * x``; 0 if there is none.
+
+    Every duration, gate, tau, window and servo update is put on its grid here, never snapped.
+    """
+    q = x / unit
+    m = round(q) if math.isfinite(q) else 0
+    return m if abs(m * unit - x) <= rtol * x else 0
 
 
 @dataclass(frozen=True)
@@ -256,9 +267,9 @@ def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) 
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
-    if duration_s < 2.0 * dt_s:
-        raise ParameterError("duration must be at least 2*dt")
-    n = int(round(duration_s / dt_s))
+    n = grid_steps(duration_s, dt_s, 1e-6)
+    if n < 2:
+        raise ParameterError("duration must be a multiple of dt, at least 2*dt")
     samples = np.zeros(n)
     if spec.has_stochastic:
         m = sp_fft.next_fast_len(2 * n, real=True)

@@ -8,7 +8,6 @@ per seed: re-running a config produces byte-identical CSV artifacts.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import time
@@ -28,8 +27,8 @@ from .lockloop import (
     closed_loop_components,
     discriminator_slope,
     linear_ramp,
-    lock_points,
     out_of_loop_beat,
+    resolve_lock_point,
     servo_for_bandwidth,
     servo_stride,
     simulate_lock,
@@ -54,6 +53,7 @@ from .noisegen import (
     OscillatorModel,
     comb_line_oscillator,
     derive_seed,
+    grid_steps,
     laser_from_linewidth,
     oscillator_trace,
 )
@@ -143,28 +143,10 @@ def _named(table: dict, key):
     return table.get(key) if isinstance(key, str) else None
 
 
-def _multiple(x: float, unit: float, rtol: float) -> int:
-    """The integer m with x == m * unit to within ``rtol * x``; 0 if there is none."""
-    q = x / unit
-    m = round(q) if math.isfinite(q) else 0
-    return m if abs(m * unit - x) <= rtol * x else 0
-
-
 def _comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, int, OscillatorModel]:
     """(index, |beat| Hz, oscillator) of the comb line nearest the laser carrier."""
     n, f_beat = chainmod.comb_beat(laser.nominal_hz, comb)
     return n, f_beat, comb_line_oscillator(comb, n)
-
-
-def _lock_point(disc: DiscriminatorConfig, f_lock_hz: float) -> float:
-    """The lock point nearest ``f_lock_hz``; it must lie inside its capture half-range."""
-    hw = capture_halfwidth(disc)
-    pts = [p.f_hz for p in lock_points(disc, f_lock_hz - hw, f_lock_hz + hw)]
-    f0 = min(pts, key=lambda f: abs(f - f_lock_hz), default=math.inf)
-    if not abs(f0 - f_lock_hz) < hw:
-        raise ParameterError(f"f_lock_hz: no passband lock point within the capture "
-                             f"half-range {hw:.6g} Hz of {f_lock_hz!r}")
-    return f0
 
 
 @dataclass(frozen=True)
@@ -265,21 +247,18 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed: must be an integer")
         seed = 0
-    duration = doc.get("duration_s")
+    duration, dt = doc.get("duration_s"), doc.get("dt_s")
     if not _positive(duration):
         errors.append("duration_s: must be a positive number")
-        duration = 1.0
-    dt = doc.get("dt_s")
     if not _positive(dt):
         errors.append("dt_s: must be a positive number")
-        dt = 1.0
-    elif duration < 2 * dt:
-        errors.append("duration_s: must be at least 2*dt_s")
-    elif math.isinf(duration / dt):
-        errors.append("dt_s: too small for duration_s")
-        dt = duration
-    duration, dt = float(duration), float(dt)
-    n_samples = int(round(duration / dt))
+    n_samples = 0
+    if _positive(duration) and _positive(dt):
+        n_samples = grid_steps(duration, dt, 1e-6)
+        if n_samples < 2:
+            errors.append("duration_s: must be a multiple of dt_s, at least 2*dt_s")
+    duration = float(duration) if _positive(duration) else 1.0
+    dt = float(dt) if _positive(dt) else 1.0
 
     oscillators: Dict[str, OscillatorModel] = {}
     for oname, od in section("oscillators", dict).items():
@@ -357,7 +336,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             continue
         try:
             n, f_beat, line = _comb_line(laser, comb)
-            f0 = _lock_point(disc, float(f_lock))
+            f0 = resolve_lock_point(disc, float(f_lock), capture_halfwidth(disc)).f_hz
             if fidelity == "time-domain":
                 servo = servo or servo_for_bandwidth(disc, f0, float(bw))
                 servo_stride(disc, servo, f0, dt)
@@ -427,7 +406,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             baseline = parse_signal(md.get("baseline"), f"{path}.baseline")
         gate = md.get("gate_s", 1.0)
         gate = float(gate) if _positive(gate) else 0.0
-        m_gate = _multiple(gate, dt, 1e-6)
+        m_gate = grid_steps(gate, dt, 1e-6)
         if not 2 <= m_gate <= n_samples:
             errors.append(f"{path}.gate_s: must be an integer multiple of dt_s, "
                           f"from 2*dt_s up to duration_s")
@@ -436,7 +415,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         span = gate * n_gates
         window = md.get("window_s")
         if kind == "peak_to_peak" and window is not None:
-            if not (_positive(window) and 1 <= _multiple(float(window), gate, 1e-9) <= n_gates):
+            if not (_positive(window) and 1 <= grid_steps(float(window), gate, 1e-9) <= n_gates):
                 errors.append(f"{path}.window_s: must be a multiple of gate_s within the run")
         taus: Tuple[float, ...] = ()
         estimator = md.get("estimator", "overlapping")
@@ -445,7 +424,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             grid = octave_taus(gate, span) if spec == "octave" else spec
             numeric = isinstance(grid, list) and all(_positive(t) for t in grid)
             taus = tuple(float(t) for t in grid) if numeric else ()
-            multiples = [_multiple(t, gate, 1e-9) for t in taus]
+            multiples = [grid_steps(t, gate, 1e-9) for t in taus]
             fits = [m * gate for m in multiples if 2 * m <= n_gates]
             if not numeric or not all(multiples):
                 errors.append(f"{path}.taus_s: must be 'octave' or a list of multiples of gate_s")
@@ -481,7 +460,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     if doc.get("chain") is not None:
         try:
             chain = chainmod.evaluate_chain(doc["chain"])
-        except _BAD_VALUE as exc:
+        except ParameterError as exc:
             errors.append(f"chain: {exc}")
         else:
             if "budget" in chain:

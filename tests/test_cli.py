@@ -225,3 +225,39 @@ class TestCompareCommand:
         result = runner.invoke(main, ["compare", str(tmp_path / "out" / "report.json")])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["overall_pass"]
+
+
+def _chain_text(edit):
+    doc = json.loads((resources.files("offsetlock") / "scenarios"
+                      / "chain_afc_606.json").read_text())["chain"]
+    edit(doc)
+    return json.dumps(doc)
+
+
+SERIES_CSV = "# nominal_hz=30000000 gate_s=1\n" + "".join(f"{v}.0\n" for v in range(8))
+
+
+@pytest.mark.parametrize("command, text, options", [
+    pytest.param("chain", "{not json", [], id="chain-invalid-json"),
+    pytest.param("chain", _chain_text(lambda d: d["afc"].pop("width_hz")), [],
+                 id="chain-missing-afc-width"),
+    pytest.param("chain", _chain_text(lambda d: d["operations"][2].update({"in": ["photon1514"]})),
+                 [], id="chain-sfg-one-input"),
+    pytest.param("compare", json.dumps({"name": "x", "statistics": {}}), [],
+                 id="compare-missing-keys"),
+    pytest.param("synth", "{not json", ["--duration", "8", "--dt", "0.5"], id="synth-invalid-spec"),
+    pytest.param("adev", SERIES_CSV, ["--taus", "1,abc"], id="adev-malformed-taus"),
+])
+def test_malformed_input_exits_two(runner, tmp_path, command, text, options):
+    """Malformed input is exit 2 with a message, not a traceback (exit 1 means a failed check)."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    if command == "synth":
+        args = ["synth", "--spec", str(path), *options, "-o", str(tmp_path / "out.csv")]
+    else:
+        args = [command, str(path), *options]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ")
+    assert result.stdout == ""

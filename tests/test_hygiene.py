@@ -32,3 +32,31 @@ def test_scanner_finds_unused_imports():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unreferenced_private_functions(sources):
+    """Module-private top-level functions that no module in ``sources`` ({name: text}) reads."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}: {name}" for name, module in defined.items() if name not in used)
+
+
+def test_scanner_finds_unreferenced_private_functions():
+    sources = {"a.py": "def _called():\n    pass\ndef _dead():\n    pass\ndef public():\n    pass\n",
+               "b.py": "import a\na._called()\n"}
+    assert unreferenced_private_functions(sources) == ["a.py: _dead"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []

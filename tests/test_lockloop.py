@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from offsetlock import (
     CounterConfig,
@@ -29,7 +31,7 @@ from offsetlock import (
     simulate_lock,
     thermal_lockpoint_shift,
 )
-from offsetlock.lockloop import linear_ramp
+from offsetlock.lockloop import linear_ramp, resolve_lock_point
 
 IDEAL = OscillatorModel(198_000_019_000_000, NoiseSpec())
 IDEAL_REF = OscillatorModel(197_999_989_000_000, NoiseSpec())
@@ -145,6 +147,94 @@ class TestDiscriminatorSlope:
             discriminator_slope(wide_disc(), 31e6)
 
 
+def reference_lock_point(disc, f_lock_hz):
+    """The scenario module's lock-point rule before lockloop.resolve_lock_point replaced it.
+
+    Kept as the oracle, with the lock_points enumeration it called inlined.
+    """
+    tau = disc.delay_s
+    hw = 1.0 / (4.0 * tau)
+    f_min, f_max = f_lock_hz - hw, f_lock_hz + hw
+    pts = []
+    k = max(0, math.ceil((f_min * 4.0 * tau - 1.0) / 2.0))
+    while True:
+        f = (2 * k + 1) / (4.0 * tau)
+        if f > f_max:
+            break
+        if f >= f_min and disc.in_passband(f):
+            pts.append(f)
+        k += 1
+    f0 = min(pts, key=lambda f: abs(f - f_lock_hz), default=math.inf)
+    if not abs(f0 - f_lock_hz) < hw:
+        raise ParameterError("no passband lock point within the capture half-range")
+    return f0
+
+
+@st.composite
+def discs_and_frequencies(draw):
+    """A discriminator and a frequency near (within 1.5 half-ranges of) one of its lock points."""
+    delay = draw(st.floats(1e-9, 1e-6))
+    try:
+        disc = DiscriminatorConfig(
+            delay_s=delay, amplitude_v=1.0, sign=draw(st.sampled_from([-1, 1])),
+            bandpass_center_hz=draw(st.floats(0.0, 1e8)),
+            bandpass_halfwidth_hz=draw(st.floats(1e3, 1e8)))
+    except ParameterError:  # the passband holds no lock point
+        assume(False)
+    hw = 1.0 / (4.0 * delay)
+    k = draw(st.integers(0, 60))
+    frac = draw(st.floats(-1.5, 1.5) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    f = (2 * k + 1) * hw + frac * hw
+    assume(f > 0.0)
+    return disc, f
+
+
+class TestResolveLockPoint:
+    @settings(max_examples=500, deadline=None)
+    @given(discs_and_frequencies(), st.sampled_from([1e-6, 0.3, 1.0]))
+    def test_matches_reference(self, case, frac):
+        """Same f0 as the oracle, or both reject; a tighter tolerance only rejects more."""
+        disc, f = case
+        hw = capture_halfwidth(disc)
+        try:
+            expected = reference_lock_point(disc, f)
+        except ParameterError:
+            expected = None
+        if expected is not None and not abs(expected - f) < frac * hw:
+            expected = None
+        try:
+            got = resolve_lock_point(disc, f, frac * hw)
+        except ParameterError:
+            got = None
+        assert (None if got is None else got.f_hz) == expected
+
+    def test_slope_sign_matches_lock_points(self):
+        disc = wide_disc()
+        for p in lock_points(disc, 0.0, 80e6):
+            assert resolve_lock_point(disc, p.f_hz, 1.0) == p
+
+
+# 1/(4 * 25 ns) = 10 MHz is a zero crossing, but it lies outside the default 30 +/- 15 MHz
+# passband, where the error voltage is 0 V and no servo can lock.
+OUT_OF_BAND_LOCK_HZ = 1.0 / (4.0 * 25e-9)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda disc: discriminator_slope(disc, OUT_OF_BAND_LOCK_HZ),
+                 id="discriminator_slope"),
+    pytest.param(lambda disc: servo_for_bandwidth(disc, OUT_OF_BAND_LOCK_HZ, 100.0),
+                 id="servo_for_bandwidth"),
+    pytest.param(lambda disc: simulate_lock(IDEAL, IDEAL_REF, disc, ServoConfig(ki=1.0),
+                                            OUT_OF_BAND_LOCK_HZ, 1.0, 1e-4, seed=1),
+                 id="simulate_lock"),
+])
+def test_lock_point_outside_passband_rejected(call):
+    disc = DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0)
+    assert [p.f_hz for p in lock_points(disc, 0.0, 60e6)] == [pytest.approx(30e6)]
+    with pytest.raises(ParameterError, match="passband"):
+        call(disc)
+
+
 class TestCaptureHalfwidth:
     def test_values(self):
         assert capture_halfwidth(wide_disc(delay_s=25e-9)) == pytest.approx(10e6)
@@ -206,6 +296,15 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0,
                                 bandpass_center_hz=20e6, bandpass_halfwidth_hz=1e6)
+
+    def test_lock_points_on_the_open_passband_edges_rejected(self):
+        # 10 and 30 MHz are zero crossings of a 25 ns line, but the passband (10, 30) MHz is open
+        with pytest.raises(ParameterError, match="no lock point"):
+            DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0,
+                                bandpass_center_hz=20e6, bandpass_halfwidth_hz=10e6)
+        disc = DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0,
+                                   bandpass_center_hz=20e6, bandpass_halfwidth_hz=10.5e6)
+        assert [p.f_hz for p in lock_points(disc, 0.0, 60e6)] == [10e6, 30e6]
 
     def test_servo_needs_some_gain(self):
         with pytest.raises(ParameterError):

@@ -211,6 +211,11 @@ class TestPeakToPeak:
         with pytest.raises(ParameterError):
             peak_to_peak(make_series([1.0, 2.0]), window_s=10.0)
 
+    def test_window_off_the_gate_grid_rejected(self, make_series):
+        # 1.4 gates used to be rounded to a 1-gate window
+        with pytest.raises(ParameterError, match="multiple of gate_s"):
+            peak_to_peak(make_series([1.0, 2.0, 3.0]), window_s=1.4)
+
 
 class TestOctaveTaus:
     def test_covers_span_quarter(self):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from offsetlock.metrology import CounterSeries, write_series_csv
 from offsetlock.noisegen import (
     _COLUMN_CHUNK,
     decompose_adev_profile,
+    grid_steps,
     noise_spec_from_profile,
     write_column,
 )
@@ -80,6 +82,34 @@ class TestNoiseSpec:
         assert s.drift_random_walk == pytest.approx(400.0)
 
 
+def reference_multiple(x, unit, rtol):
+    """The scenario module's grid rule before noisegen.grid_steps replaced it, kept as the oracle."""
+    q = x / unit
+    m = round(q) if math.isfinite(q) else 0
+    return m if abs(m * unit - x) <= rtol * x else 0
+
+
+class TestGridSteps:
+    @settings(max_examples=500, deadline=None)
+    @given(unit=st.floats(1e-9, 1e3), m=st.integers(0, 10**6),
+           rel=st.floats(-1e-5, 1e-5) | st.sampled_from([0.0, 0.5e-6, -0.5e-9, 2e-9]),
+           rtol=st.sampled_from([1e-6, 1e-9]))
+    def test_matches_reference_near_the_grid(self, unit, m, rel, rtol):
+        x = m * unit * (1.0 + rel)
+        assert grid_steps(x, unit, rtol) == reference_multiple(x, unit, rtol)
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(), unit=st.floats().filter(lambda u: u != 0.0),
+           rtol=st.sampled_from([1e-6, 1e-9]))
+    def test_matches_reference_on_any_float(self, x, unit, rtol):
+        assert grid_steps(x, unit, rtol) == reference_multiple(x, unit, rtol)
+
+    def test_off_grid_is_zero_not_snapped(self):
+        assert grid_steps(2.0, 1.0, 1e-6) == 2
+        assert grid_steps(2.5, 1.0, 1e-6) == 0
+        assert grid_steps(3 * 0.1, 0.1, 1e-9) == 3
+
+
 class TestSynthPowerLaw:
     def test_all_zero_spec_gives_zero_trace(self):
         trace = synth_power_law(NoiseSpec(), 10.0, 1e-3, seed=1)
@@ -107,6 +137,11 @@ class TestSynthPowerLaw:
             synth_power_law(NoiseSpec(), 1.0, -0.1, seed=0)
         with pytest.raises(ParameterError):
             synth_power_law(NoiseSpec(), 0.5, 1.0, seed=0)
+
+    def test_duration_off_the_sample_grid_rejected(self):
+        # 2.5 samples used to be rounded to a 2-sample trace
+        with pytest.raises(ParameterError, match="multiple of dt"):
+            synth_power_law(NoiseSpec(), 2.5, 1.0, seed=0)
 
     def test_white_fm_adev_one_seed(self):
         # sigma(1 s) = sqrt(h0/2) = 1 Hz for h0 = 2; loose single-seed check

@@ -153,6 +153,9 @@ class TestValidateConfig:
                      20000000.5, "exact integer", id="fractional-f_ceo_hz"),
         pytest.param("fig4_lock_1010_timedomain.json", ("seed",), True, "seed",
                      id="boolean-seed"),
+        # 2.00049 s is 20004.9 samples of 0.1 ms; it used to run as 20005
+        pytest.param("fig4_lock_1010_timedomain.json", ("duration_s",), 2.00049,
+                     "multiple of dt_s", id="duration-off-sample-grid"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
                      {"ki": 1.0, "k_i": 2.0}, "k_i", id="misspelled-servo-key"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
