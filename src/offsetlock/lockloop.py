@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterError
 from .noisegen import (
@@ -186,6 +185,9 @@ def resolve_lock_point(disc: DiscriminatorConfig, f_hz: float, tolerance_hz: flo
     functions take the lock point itself, to within 1e-6 of that half-range.
     """
     hw = capture_halfwidth(disc)
+    if not f_hz - hw < f_hz + hw:
+        raise ParameterError(f"f_lock_hz {f_hz!r}: no lock point can be resolved at this frequency "
+                             f"(its float spacing exceeds the capture half-range {hw:.6g} Hz)")
     p = min(lock_points(disc, f_hz - hw, f_hz + hw), key=lambda p: abs(p.f_hz - f_hz), default=None)
     if p is None or not abs(p.f_hz - f_hz) < tolerance_hz:
         raise ParameterError(f"f_lock_hz {f_hz!r}: no passband lock point within {tolerance_hz:.6g} Hz "
@@ -401,6 +403,8 @@ def simulate_lock(
 
 def _one_pole_lowpass(x: np.ndarray, bandwidth_hz: float, dt_s: float) -> np.ndarray:
     # Causal single-pole IIR; steady start at x[0] avoids a spurious step.
+    from scipy.signal import lfilter  # deferred: importing scipy.signal costs about 1 s
+
     a = 1.0 - math.exp(-2.0 * np.pi * bandwidth_hz * dt_s)
     y, _ = lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
     return y

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .noisegen import FrequencyTrace, grid_steps, write_column
+from .noisegen import FrequencyTrace, grid_steps, read_column, write_column
 
 UNITS_HZ = "hz"
 UNITS_FRACTIONAL = "fractional"
@@ -98,7 +98,7 @@ def read_series_csv(path) -> CounterSeries:
         m = _SERIES_HEADER.match(fh.readline())
         if not m:
             raise ParameterError(f"{path}: not a CounterSeries CSV")
-        readings = np.loadtxt(fh, dtype=float, ndmin=1)
+        readings = read_column(fh, path)
     return CounterSeries(nominal_hz=int(m.group(1)), gate_s=float(m.group(2)), readings=readings)
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.optimize import nnls
 
 from .errors import ParameterError
 
@@ -92,12 +90,14 @@ class NoiseSpec:
         return h
 
     def psd(self, freqs: np.ndarray) -> np.ndarray:
-        """One-sided PSD evaluated on ``freqs`` (the f=0 bin is forced to 0)."""
+        """One-sided PSD evaluated on ``freqs`` (0 at f <= 0)."""
         freqs = np.asarray(freqs, dtype=float)
         out = np.zeros_like(freqs)
-        pos = freqs > 0.0
-        for alpha, h in self.effective_h().items():
-            out[pos] += h * freqs[pos] ** alpha
+        # Every bin is evaluated and f <= 0 zeroed after: gathering the f > 0 bins costs more.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for alpha, h in self.effective_h().items():
+                out += h * freqs**alpha
+        out[~(freqs > 0.0)] = 0.0
         return out
 
     def scaled(self, factor: float) -> "NoiseSpec":
@@ -241,6 +241,14 @@ def write_trace_csv(trace: FrequencyTrace, path) -> None:
                      trace.samples)
 
 
+def read_column(fh, path) -> np.ndarray:
+    """The values ``write_column`` wrote after its header; a malformed row raises ParameterError."""
+    try:
+        return np.loadtxt(fh, dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
 _TRACE_HEADER = re.compile(r"#\s*nominal_hz=(-?\d+)\s+dt=(\S+)\s+seed=(\d+)")
 
 
@@ -250,10 +258,47 @@ def read_trace_csv(path) -> FrequencyTrace:
         m = _TRACE_HEADER.match(header)
         if not m:
             raise ParameterError(f"{path}: not a FrequencyTrace CSV")
-        samples = np.loadtxt(fh, dtype=float, ndmin=1)
+        samples = read_column(fh, path)
     return FrequencyTrace(
         nominal_hz=int(m.group(1)), dt_s=float(m.group(2)), samples=samples, seed=int(m.group(3))
     )
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n: an FFT length numpy's pocketfft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())  # smallest p35 * 2^j >= n
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _shaped_spectrum(spec: NoiseSpec, m: int, dt_s: float, seed: int) -> np.ndarray:
+    """The m-point real spectrum: white Gaussian bins times sqrt(S(f)), DC bin 0.
+
+    Its own function so that the draws and amplitudes are freed before the irfft runs.
+    """
+    k = m // 2 + 1
+    rng = np.random.default_rng(seed)
+    # rfftfreq's own rounding, without the f = 0 bin, whose amplitude is zeroed anyway.
+    amp = spec.psd(np.arange(1, k) * (1.0 / (m * dt_s)))
+    # E|X_k|^2 = m * S(f_k) / (2 dt) gives a periodogram matching S.
+    amp *= m / (2.0 * dt_s)
+    np.sqrt(amp, out=amp)
+    spectrum = np.zeros(k, dtype=complex)
+    np.multiply(amp, rng.standard_normal(k)[1:], out=spectrum.real[1:])
+    np.multiply(amp, rng.standard_normal(k)[1:], out=spectrum.imag[1:])
+    nyquist = spectrum.real[-1]
+    # numpy's complex division by sqrt(2) multiplies by this reciprocal; dividing each
+    # part by sqrt(2) would round differently.
+    spectrum *= 1.0 / np.sqrt(2.0)
+    if m % 2 == 0:
+        spectrum[-1] = nyquist
+    return spectrum
 
 
 def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) -> FrequencyTrace:
@@ -270,20 +315,12 @@ def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) 
     n = grid_steps(duration_s, dt_s, 1e-6)
     if n < 2:
         raise ParameterError("duration must be a multiple of dt, at least 2*dt")
-    samples = np.zeros(n)
     if spec.has_stochastic:
-        m = sp_fft.next_fast_len(2 * n, real=True)
-        rng = np.random.default_rng(seed)
-        freqs = np.fft.rfftfreq(m, dt_s)
-        # E|X_k|^2 = m * S(f_k) / (2 dt) gives a periodogram matching S.
-        amp = np.sqrt(spec.psd(freqs) * (m / (2.0 * dt_s)))
-        re = rng.standard_normal(amp.size)
-        im = rng.standard_normal(amp.size)
-        spectrum = amp * (re + 1j * im) / np.sqrt(2.0)
-        spectrum[0] = 0.0
-        if m % 2 == 0:
-            spectrum[-1] = amp[-1] * re[-1]
-        samples = sp_fft.irfft(spectrum, n=m)[:n].copy()
+        m = _fast_len(2 * n)
+        # The copy frees the 2n-sample irfft buffer once the trace is sliced out of it.
+        samples = np.fft.irfft(_shaped_spectrum(spec, m, dt_s, seed), n=m)[:n].copy()
+    else:
+        samples = np.zeros(n)
     if spec.drift_rate != 0.0:
         samples += spec.drift_rate * dt_s * np.arange(n)
     return FrequencyTrace(nominal_hz=0, dt_s=dt_s, samples=samples, seed=int(seed))
@@ -351,6 +388,8 @@ def decompose_adev_profile(profile) -> Tuple[float, float, float]:
                 for c, v in zip(cols, sol):
                     full[c] = float(v)
                 return tuple(full)
+    from scipy.optimize import nnls  # deferred: no shipped scenario has a profile of 3+ points
+
     basis = np.column_stack([1.0 / taus, np.ones_like(taus), taus])
     sol, _ = nnls(basis, var)
     return float(sol[0]), float(sol[1]), float(sol[2])

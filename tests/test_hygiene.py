@@ -1,5 +1,9 @@
 """Static checks on the package source, without a linter dependency."""
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,30 @@ def test_scanner_finds_unreferenced_private_functions():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+# Importing scipy.fft, scipy.optimize and scipy.signal costs about 1.4 s and 80 MB per process;
+# only spectral locks (lfilter) and ADEV profiles of 3+ points (nnls) need them.
+SCIPY_FREE_LOCK = textwrap.dedent("""
+    import sys
+    from importlib import resources
+
+    import offsetlock
+    import offsetlock.cli
+    from click.testing import CliRunner
+
+    golden = str(resources.files("offsetlock") / "scenarios" / "fig4_lock_1010_timedomain.json")
+    result = CliRunner().invoke(offsetlock.cli.main,
+                                ["lock", golden, "--lock-id", "lock1010", "-o", sys.argv[1]])
+    assert result.exit_code == 0, result.output
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+
+
+def test_time_domain_lock_loads_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_LOCK, str(tmp_path / "lock")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -321,3 +321,9 @@ class TestCsvFormats:
         path.write_text("nope\n")
         with pytest.raises(ParameterError):
             read_series_csv(path)
+
+    def test_malformed_row_names_the_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("# nominal_hz=30000000 gate_s=1\n1.5\nabc\n")
+        with pytest.raises(ParameterError, match="series.csv: could not convert"):
+            read_series_csv(path)

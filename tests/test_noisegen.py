@@ -1,10 +1,12 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 
 from offsetlock import (
     CombModel,
@@ -29,6 +31,8 @@ from offsetlock.lockloop import LockRun
 from offsetlock.metrology import CounterSeries, write_series_csv
 from offsetlock.noisegen import (
     _COLUMN_CHUNK,
+    POWER_LAW_EXPONENTS,
+    _fast_len,
     decompose_adev_profile,
     grid_steps,
     noise_spec_from_profile,
@@ -80,6 +84,13 @@ class TestNoiseSpec:
         assert s.h_coeffs[0] == pytest.approx(200.0)
         assert s.drift_rate == pytest.approx(30.0)
         assert s.drift_random_walk == pytest.approx(400.0)
+
+    def test_psd_zero_at_and_below_dc_without_warnings(self):
+        spec = NoiseSpec(h_coeffs={a: 1.0 for a in POWER_LAW_EXPONENTS})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd = spec.psd(np.array([0.0, -0.0, -2.0, np.nan, 0.5]))
+        assert psd.tolist() == [0.0, 0.0, 0.0, 0.0, 4.0 + 2.0 + 1.0 + 0.5 + 0.25]
 
 
 def reference_multiple(x, unit, rtol):
@@ -176,6 +187,79 @@ class TestSynthPowerLaw:
         psd = np.mean(psds, axis=0)
         mid = (freqs > 0.05) & (freqs < 0.4)
         assert np.mean(psd[mid]) == pytest.approx(2.0, rel=0.15)
+
+
+class TestFastLen:
+    """``_fast_len`` against the scipy routine it replaced on the synthesis path."""
+
+    def test_matches_scipy_up_to_5000(self):
+        assert [_fast_len(n) for n in range(1, 5001)] == [
+            sp_fft.next_fast_len(n, real=True) for n in range(1, 5001)]
+
+    @pytest.mark.parametrize("n", [400_000, 1_200_000, 3_686_400])
+    def test_golden_lengths(self, n):
+        assert _fast_len(n) == sp_fft.next_fast_len(n, real=True) == n
+
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10**8))
+    def test_matches_scipy(self, n):
+        assert _fast_len(n) == sp_fft.next_fast_len(n, real=True)
+
+
+def reference_synth_power_law(spec, duration_s, dt_s, seed):
+    """``synth_power_law`` as it was with scipy's FFT and the masked PSD: the byte oracle."""
+    n = grid_steps(duration_s, dt_s, 1e-6)
+    samples = np.zeros(n)
+    if spec.has_stochastic:
+        m = sp_fft.next_fast_len(2 * n, real=True)
+        rng = np.random.default_rng(seed)
+        freqs = np.fft.rfftfreq(m, dt_s)
+        psd = np.zeros_like(freqs)
+        pos = freqs > 0.0
+        for alpha, h in spec.effective_h().items():
+            psd[pos] += h * freqs[pos] ** alpha
+        amp = np.sqrt(psd * (m / (2.0 * dt_s)))
+        re = rng.standard_normal(amp.size)
+        im = rng.standard_normal(amp.size)
+        spectrum = amp * (re + 1j * im) / np.sqrt(2.0)
+        spectrum[0] = 0.0
+        if m % 2 == 0:
+            spectrum[-1] = amp[-1] * re[-1]
+        samples = sp_fft.irfft(spectrum, n=m)[:n].copy()
+    if spec.drift_rate != 0.0:
+        samples += spec.drift_rate * dt_s * np.arange(n)
+    return samples
+
+
+SYNTH_SPECS = {
+    **{f"h{a}": NoiseSpec(h_coeffs={a: 3.7}) for a in (-2, -1, 0, 1, 2)},
+    "mixed": NoiseSpec(h_coeffs={-2: 0.3, -1: 1.1, 0: 2.0, 1: 0.05, 2: 1e-3}),
+    "drift_rate": NoiseSpec(h_coeffs={0: 2.0}, drift_rate=-0.4),
+    "drift_random_walk": NoiseSpec(h_coeffs={-1: 0.5}, drift_random_walk=0.8),
+}
+
+
+class TestSynthMatchesReference:
+    """The numpy synthesis kernel against the scipy one it replaced: equal to the bit.
+
+    2n = 4 and 1 200 000 give an even FFT length m, 2n = 14 and 2002 an odd one (15, 2025).
+    """
+
+    @pytest.mark.parametrize("n", [2, 7, 1001])
+    @pytest.mark.parametrize("name", sorted(SYNTH_SPECS))
+    def test_short_traces(self, name, n):
+        got = synth_power_law(SYNTH_SPECS[name], n * 0.25, 0.25, seed=n).samples
+        assert got.tobytes() == reference_synth_power_law(
+            SYNTH_SPECS[name], n * 0.25, 0.25, n).tobytes()
+
+    @pytest.mark.parametrize("name", ["mixed", "drift_rate", "drift_random_walk"])
+    def test_full_rate_trace(self, name):
+        got = synth_power_law(SYNTH_SPECS[name], 60.0, 1e-4, seed=11).samples
+        assert got.size == 600_000
+        assert got.tobytes() == reference_synth_power_law(SYNTH_SPECS[name], 60.0, 1e-4, 11).tobytes()
+
+    def test_fft_length_parity_is_covered(self):
+        assert [_fast_len(2 * n) % 2 for n in (2, 7, 1001, 600_000)] == [0, 1, 1, 0]
 
 
 class TestLaserFromLinewidth:
@@ -322,6 +406,12 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("hello\n1.0\n")
         with pytest.raises(ParameterError):
+            read_trace_csv(path)
+
+    def test_malformed_row_names_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("# nominal_hz=10 dt=0.5 seed=1\n1.5\nabc\n")
+        with pytest.raises(ParameterError, match="trace.csv: could not convert"):
             read_trace_csv(path)
 
 

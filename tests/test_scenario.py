@@ -140,6 +140,8 @@ class TestValidateConfig:
                      id="f_lock-5MHz"),
         pytest.param("fig3_lock_1514.json", ("locks", 0, "f_lock_hz"), 50e6, "capture",
                      id="f_lock-50MHz"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "f_lock_hz"), 1e24,
+                     "no lock point can be resolved", id="f_lock-beyond-float-resolution"),
         pytest.param("fig3_lock_1514.json", ("locks", 0, "servo"), {"ki": 1.0},
                      "time-domain fidelity only", id="servo-on-spectral"),
         pytest.param("fig3_lock_1514.json", ("locks", 0, "thermal"),
