@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .noisegen import CombModel, exact_int
+from .noisegen import CombModel, exact_int, json_fields
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,6 @@ def afc_budget(node: ChainNode, afc: AfcSpec) -> BudgetReport:
 # ---------------------------------------------------------------------------
 # Chain-description JSON: sources plus a DAG of operations.
 
-def _node_from_dict(d: dict, label: str) -> ChainNode:
-    return ChainNode(
-        nominal_hz=d["nominal_hz"],
-        sigma_abs_hz=float(d.get("sigma_abs_hz", 0.0)),
-        sigma_tau_s=float(d.get("sigma_tau_s", 1.0)),
-        offset_hz=float(d.get("offset_hz", 0.0)),
-        provenance=tuple(d.get("provenance", [label])),
-    )
-
-
 def evaluate_chain(doc: dict) -> dict:
     """Evaluate a chain-description document; returns nodes and budget report.
 
@@ -176,15 +166,22 @@ def evaluate_chain(doc: dict) -> dict:
 
     Any malformed document raises ParameterError.
     """
+    doc = json_fields(doc, "$", ("sources", "operations", "afc", "budget_node"),
+                      needs={"afc": "budget_node", "budget_node": "afc"})
     try:
         nodes = {}
         for name, src in doc.get("sources", {}).items():
-            nodes[name] = _node_from_dict(src, name)
+            node = json_fields(src, f"sources.{name}", ChainNode)
+            node.setdefault("provenance", [name])
+            nodes[name] = ChainNode(**node)
         for i, op in enumerate(doc.get("operations", [])):
-            kind = op.get("op")
-            out = op.get("out")
-            if not out:
-                raise ParameterError(f"operations[{i}]: missing 'out'")
+            path = f"operations[{i}]"
+            aom = isinstance(op, dict) and op.get("op") == "aom"
+            keys = ("op", "in", "out") + (("f_rf_hz",) if aom else ())
+            op = json_fields(op, path, keys, required=keys)
+            kind, out = op["op"], op["out"]
+            if not isinstance(out, str) or not out:
+                raise ParameterError(f"{path}.out: must be a non-empty node name")
             try:
                 if kind == "shg":
                     nodes[out] = shg(nodes[op["in"]])
@@ -196,16 +193,12 @@ def evaluate_chain(doc: dict) -> dict:
                 elif kind == "aom":
                     nodes[out] = aom_double_pass(nodes[op["in"]], op["f_rf_hz"])
                 else:
-                    raise ParameterError(f"operations[{i}]: unknown op {kind!r}")
+                    raise ParameterError(f"{path}: unknown op {kind!r}")
             except KeyError as exc:
-                raise ParameterError(f"operations[{i}]: unresolved node {exc}") from None
+                raise ParameterError(f"{path}: unresolved node {exc}") from None
         result = {"nodes": {name: asdict(n) for name, n in nodes.items()}}
         if "afc" in doc:
-            afc = AfcSpec(
-                center_hz=doc["afc"]["center_hz"],
-                width_hz=float(doc["afc"]["width_hz"]),
-                stability_target_hz=float(doc["afc"]["stability_target_hz"]),
-            )
+            afc = AfcSpec(**json_fields(doc["afc"], "afc", AfcSpec))
             budget_name = doc.get("budget_node")
             if budget_name not in nodes:
                 raise ParameterError(f"budget_node {budget_name!r} is not a defined node")

@@ -20,14 +20,13 @@ from .metrology import (
     to_fractional,
     write_allan_csv,
 )
-from .noisegen import derive_seed, synth_power_law, write_trace_csv
+from .noisegen import NoiseSpec, derive_seed, json_fields, synth_power_law, write_trace_csv
 from .scenario import (
     OUT_DIR_ENV,
     RunReport,
     compare_expected,
     expand_seeds,
     load_config,
-    noise_spec_from_dict,
     run_scenario,
 )
 
@@ -69,7 +68,7 @@ def main():
 def synth(spec_path, duration, dt, seed, nominal_hz, out):
     """Synthesize a power-law frequency-noise trace to a CSV."""
     with open(spec_path) as fh, _malformed("--spec"):
-        spec = noise_spec_from_dict(json.load(fh))
+        spec = NoiseSpec(**json_fields(json.load(fh), spec_path, NoiseSpec))
     trace = synth_power_law(spec, duration, dt, seed)
     if nominal_hz:
         trace = replace(trace, nominal_hz=nominal_hz)

@@ -24,6 +24,7 @@ from .noisegen import (
     NoiseSpec,
     OscillatorModel,
     derive_seed,
+    exact_int,
     grid_steps,
     oscillator_trace,
     synth_power_law,
@@ -58,7 +59,7 @@ class DiscriminatorConfig:
     """
 
     delay_s: float
-    amplitude_v: float
+    amplitude_v: float = 1.0
     sign: int = 1
     bandpass_center_hz: float = 30e6
     bandpass_halfwidth_hz: float = 15e6
@@ -69,7 +70,7 @@ class DiscriminatorConfig:
             raise ParameterError("delay_s must be > 0")
         if self.amplitude_v <= 0.0:
             raise ParameterError("amplitude_v must be > 0")
-        if self.sign not in (-1, 1):
+        if exact_int(self.sign, "sign") not in (-1, 1):
             raise ParameterError("sign must be +1 or -1")
         if self.bandpass_halfwidth_hz <= 0.0:
             raise ParameterError("bandpass_halfwidth_hz must be > 0")
@@ -100,6 +101,7 @@ class ThermalModel:
             raise ParameterError("|tempco_per_K| must be < 1e-2")
         if not callable(self.temperature_profile):
             times, temps = (np.asarray(v, dtype=float) for v in self.temperature_profile)
+            object.__setattr__(self, "temperature_profile", (times, temps))
             if not times.ndim == temps.ndim == 1 or not 0 < times.size == temps.size:
                 raise ParameterError("times_s and temps_K must be non-empty and of equal length")
             if not (np.isfinite(times).all() and np.isfinite(temps).all()) or np.any(np.diff(times) <= 0):
@@ -213,21 +215,16 @@ def thermal_lockpoint_shift(
     return f_lock_hz * disc.delay_s / thermal.delay_at(disc, t_s)
 
 
-def servo_for_bandwidth(
-    disc: DiscriminatorConfig,
-    f_lock_hz: float,
-    bandwidth_hz: float,
-    update_dt_s: float = 1e-3,
-    actuator_limit_hz: float = 50e6,
-) -> ServoConfig:
-    """Pure-integral gains giving a first-order closed loop of the given bandwidth."""
+def servo_for_bandwidth(disc: DiscriminatorConfig, f_lock_hz: float, bandwidth_hz: float,
+                        **limits) -> ServoConfig:
+    """Pure-integral gains giving a first-order closed loop of the given bandwidth.
+
+    ``limits`` are ServoConfig's ``actuator_limit_hz`` and ``update_dt_s`` (default: its own).
+    """
     if bandwidth_hz <= 0.0:
         raise ParameterError("bandwidth_hz must be > 0")
     slope = abs(discriminator_slope(disc, f_lock_hz))
-    return ServoConfig(
-        kp=0.0, ki=2.0 * np.pi * bandwidth_hz / slope,
-        actuator_limit_hz=actuator_limit_hz, update_dt_s=update_dt_s,
-    )
+    return ServoConfig(kp=0.0, ki=2.0 * np.pi * bandwidth_hz / slope, **limits)
 
 
 @dataclass(frozen=True)

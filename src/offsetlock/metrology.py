@@ -115,11 +115,14 @@ def read_allan_csv(path, estimator: str = "overlapping") -> AllanResult:
         header = fh.readline().strip()
         if header != "tau_s,sigma,units,n_pairs":
             raise ParameterError(f"{path}: not an AllanResult CSV")
-        for line in fh:
-            tau, sigma, units, n = line.strip().split(",")
-            taus.append(float(tau))
-            sigmas.append(float(sigma))
-            pairs.append(int(n))
+        for row, line in enumerate(fh, 2):
+            try:
+                tau, sigma, units, n = line.strip().split(",")
+                taus.append(float(tau))
+                sigmas.append(float(sigma))
+                pairs.append(int(n))
+            except ValueError as exc:
+                raise ParameterError(f"{path}, line {row}: {exc}") from None
     return AllanResult(
         taus_s=np.array(taus), sigmas=np.array(sigmas), n_pairs=np.array(pairs),
         units=units, estimator=estimator,

@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Tuple
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigKeyError, ParameterError
 
 #: Spectral exponents supported by :class:`NoiseSpec`.
 POWER_LAW_EXPONENTS = (-2, -1, 0, 1, 2)
@@ -57,6 +58,9 @@ class NoiseSpec:
     h_coeffs: Mapping[int, float] = field(default_factory=dict)
     drift_rate: float = 0.0
     drift_random_walk: float = 0.0
+
+    #: Config key of each field whose key is not the field's name (see :func:`json_fields`).
+    JSON_KEYS: ClassVar[Dict[str, str]] = {"h": "h_coeffs", "drift_rate_hz_per_s": "drift_rate"}
 
     def __post_init__(self):
         coeffs = {}
@@ -126,6 +130,54 @@ def exact_int(value, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ParameterError(f"{name} must be an exact integer")
     return int(value)
+
+
+def finite(x) -> bool:
+    """A JSON number that converts to a finite float; booleans are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> dict:
+    """The members of the JSON object ``obj`` found at ``path``, checked against ``specs``.
+
+    A spec is a dataclass, whose fields are allowed keys (spelt as its ``JSON_KEYS`` say)
+    and required unless they have a default; a dict of allowed keys to their types; or a
+    collection of allowed keys.  ``required`` names more required keys.  A ``float`` value
+    must be a JSON number, not a bool or a string, and is converted with float().  Of each
+    pair ``(a, b)`` in ``either`` at most one may be given, and one must be if ``a`` is
+    required.  ``needs`` maps a key to the key it is valid only with.  Returns the members
+    by field name; raises one ConfigKeyError naming ``path`` and every offending key.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigKeyError(f"{path}: must be a JSON object")
+    names, types, required = {}, {}, list(required)
+    for spec in specs:
+        if not is_dataclass(spec):
+            types.update(spec if isinstance(spec, dict) else dict.fromkeys(spec))
+            continue
+        keys = {name: key for key, name in getattr(spec, "JSON_KEYS", {}).items()}
+        for f in fields(spec):
+            key = keys.get(f.name, f.name)
+            names[key], types[key] = f.name, f.type
+            if f.default is MISSING and f.default_factory is MISSING:
+                required.append(key)
+    problems = [f"unknown key {k!r}" for k in obj if k not in types]
+    for a, b in either:
+        if a in obj and b in obj:
+            problems.append(f"give {a!r} or {b!r}, not both")
+        if a in required and a not in obj:
+            required.remove(a)
+            if b not in obj:
+                problems.append(f"missing required key {a!r} or {b!r}")
+    problems += [f"missing required key {k!r}" for k in required if k not in obj]
+    problems += [f"{k!r} is valid only with {v!r}" for k, v in (needs or {}).items()
+                 if k in obj and v not in obj]
+    numbers = [k for k, t in types.items() if t in (float, "float")]
+    problems += [f"{k!r} must be a number" for k, v in obj.items()
+                 if k in numbers and not (isinstance(v, float) or finite(v))]
+    if problems:
+        raise ConfigKeyError(f"{path}: " + "; ".join(problems))
+    return {names.get(k, k): float(v) if k in numbers else v for k, v in obj.items()}
 
 
 def grid_steps(x: float, unit: float, rtol: float) -> int:

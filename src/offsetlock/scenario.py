@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -17,8 +16,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import chain as chainmod
-from .errors import ParameterError
+from .errors import ConfigKeyError, ParameterError
 from .lockloop import (
+    DEFAULT_VELOCITY_FACTOR,
     DiscriminatorConfig,
     ServoConfig,
     ThermalModel,
@@ -53,7 +53,9 @@ from .noisegen import (
     OscillatorModel,
     comb_line_oscillator,
     derive_seed,
+    finite,
     grid_steps,
+    json_fields,
     laser_from_linewidth,
     oscillator_trace,
 )
@@ -66,76 +68,56 @@ _BAD_VALUE = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
-# Config parsing helpers (shared with the CLI)
+# Config objects: ``json_fields`` checks each one's keys; every default lives in its model.
 
-def noise_spec_from_dict(d: dict) -> NoiseSpec:
-    return NoiseSpec(
-        h_coeffs={int(a): float(h) for a, h in d.get("h", {}).items()},
-        drift_rate=float(d.get("drift_rate_hz_per_s", 0.0)),
-        drift_random_walk=float(d.get("drift_random_walk", 0.0)),
-    )
+#: An oscillator's linewidth form: config key -> ``laser_from_linewidth`` argument.
+_LASER_ARGS = {"linewidth_hz": "fwhm_linewidth_hz", "drift_rate_hz_per_s": "drift_rate",
+               "drift_random_walk": "random_walk"}
 
 
-def oscillator_from_dict(d: dict) -> OscillatorModel:
-    nominal = d["nominal_hz"]
-    profile = d.get("adev_profile")
-    if "linewidth_hz" in d:
-        model = laser_from_linewidth(
-            nominal, float(d["linewidth_hz"]),
-            drift_rate=float(d.get("drift_rate_hz_per_s", 0.0)),
-            random_walk=float(d.get("drift_random_walk", 0.0)),
-        )
-        if profile is not None:
-            model = OscillatorModel(nominal, model.noise, tuple(map(tuple, profile)))
-        return model
-    noise = noise_spec_from_dict(d.get("noise", {}))
-    return OscillatorModel(
-        nominal_hz=nominal, noise=noise,
-        adev_profile=tuple(map(tuple, profile)) if profile is not None else None,
-    )
+def _oscillator(d, path: str) -> OscillatorModel:
+    kw = json_fields(d, path, OscillatorModel, dict.fromkeys(_LASER_ARGS, float),
+                     either=[("noise", "linewidth_hz")],
+                     needs=dict.fromkeys(("drift_rate_hz_per_s", "drift_random_walk"),
+                                         "linewidth_hz"))
+    if "noise" in kw:
+        kw["noise"] = NoiseSpec(**json_fields(kw["noise"], f"{path}.noise", NoiseSpec))
+    if "linewidth_hz" in kw:
+        laser = {_LASER_ARGS[k]: kw.pop(k) for k in _LASER_ARGS if k in kw}
+        kw["noise"] = laser_from_linewidth(kw["nominal_hz"], **laser).noise
+    return OscillatorModel(**kw)
 
 
-def comb_from_dict(d: dict) -> CombModel:
-    ref = d.get("reference_noise")
-    profile = d.get("adev_profile")
-    return CombModel(
-        f_rep_hz=d["f_rep_hz"],
-        f_ceo_hz=d.get("f_ceo_hz", 0),
-        reference_noise=noise_spec_from_dict(ref) if ref is not None else None,
-        adev_profile=tuple(map(tuple, profile)) if profile is not None else None,
-    )
+def _comb(d, path: str) -> CombModel:
+    kw = json_fields(d, path, CombModel)
+    if kw.get("reference_noise") is not None:
+        noise = json_fields(kw["reference_noise"], f"{path}.reference_noise", NoiseSpec)
+        kw["reference_noise"] = NoiseSpec(**noise)
+    return CombModel(**kw)
 
 
-def discriminator_from_dict(d: dict) -> DiscriminatorConfig:
-    if "delay_s" in d:
-        delay = float(d["delay_s"])
-    else:
-        delay = cable_delay(float(d["cable_m"]), float(d.get("velocity_factor", 0.66)))
-    return DiscriminatorConfig(
-        delay_s=delay,
-        amplitude_v=float(d.get("amplitude_v", 1.0)),
-        sign=int(d.get("sign", 1)),
-        bandpass_center_hz=float(d.get("bandpass_center_hz", 30e6)),
-        bandpass_halfwidth_hz=float(d.get("bandpass_halfwidth_hz", 15e6)),
-        noise_v2_per_hz=float(d.get("noise_v2_per_hz", 0.0)),
-    )
+def _discriminator(d, path: str) -> DiscriminatorConfig:
+    kw = json_fields(d, path, DiscriminatorConfig, {"cable_m": float, "velocity_factor": float},
+                     either=[("delay_s", "cable_m")], needs={"velocity_factor": "cable_m"})
+    if "cable_m" in kw:
+        kw["delay_s"] = cable_delay(kw.pop("cable_m"),
+                                    kw.pop("velocity_factor", DEFAULT_VELOCITY_FACTOR))
+    return DiscriminatorConfig(**kw)
 
 
-def thermal_from_dict(d: dict) -> ThermalModel:
-    if "ramp_K_per_s" in d:
-        profile = linear_ramp(float(d["ramp_K_per_s"]))
-    else:
-        profile = (list(map(float, d["times_s"])), list(map(float, d["temps_K"])))
-    return ThermalModel(tempco_per_K=float(d["tempco_per_K"]), temperature_profile=profile)
-
-
-def _finite(x) -> bool:
-    """A JSON number that converts to a finite float; booleans are not numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+def _thermal(d, path: str) -> ThermalModel:
+    kw = json_fields(d, path, {"tempco_per_K": float, "ramp_K_per_s": float,
+                               "times_s": None, "temps_K": None},
+                     required=("tempco_per_K", "ramp_K_per_s"),
+                     either=[("ramp_K_per_s", "times_s")],
+                     needs={"times_s": "temps_K", "temps_K": "times_s"})
+    if "ramp_K_per_s" in kw:
+        return ThermalModel(kw["tempco_per_K"], linear_ramp(kw["ramp_K_per_s"]))
+    return ThermalModel(kw["tempco_per_K"], (kw["times_s"], kw["temps_K"]))
 
 
 def _positive(x) -> bool:
-    return _finite(x) and x > 0
+    return finite(x) and x > 0
 
 
 def _named(table: dict, key):
@@ -208,6 +190,13 @@ class ScenarioConfig:
     raw: dict
 
 
+_TOP_KEYS = ("name", "seed", "duration_s", "dt_s", "oscillators", "combs", "locks",
+             "measurements", "chain", "expectations")
+_LOCK_KEYS = ("id", "laser", "comb", "f_lock_hz", "fidelity", "loop_bandwidth_hz",
+              "discriminator", "servo", "thermal")
+#: One key set for every kind of measurement.
+_MEASUREMENT_KEYS = ("id", "kind", "signal", "baseline", "gate_s", "taus_s", "estimator",
+                     "units", "fractional_ref", "pick_tau_s", "window_s")
 _MEASUREMENT_KINDS = ("peak_to_peak", "adev", "adev_ratio_max")
 _SIGNAL_ARITY = {"freerun": 1, "locked": 1, "inloop": 1, "outofloop": 2}  # names after the kind
 _ESTIMATORS = ("overlapping", "non-overlapping")
@@ -231,6 +220,18 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         doc = raw
     if not isinstance(doc, dict):
         return None, ["$: config must be a JSON object"]
+
+    def parsed(build, value, path, *spec):
+        """``build(value, path, *spec)``, or None with its error recorded under ``path``."""
+        try:
+            return build(value, path, *spec)
+        except ConfigKeyError as exc:
+            errors.append(str(exc))
+        except _BAD_VALUE as exc:
+            errors.append(f"{path}: {exc}")
+        return None
+
+    parsed(json_fields, doc, "$", _TOP_KEYS)
 
     def section(key, kind):
         value = doc.get(key, kind())
@@ -260,18 +261,13 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     duration = float(duration) if _positive(duration) else 1.0
     dt = float(dt) if _positive(dt) else 1.0
 
-    oscillators: Dict[str, OscillatorModel] = {}
-    for oname, od in section("oscillators", dict).items():
-        try:
-            oscillators[oname] = oscillator_from_dict(od)
-        except _BAD_VALUE as exc:
-            errors.append(f"oscillators.{oname}: {exc}")
-    combs: Dict[str, CombModel] = {}
-    for cname, cd in section("combs", dict).items():
-        try:
-            combs[cname] = comb_from_dict(cd)
-        except _BAD_VALUE as exc:
-            errors.append(f"combs.{cname}: {exc}")
+    def models(key, build) -> dict:
+        """The objects of section ``key`` that parse, by name."""
+        parsed_models = {k: parsed(build, d, f"{key}.{k}") for k, d in section(key, dict).items()}
+        return {k: m for k, m in parsed_models.items() if m is not None}
+
+    oscillators: Dict[str, OscillatorModel] = models("oscillators", _oscillator)
+    combs: Dict[str, CombModel] = models("combs", _comb)
 
     locks: Dict[str, LockBlock] = {}
     lock_ids = set()
@@ -281,6 +277,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}: must be a JSON object")
             continue
         n_errors = len(errors)
+        parsed(json_fields, ld, path, _LOCK_KEYS)
         lid = ld.get("id", f"lock{i}")
         if not isinstance(lid, str) or lid != os.path.basename(lid):
             errors.append(f"{path}.id: must be a string usable as a file name")
@@ -299,10 +296,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}.fidelity: must be 'spectral' or 'time-domain'")
         if fidelity == "time-domain" and duration > TIME_DOMAIN_CAP_S:
             errors.append(f"{path}: time-domain fidelity requires duration_s <= {TIME_DOMAIN_CAP_S}")
-        try:
-            disc = discriminator_from_dict(ld.get("discriminator", {}))
-        except _BAD_VALUE as exc:
-            errors.append(f"{path}.discriminator: {exc}")
+        disc = parsed(_discriminator, ld.get("discriminator", {}), f"{path}.discriminator")
+        if disc is None:
             continue
         bw = ld.get("loop_bandwidth_hz")
         servo = thermal = None
@@ -316,19 +311,16 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 errors.append(f"{path}.loop_bandwidth_hz: must be below Nyquist 1/(2*dt_s)")
         else:
             if ld.get("servo") is not None:
-                try:
-                    servo = ServoConfig(**{k: float(v) for k, v in ld["servo"].items()})
-                except _BAD_VALUE as exc:
-                    errors.append(f"{path}.servo: {exc}")
+                servo = parsed(lambda d, p: ServoConfig(**json_fields(d, p, ServoConfig)),
+                               ld["servo"], f"{path}.servo")
             elif not _positive(bw):
                 errors.append(f"{path}: time-domain lock needs 'servo' gains or 'loop_bandwidth_hz'")
             if ld.get("thermal") is not None:
-                try:
-                    thermal = thermal_from_dict(ld["thermal"])
-                    if not all(thermal.delay_at(disc, t) > 0.0 for t in (0.0, duration)):
-                        raise ParameterError("temperature excursion drives the delay to zero or below")
-                except _BAD_VALUE as exc:
-                    errors.append(f"{path}.thermal: {exc}")
+                thermal = parsed(_thermal, ld["thermal"], f"{path}.thermal")
+                if thermal is not None and not all(thermal.delay_at(disc, t) > 0.0
+                                                   for t in (0.0, duration)):
+                    errors.append(f"{path}.thermal: temperature excursion drives the delay "
+                                  f"to zero or below")
         f_lock = ld.get("f_lock_hz")
         if not _positive(f_lock):
             errors.append(f"{path}.f_lock_hz: required positive number")
@@ -386,6 +378,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}: must be a JSON object")
             continue
         n_errors = len(errors)
+        parsed(json_fields, md, path, _MEASUREMENT_KEYS)
         mid = md.get("id")
         if not isinstance(mid, str) or not mid or mid != os.path.basename(mid):
             errors.append(f"{path}.id: required non-empty string usable as a file name")
@@ -404,6 +397,10 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         baseline = None
         if kind == "adev_ratio_max":
             baseline = parse_signal(md.get("baseline"), f"{path}.baseline")
+            osc = baseline and baseline.kind == "freerun" and oscillators.get(baseline.source)
+            if osc and osc.noise.is_zero and osc.adev_profile is None:
+                errors.append(f"{path}.baseline: oscillator {baseline.source!r} has no noise, "
+                              f"drift or adev_profile, so its ADEV is zero at every tau")
         gate = md.get("gate_s", 1.0)
         gate = float(gate) if _positive(gate) else 0.0
         m_gate = grid_steps(gate, dt, 1e-6)
@@ -472,7 +469,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if sid not in stat_ids:
             errors.append(f"{path}: no measurement produces statistic {sid!r}")
             continue
-        if not isinstance(env, list) or len(env) != 2 or not all(_finite(v) for v in env):
+        if not isinstance(env, list) or len(env) != 2 or not all(finite(v) for v in env):
             errors.append(f"{path}: envelope must be [min, max]")
             continue
         if env[0] > env[1]:

@@ -238,6 +238,25 @@ class TestEvaluateChain:
         result = evaluate_chain(doc)
         assert result["nodes"]["b"]["nominal_hz"] == 10**14 + 160_000_000
 
+    # an operation's key set depends on its op; a non-string output node used to validate
+    # and then fail when the budget JSON was written
+    @pytest.mark.parametrize("op, message", [
+        ({"op": "shg", "in": "a", "out": 5}, "operations[0].out: must be a non-empty node name"),
+        ({"op": "aom", "in": "a", "out": "b"}, "operations[0]: missing required key 'f_rf_hz'"),
+        ({"op": "shg", "in": "a", "out": "b", "f_rf_hz": 80_000_000},
+         "operations[0]: unknown key 'f_rf_hz'"),
+    ], ids=["non-string-out", "aom-without-f_rf_hz", "f_rf_hz-on-shg"])
+    def test_malformed_operation_rejected(self, op, message):
+        doc = {"sources": {"a": {"nominal_hz": 10**14}}, "operations": [op]}
+        with pytest.raises(ParameterError) as info:
+            evaluate_chain(doc)
+        assert message in str(info.value)
+
+    def test_budget_node_without_afc_rejected(self):
+        doc = {key: value for key, value in self.DOC.items() if key != "afc"}
+        with pytest.raises(ParameterError, match="'budget_node' is valid only with 'afc'"):
+            evaluate_chain(doc)
+
     def test_fractional_aom_frequency_rejected(self):
         doc = {
             "sources": {"a": {"nominal_hz": 10**14}},

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from offsetlock.scenario import validate_config
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "offsetlock"
 
 
@@ -91,3 +93,10 @@ def test_time_domain_lock_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_readme_scenario_sketch_validates():
+    section = (SRC.parents[1] / "README.md").read_text().split("## Scenario format", 1)[1]
+    sketch = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg, errors = validate_config(sketch)
+    assert errors == [] and cfg is not None

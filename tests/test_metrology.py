@@ -327,3 +327,10 @@ class TestCsvFormats:
         path.write_text("# nominal_hz=30000000 gate_s=1\n1.5\nabc\n")
         with pytest.raises(ParameterError, match="series.csv: could not convert"):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,abc,hz,3", "1,2,hz"])
+    def test_malformed_allan_row_names_the_file(self, tmp_path, row):
+        path = tmp_path / "adev.csv"
+        path.write_text(f"tau_s,sigma,units,n_pairs\n1,2,hz,3\n{row}\n")
+        with pytest.raises(ParameterError, match="adev.csv, line 3: "):
+            read_allan_csv(path)

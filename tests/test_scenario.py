@@ -191,6 +191,54 @@ class TestValidateConfig:
                      198000019000000.7, "exact integer", id="fractional-chain-nominal_hz"),
         pytest.param("chain_afc_606.json", ("chain", "afc", "center_hz"),
                      495000076000000.5, "exact integer", id="fractional-afc-center_hz"),
+        # unknown keys used to be ignored: the misspelled linewidth gave a noiseless laser,
+        # and the misspelled fidelity a spectral lock
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010", "linewidht_hz"),
+                     40000.0, "oscillators.laser1010: unknown key 'linewidht_hz'",
+                     id="misspelled-oscillator-key"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("expectation",), {"inloop_adev": [0, 1]},
+                     "$: unknown key 'expectation'", id="misspelled-top-level-key"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "fidelty"), "time-domain",
+                     "locks[0]: unknown key 'fidelty'", id="misspelled-lock-key"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "estimater"),
+                     "non-overlapping", "measurements[0]: unknown key 'estimater'",
+                     id="misspelled-measurement-key"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "f_ceo"), 0,
+                     "combs.comb_gps: unknown key 'f_ceo'", id="misspelled-comb-key"),
+        pytest.param("chain_afc_606.json", ("chain", "sources", "laser1514", "sigma_abs"), 1.0,
+                     "sources.laser1514: unknown key 'sigma_abs'", id="misspelled-chain-source-key"),
+        # used to be truncated to -1, and coerced to 2.0 and 1.0
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "discriminator", "sign"), -1.5,
+                     "locks[0].discriminator: sign must be an exact integer", id="fractional-sign"),
+        pytest.param("fig4_lock_1010_timedomain.json",
+                     ("locks", 0, "discriminator", "amplitude_v"), "2",
+                     "locks[0].discriminator: 'amplitude_v' must be a number",
+                     id="string-amplitude_v"),
+        pytest.param("fig4_lock_1010_timedomain.json",
+                     ("locks", 0, "discriminator", "amplitude_v"), True,
+                     "locks[0].discriminator: 'amplitude_v' must be a number",
+                     id="boolean-amplitude_v"),
+        # both forms of an either/or pair: one of them used to be dropped
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010", "noise"),
+                     {"h": {"0": 1.0}}, "oscillators.laser1010: give 'noise' or 'linewidth_hz'",
+                     id="noise-and-linewidth"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "discriminator", "delay_s"),
+                     25e-9, "locks[0].discriminator: give 'delay_s' or 'cable_m'",
+                     id="delay-and-cable"),
+        # a key of one form next to the other form, or half of a form
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "discriminator"),
+                     {"delay_s": 25e-9, "velocity_factor": 0.66},
+                     "locks[0].discriminator: 'velocity_factor' is valid only with 'cable_m'",
+                     id="velocity-factor-with-delay"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "noise": {"h": {"0": 1e4}},
+                      "drift_rate_hz_per_s": 500.0},
+                     "oscillators.laser1010: 'drift_rate_hz_per_s' is valid only with 'linewidth_hz'",
+                     id="drift-with-noise"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "times_s": [0.0, 60.0]},
+                     "locks[0].thermal: 'times_s' is valid only with 'temps_K'",
+                     id="thermal-times-without-temps"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = json.loads(golden_text(name))
@@ -202,6 +250,23 @@ class TestValidateConfig:
         cfg, errors = validate_config(doc)
         assert cfg is None
         assert any(message in e for e in errors), errors
+
+    def test_missing_cable_named(self):
+        doc = json.loads(golden_text("fig4_lock_1010_timedomain.json"))
+        del doc["locks"][0]["discriminator"]["cable_m"]
+        del doc["locks"][0]["discriminator"]["velocity_factor"]
+        cfg, errors = validate_config(doc)
+        assert cfg is None
+        assert errors == ["locks[0].discriminator: missing required key 'delay_s' or 'cable_m'"]
+
+    def test_noiseless_ratio_baseline_rejected(self):
+        doc = small_doc()
+        doc["oscillators"]["ideal"] = {"nominal_hz": 10**14}
+        doc["measurements"].append({"id": "r", "kind": "adev_ratio_max",
+                                    "signal": "freerun:osc", "baseline": "freerun:ideal"})
+        cfg, errors = validate_config(doc)
+        assert cfg is None
+        assert any(e.startswith("measurements[1].baseline:") and "'ideal'" in e for e in errors)
 
     def test_all_errors_reported_at_once(self):
         doc = small_doc()
