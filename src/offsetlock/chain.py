@@ -173,7 +173,10 @@ def evaluate_chain(doc: dict) -> dict:
         for name, src in doc.get("sources", {}).items():
             node = json_fields(src, f"sources.{name}", ChainNode)
             node.setdefault("provenance", [name])
-            nodes[name] = ChainNode(**node)
+            try:
+                nodes[name] = ChainNode(**node)
+            except ParameterError as exc:
+                raise ParameterError(f"sources.{name}: {exc}") from None
         for i, op in enumerate(doc.get("operations", [])):
             path = f"operations[{i}]"
             aom = isinstance(op, dict) and op.get("op") == "aom"
@@ -193,9 +196,11 @@ def evaluate_chain(doc: dict) -> dict:
                 elif kind == "aom":
                     nodes[out] = aom_double_pass(nodes[op["in"]], op["f_rf_hz"])
                 else:
-                    raise ParameterError(f"{path}: unknown op {kind!r}")
+                    raise ParameterError(f"unknown op {kind!r}")
             except KeyError as exc:
                 raise ParameterError(f"{path}: unresolved node {exc}") from None
+            except ParameterError as exc:
+                raise ParameterError(f"{path}: {exc}") from None
         result = {"nodes": {name: asdict(n) for name, n in nodes.items()}}
         if "afc" in doc:
             afc = AfcSpec(**json_fields(doc["afc"], "afc", AfcSpec))

@@ -25,11 +25,10 @@ from .noisegen import (
     OscillatorModel,
     derive_seed,
     exact_int,
+    finite,
     grid_steps,
     oscillator_trace,
     synth_power_law,
-    write_column,
-    write_trace_csv,
 )
 
 #: Speed of light, m/s (exact).
@@ -100,12 +99,15 @@ class ThermalModel:
         if abs(self.tempco_per_K) >= 1e-2:
             raise ParameterError("|tempco_per_K| must be < 1e-2")
         if not callable(self.temperature_profile):
-            times, temps = (np.asarray(v, dtype=float) for v in self.temperature_profile)
+            times, temps = (np.asarray(v, dtype=object) for v in self.temperature_profile)
+            if not all(map(finite, (*times.flat, *temps.flat))):
+                raise ParameterError("times_s and temps_K must hold finite numbers only")
+            times, temps = times.astype(float), temps.astype(float)
             object.__setattr__(self, "temperature_profile", (times, temps))
             if not times.ndim == temps.ndim == 1 or not 0 < times.size == temps.size:
                 raise ParameterError("times_s and temps_K must be non-empty and of equal length")
-            if not (np.isfinite(times).all() and np.isfinite(temps).all()) or np.any(np.diff(times) <= 0):
-                raise ParameterError("times_s and temps_K must be finite, times_s strictly increasing")
+            if np.any(np.diff(times) <= 0):
+                raise ParameterError("times_s must be strictly increasing")
             if not np.all(1.0 + self.tempco_per_K * temps > 0.0):
                 raise ParameterError("temperature excursion drives the delay to zero or below")
 
@@ -242,19 +244,18 @@ class LockRun:
     config: dict
 
     def export(self, out_dir) -> List[str]:
-        """Write trace CSVs and a lockrun.json summary; returns written paths."""
+        """Write the four traces as float64 .npy and lockrun.json (``traces``: dt, nominals, seeds)."""
         os.makedirs(out_dir, exist_ok=True)
         written = [os.path.join(out_dir, name) for name in (
-            "laser_offset.csv", "inloop_beat.csv", "error_v.csv", "actuator_hz.csv", "lockrun.json")]
-        laser_csv, beat_csv, error_csv, actuator_csv, summary = written
-        write_trace_csv(self.laser_offset_trace, laser_csv)
-        write_trace_csv(self.inloop_beat_trace, beat_csv)
-        for path, arr in ((error_csv, self.error_trace), (actuator_csv, self.actuator_trace)):
-            with open(path, "w") as fh:
-                write_column(fh, f"# dt={self.laser_offset_trace.dt_s:.17g}", arr)
-        with open(summary, "w") as fh:
-            json.dump({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config},
-                      fh, indent=2, sort_keys=True)
+            "laser_offset.npy", "inloop_beat.npy", "error_v.npy", "actuator_hz.npy", "lockrun.json")]
+        laser, beat = self.laser_offset_trace, self.inloop_beat_trace
+        for path, arr in zip(written, (laser.samples, beat.samples, self.error_trace, self.actuator_trace)):
+            np.save(path, arr, allow_pickle=False)
+        traces = {"dt_s": laser.dt_s, "laser_offset": {"nominal_hz": laser.nominal_hz, "seed": laser.seed},
+                  "inloop_beat": {"nominal_hz": beat.nominal_hz, "seed": beat.seed}}
+        with open(written[-1], "w") as fh:
+            json.dump({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config,
+                       "traces": traces}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return written
 

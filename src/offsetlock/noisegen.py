@@ -68,9 +68,9 @@ class NoiseSpec:
             alpha = int(alpha)
             if alpha not in POWER_LAW_EXPONENTS:
                 raise ParameterError(f"unsupported PSD exponent {alpha}")
+            if not (finite(h) and h >= 0.0):
+                raise ParameterError(f"h_{alpha} must be a finite number >= 0, got {h!r}")
             h = float(h)
-            if h < 0.0:
-                raise ParameterError(f"h_{alpha} must be >= 0, got {h}")
             if h != 0.0:
                 coeffs[alpha] = h
         if self.drift_random_walk < 0.0:
@@ -114,7 +114,10 @@ class NoiseSpec:
 
 
 def _validate_profile(profile) -> Tuple[Tuple[float, float], ...]:
-    pts = tuple((float(t), float(s)) for t, s in profile)
+    pts = tuple((t, s) for t, s in profile)
+    if not all(finite(t) and finite(s) for t, s in pts):
+        raise ParameterError("adev_profile taus and sigmas must be finite numbers")
+    pts = tuple((float(t), float(s)) for t, s in pts)
     if len(pts) < 2:
         raise ParameterError("adev_profile needs at least 2 points")
     taus = [t for t, _ in pts]
@@ -133,7 +136,9 @@ def exact_int(value, name: str) -> int:
 
 
 def finite(x) -> bool:
-    """A JSON number that converts to a finite float; booleans are not numbers."""
+    """A number (JSON, Python or numpy scalar) that converts to a finite float; a bool is not one."""
+    if isinstance(x, np.generic):
+        x = x.item()
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
@@ -267,14 +272,14 @@ class FrequencyTrace:
         return self.dt_s * self.samples.size
 
 
-#: Values per ``write_column`` chunk; larger chunks are no faster and cost memory.
+#: Values per ``write_column`` chunk (series, ``synth``); larger is no faster and costs memory.
 _COLUMN_CHUNK = 4096
 
 
 def write_column(fh, header: str, values: np.ndarray) -> None:
     """Write ``header``, then each value on its own line exactly as ``f"{v:.17g}"`` prints it.
 
-    Formatting a ``tolist()`` chunk at once avoids boxing each element as an ``np.float64``.
+    Serves counter series and ``synth`` CSVs; a ``tolist()`` chunk avoids boxing each np.float64.
     """
     fh.write(header + "\n")
     for i in range(0, len(values), _COLUMN_CHUNK):

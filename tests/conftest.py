@@ -1,9 +1,15 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from offsetlock import CounterSeries
+from offsetlock import CounterSeries, FrequencyTrace
+
+#: What ``LockRun.export`` writes, in the order it returns the paths.
+LOCKRUN_FILES = ["laser_offset.npy", "inloop_beat.npy", "error_v.npy", "actuator_hz.npy",
+                 "lockrun.json"]
 
 
 def brute_force_adev_overlapping(readings, m):
@@ -47,3 +53,23 @@ def make_series():
         return CounterSeries(nominal_hz=nominal_hz, gate_s=gate_s,
                              readings=np.asarray(readings, dtype=float))
     return _make
+
+
+def assert_lockrun_dir(run, written, out_dir):
+    """``written`` are exactly the five LockRun files, and they hold ``run``'s values bit for bit.
+
+    Each FrequencyTrace is rebuilt from its ``.npy`` plus the ``traces`` key of lockrun.json.
+    """
+    assert written == [os.path.join(str(out_dir), name) for name in LOCKRUN_FILES]
+    assert sorted(os.listdir(out_dir)) == sorted(LOCKRUN_FILES)
+    traces = json.loads((out_dir / "lockrun.json").read_text())["traces"]
+    arrays = {name: np.load(out_dir / f"{name}.npy", allow_pickle=False)
+              for name in ("laser_offset", "inloop_beat", "error_v", "actuator_hz")}
+    for name, trace in (("laser_offset", run.laser_offset_trace),
+                        ("inloop_beat", run.inloop_beat_trace)):
+        back = FrequencyTrace(dt_s=traces["dt_s"], samples=arrays[name], **traces[name])
+        assert (back.nominal_hz, back.dt_s, back.seed) == (trace.nominal_hz, trace.dt_s, trace.seed)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+    for name, arr in (("error_v", run.error_trace), ("actuator_hz", run.actuator_trace)):
+        assert (arrays[name].dtype, arrays[name].shape) == (np.float64, arr.shape)
+        assert arrays[name].tobytes() == arr.tobytes()

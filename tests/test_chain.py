@@ -252,6 +252,22 @@ class TestEvaluateChain:
             evaluate_chain(doc)
         assert message in str(info.value)
 
+    def test_source_error_names_the_source(self):
+        doc = dict(self.DOC, sources=dict(self.DOC["sources"],
+                                          laser1010={"nominal_hz": 297_000_000_000_000,
+                                                     "sigma_abs_hz": -1.0}))
+        with pytest.raises(ParameterError) as info:
+            evaluate_chain(doc)
+        assert str(info.value) == "sources.laser1010: sigma_abs_hz must be >= 0"
+
+    def test_operation_error_names_the_operation(self):
+        doc = dict(self.DOC, sources=dict(self.DOC["sources"],
+                                          laser1010={"nominal_hz": 297_000_000_000_000,
+                                                     "sigma_tau_s": 2.0}))
+        with pytest.raises(ParameterError) as info:
+            evaluate_chain(doc)
+        assert str(info.value) == "operations[2]: cannot combine sigmas tagged with different taus"
+
     def test_budget_node_without_afc_rejected(self):
         doc = {key: value for key, value in self.DOC.items() if key != "afc"}
         with pytest.raises(ParameterError, match="'budget_node' is valid only with 'afc'"):

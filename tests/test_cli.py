@@ -9,6 +9,8 @@ from offsetlock import CounterSeries, read_trace_csv
 from offsetlock.cli import main
 from offsetlock.metrology import read_allan_csv, write_series_csv
 
+from conftest import LOCKRUN_FILES
+
 
 @pytest.fixture
 def runner():
@@ -191,7 +193,17 @@ class TestLockCommand:
                                       "--lock-id", "lock1010", "-o", str(tmp_path / "run")])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "run" / "lockrun.json").exists()
-        assert (tmp_path / "run" / "inloop_beat.csv").exists()
+        assert (tmp_path / "run" / "inloop_beat.npy").exists()
+
+    def test_lock_directory_is_byte_identical_across_runs(self, runner, tmp_path):
+        for out in ("a", "b"):
+            result = runner.invoke(main, ["lock", golden_path("fig4_lock_1010_timedomain.json"),
+                                          "--lock-id", "lock1010", "-o", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+        for out in ("a", "b"):
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == sorted(LOCKRUN_FILES)
+        for name in LOCKRUN_FILES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_spectral_block_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["lock", golden_path("fig3_lock_1514.json"),

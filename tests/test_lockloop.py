@@ -26,12 +26,13 @@ from offsetlock import (
     lock_points,
     oscillator_trace,
     out_of_loop_beat,
-    read_trace_csv,
     servo_for_bandwidth,
     simulate_lock,
     thermal_lockpoint_shift,
 )
 from offsetlock.lockloop import linear_ramp, resolve_lock_point
+
+from conftest import assert_lockrun_dir
 
 IDEAL = OscillatorModel(198_000_019_000_000, NoiseSpec())
 IDEAL_REF = OscillatorModel(197_999_989_000_000, NoiseSpec())
@@ -272,6 +273,14 @@ class TestThermal:
         thermal = ThermalModel(1e-4, ([0.0, 10.0], [0.0, 1.0]))
         assert thermal.delta_t(5.0) == pytest.approx(0.5)
 
+    def test_sampled_profile_holds_numbers_only(self):
+        thermal = ThermalModel(1e-4, (np.array([0.0, 10.0]), [np.float32(0.0), np.int64(1)]))
+        assert thermal.delta_t(5.0) == pytest.approx(0.5)
+        for times, temps in ((["0", "10"], [0.0, 1.0]), ([0.0, 10.0], [True, 1.0]),
+                             ([0.0, float("inf")], [0.0, 1.0])):
+            with pytest.raises(ParameterError, match="finite numbers only"):
+                ThermalModel(1e-4, (times, temps))
+
     def test_tempco_bound(self):
         with pytest.raises(ParameterError):
             ThermalModel(0.5, linear_ramp(0.0))
@@ -401,26 +410,11 @@ class TestSimulateLock:
     def test_export_writes_manifest(self, tmp_path):
         disc = wide_disc()
         laser = laser_from_linewidth(198_000_019_000_000, 1e3)
-        # 10 000 samples: two full write_column chunks and a ragged tail
         run = simulate_lock(laser, IDEAL_REF, disc, self._servo(disc, 30e6),
                             30e6, 1.0, 1e-4, seed=1)
+        assert run.error_trace.size == 10_000
         out = tmp_path / "run"
-        written = run.export(out)
-        assert all((tmp_path / "run").joinpath(p.split("/")[-1]).exists() for p in written)
-        names = {p.split("/")[-1] for p in written}
-        assert names == {"laser_offset.csv", "inloop_beat.csv", "error_v.csv",
-                         "actuator_hz.csv", "lockrun.json"}
-        for name, trace in (("laser_offset.csv", run.laser_offset_trace),
-                            ("inloop_beat.csv", run.inloop_beat_trace)):
-            back = read_trace_csv(out / name)
-            assert (back.nominal_hz, back.dt_s, back.seed) == (
-                trace.nominal_hz, trace.dt_s, trace.seed)
-            assert np.array_equal(back.samples, trace.samples)
-        for name, arr in (("error_v.csv", run.error_trace), ("actuator_hz.csv", run.actuator_trace)):
-            assert (out / name).read_text().split("\n", 1)[0] == "# dt=0.0001"
-            back = np.loadtxt(out / name, skiprows=1)
-            assert back.size == 10_000
-            assert np.array_equal(back, arr)
+        assert_lockrun_dir(run, run.export(out), out)
 
 
 def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s, dt_s, seed,

@@ -39,6 +39,8 @@ from offsetlock.noisegen import (
     write_column,
 )
 
+from conftest import assert_lockrun_dir
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
@@ -333,6 +335,19 @@ class TestAdevProfile:
         with pytest.raises(ParameterError):
             OscillatorModel(10**14, adev_profile=((1.0, 0.0), (2.0, 1e-12)))
 
+    def test_numbers_inside_profile_and_h_checked(self):
+        # numpy scalars are numbers; a bool, a string or NaN used to be coerced or let through
+        profile = ((np.float64(1.0), np.float32(3.5e-12)), (np.int64(263), 7.2e-12))
+        assert OscillatorModel(10**14, adev_profile=profile).adev_profile == (
+            (1.0, float(np.float32(3.5e-12))), (263.0, 7.2e-12))
+        assert NoiseSpec(h_coeffs={0: np.float32(0.5), -2: np.float64(2.0)}).h_coeffs == {
+            0: 0.5, -2: 2.0}
+        for bad in (True, "1", float("nan"), None):
+            with pytest.raises(ParameterError, match="finite numbers"):
+                OscillatorModel(10**14, adev_profile=((1.0, 1e-12), (2.0, bad)))
+            with pytest.raises(ParameterError, match="h_0 must be a finite number >= 0"):
+                NoiseSpec(h_coeffs={0: bad})
+
     def test_white_only_profile_decomposition(self):
         # sigma ~ 1/sqrt(tau) over a factor 100 is pure white FM.
         sigma = 4e-12
@@ -462,19 +477,13 @@ class TestWriteColumn:
     @pytest.mark.parametrize("n", COLUMN_LENGTHS)
     def test_lockrun_export_bytes(self, tmp_path, n):
         values = column_values(n)
-        trace = FrequencyTrace(29_679_453, 1e-4, values, seed=7)
-        run = LockRun(laser_offset_trace=trace, inloop_beat_trace=trace,
-                      error_trace=values[::-1].copy(), actuator_trace=values,
+        run = LockRun(laser_offset_trace=FrequencyTrace(29_679_453, 1.0 / 3.0, values, seed=7),
+                      inloop_beat_trace=FrequencyTrace(198_000_019_000_000, 1.0 / 3.0,
+                                                       np.roll(values, 1), seed=2**63 - 1),
+                      error_trace=values[::-1].copy(), actuator_trace=-values,
                       lock_flag=np.ones(n, bool), thermal_lockpoint_trace=values,
                       f_lock_hz=29_679_453.0, status={}, config={})
-        run.export(tmp_path)
-        trace_bytes = per_value_column("# nominal_hz=29679453 dt=0.0001 seed=7", values).encode()
-        assert (tmp_path / "laser_offset.csv").read_bytes() == trace_bytes
-        assert (tmp_path / "inloop_beat.csv").read_bytes() == trace_bytes
-        assert (tmp_path / "error_v.csv").read_bytes() == per_value_column(
-            "# dt=0.0001", values[::-1]).encode()
-        assert (tmp_path / "actuator_hz.csv").read_bytes() == per_value_column(
-            "# dt=0.0001", values).encode()
+        assert_lockrun_dir(run, run.export(tmp_path), tmp_path)
 
 
 @settings(max_examples=30, deadline=None)

@@ -239,6 +239,19 @@ class TestValidateConfig:
                      {"tempco_per_K": 1e-5, "times_s": [0.0, 60.0]},
                      "locks[0].thermal: 'times_s' is valid only with 'temps_K'",
                      id="thermal-times-without-temps"),
+        # values inside lists and maps used to be coerced with float(): "1" and true read as 1.0
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "adev_profile"),
+                     [["1", "3.4e-12"], [263.0, 7.2e-12]],
+                     "combs.comb_gps: adev_profile taus and sigmas must be finite numbers",
+                     id="string-adev_profile-pair"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "noise": {"h": {"0": "12732.4"}}},
+                     "oscillators.laser1010: h_0 must be a finite number >= 0, got '12732.4'",
+                     id="string-noise-h"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "times_s": ["0", "60"], "temps_K": [True, "1"]},
+                     "locks[0].thermal: times_s and temps_K must hold finite numbers only",
+                     id="string-and-boolean-thermal-samples"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = json.loads(golden_text(name))
