@@ -231,7 +231,13 @@ def servo_for_bandwidth(disc: DiscriminatorConfig, f_lock_hz: float, bandwidth_h
 
 @dataclass(frozen=True)
 class LockRun:
-    """Sampled record of one closed-loop run; all traces share dt and length."""
+    """Record of one closed-loop run, each array at the rate it is computed.
+
+    The two FrequencyTraces and ``lock_flag`` hold one value per sample.  The servo's
+    ``error_trace``, ``actuator_trace`` and ``thermal_lockpoint_trace`` hold one value per
+    update, which lasts ``update_stride`` samples; ``np.repeat(a, update_stride)[:n]``
+    gives the value at each of the n samples.
+    """
 
     laser_offset_trace: FrequencyTrace
     inloop_beat_trace: FrequencyTrace
@@ -239,19 +245,25 @@ class LockRun:
     actuator_trace: np.ndarray
     lock_flag: np.ndarray
     thermal_lockpoint_trace: np.ndarray
+    update_stride: int
     f_lock_hz: float
     status: dict
     config: dict
 
     def export(self, out_dir) -> List[str]:
-        """Write the four traces as float64 .npy and lockrun.json (``traces``: dt, nominals, seeds)."""
+        """Write the four traces as float64 .npy, each at its own rate, and lockrun.json.
+
+        The ``traces`` key of lockrun.json holds dt, ``update_stride`` and each
+        FrequencyTrace's nominal and seed.  Returns the five paths.
+        """
         os.makedirs(out_dir, exist_ok=True)
         written = [os.path.join(out_dir, name) for name in (
             "laser_offset.npy", "inloop_beat.npy", "error_v.npy", "actuator_hz.npy", "lockrun.json")]
         laser, beat = self.laser_offset_trace, self.inloop_beat_trace
         for path, arr in zip(written, (laser.samples, beat.samples, self.error_trace, self.actuator_trace)):
             np.save(path, arr, allow_pickle=False)
-        traces = {"dt_s": laser.dt_s, "laser_offset": {"nominal_hz": laser.nominal_hz, "seed": laser.seed},
+        traces = {"dt_s": laser.dt_s, "update_stride": self.update_stride,
+                  "laser_offset": {"nominal_hz": laser.nominal_hz, "seed": laser.seed},
                   "inloop_beat": {"nominal_hz": beat.nominal_hz, "seed": beat.seed}}
         with open(written[-1], "w") as fh:
             json.dump({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config,
@@ -300,7 +312,8 @@ def simulate_lock(
     averaged over the preceding update interval (integrate-and-dump, the
     anti-aliasing a real mixer low-pass provides); the actuator is held
     between updates.  An unstable run (actuator railed more than half the
-    time) is reported in the status block, not raised.
+    time) is reported in the status block, not raised.  The error, actuator and
+    lock-point traces are returned at the update rate (see :class:`LockRun`).
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
@@ -316,7 +329,9 @@ def simulate_lock(
 
     beat0 = laser.nominal_hz - reference.nominal_hz
     polarity = 1.0 if beat0 >= 0 else -1.0
-    base = float(beat0) + initial_beat_offset_hz + laser_free - ref_free
+    base = float(beat0) + initial_beat_offset_hz + laser_free
+    base -= ref_free
+    del ref_free
 
     n_upd = (n + stride - 1) // stride
     if disc.noise_v2_per_hz > 0.0:
@@ -361,21 +376,27 @@ def simulate_lock(
         act_upd[j] = pa = polarity * act_cmd
         err_upd[j] = e
 
-    act_arr = np.repeat(act_upd, stride)[:n]
-    err_arr = np.repeat(err_upd, stride)[:n]
-    lockpoint_arr = np.repeat(f0 * disc.delay_s / tau_upd, stride)[:n]
-    halfwidth_arr = np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]
-    f_abs_arr = np.abs(base + act_arr)
-    lock_flag = np.abs(f_abs_arr - lockpoint_arr) <= halfwidth_arr
+    # Only the outputs stay allocated: each full-rate array below is built in the buffer of
+    # one it replaces, or is a temporary freed at once.  The op order keeps every bit.
+    act = np.repeat(act_upd, stride)[:n]
+    laser_free += act  # the locked laser offsets
+    base += act
+    del act
+    f_abs = np.abs(base, out=base)
+    lockpoint_upd = f0 * disc.delay_s / tau_upd
+    dev = np.repeat(lockpoint_upd, stride)[:n]
+    np.abs(np.subtract(f_abs, dev, out=dev), out=dev)
+    lock_flag = dev <= np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]
     rail_fraction = railed_updates / n_upd
     beat_nominal = int(round(f0))
 
     status = {
         "lock_fraction": float(np.mean(lock_flag)),
-        "mean_beat_hz": float(np.mean(f_abs_arr)),
+        "mean_beat_hz": float(np.mean(f_abs)),
         "actuator_rail_fraction": float(rail_fraction),
         "unstable": bool(rail_fraction > 0.5),
     }
+    f_abs -= beat_nominal  # now the in-loop beat samples
     config = {
         "f_lock_hz": f0,
         "duration_s": duration_s,
@@ -386,13 +407,14 @@ def simulate_lock(
     }
     return LockRun(
         laser_offset_trace=FrequencyTrace(
-            nominal_hz=laser.nominal_hz, dt_s=dt_s, samples=laser_free + act_arr, seed=int(seed)),
+            nominal_hz=laser.nominal_hz, dt_s=dt_s, samples=laser_free, seed=int(seed)),
         inloop_beat_trace=FrequencyTrace(
-            nominal_hz=beat_nominal, dt_s=dt_s, samples=f_abs_arr - beat_nominal, seed=int(seed)),
-        error_trace=err_arr,
-        actuator_trace=act_arr,
+            nominal_hz=beat_nominal, dt_s=dt_s, samples=f_abs, seed=int(seed)),
+        error_trace=err_upd,
+        actuator_trace=act_upd,
         lock_flag=lock_flag,
-        thermal_lockpoint_trace=lockpoint_arr,
+        thermal_lockpoint_trace=lockpoint_upd,
+        update_stride=stride,
         f_lock_hz=f0,
         status=status,
         config=config,

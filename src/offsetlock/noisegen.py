@@ -64,7 +64,12 @@ class NoiseSpec:
 
     def __post_init__(self):
         coeffs = {}
-        for alpha, h in dict(self.h_coeffs).items():
+        for key, h in dict(self.h_coeffs).items():
+            # an exact int or, as a JSON key, its canonical decimal string: not "00", "+0", 0.5, True
+            alpha = int(key) if isinstance(key, str) and key.removeprefix("-").isdecimal() else key
+            if (not isinstance(alpha, (int, np.integer)) or isinstance(alpha, bool)
+                    or str(alpha) != str(key)):
+                raise ParameterError(f"PSD exponent {key!r} must be an integer or its decimal string")
             alpha = int(alpha)
             if alpha not in POWER_LAW_EXPONENTS:
                 raise ParameterError(f"unsupported PSD exponent {alpha}")

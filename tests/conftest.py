@@ -58,7 +58,8 @@ def make_series():
 def assert_lockrun_dir(run, written, out_dir):
     """``written`` are exactly the five LockRun files, and they hold ``run``'s values bit for bit.
 
-    Each FrequencyTrace is rebuilt from its ``.npy`` plus the ``traces`` key of lockrun.json.
+    Each FrequencyTrace is rebuilt from its ``.npy`` plus the ``traces`` key of lockrun.json;
+    the error and actuator arrays hold one value per ``traces["update_stride"]`` samples.
     """
     assert written == [os.path.join(str(out_dir), name) for name in LOCKRUN_FILES]
     assert sorted(os.listdir(out_dir)) == sorted(LOCKRUN_FILES)
@@ -70,6 +71,9 @@ def assert_lockrun_dir(run, written, out_dir):
         back = FrequencyTrace(dt_s=traces["dt_s"], samples=arrays[name], **traces[name])
         assert (back.nominal_hz, back.dt_s, back.seed) == (trace.nominal_hz, trace.dt_s, trace.seed)
         assert back.samples.tobytes() == trace.samples.tobytes()
+    stride = traces["update_stride"]
+    assert stride == run.update_stride
+    n_updates = -(-len(run.laser_offset_trace) // stride)
     for name, arr in (("error_v", run.error_trace), ("actuator_hz", run.actuator_trace)):
-        assert (arrays[name].dtype, arrays[name].shape) == (np.float64, arr.shape)
+        assert (arrays[name].dtype, arrays[name].shape) == (np.float64, (n_updates,))
         assert arrays[name].tobytes() == arr.tobytes()

@@ -185,7 +185,8 @@ def test_criterion_07_thermal_drift(capfd):
                         thermal=thermal)
     beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
     drift = beat[-1] - beat[0]
-    tracking_err = np.max(np.abs(beat - run.thermal_lockpoint_trace))
+    lockpoint = np.repeat(run.thermal_lockpoint_trace, run.update_stride)[:beat.size]
+    tracking_err = np.max(np.abs(beat - lockpoint))
     ok = abs(abs(drift) - 10.2e3) <= 0.05 * 10.2e3 and tracking_err < 10.0
     _verdict(capfd, 7, ok)
 

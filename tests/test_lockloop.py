@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,7 +366,8 @@ class TestSimulateLock:
         run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
                             30e6, 20.0, 1e-4, seed=1, thermal=thermal)
         beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
-        assert np.max(np.abs(beat - run.thermal_lockpoint_trace)) < 5.0
+        lockpoint = np.repeat(run.thermal_lockpoint_trace, run.update_stride)[:beat.size]
+        assert np.max(np.abs(beat - lockpoint)) < 5.0
         drift = beat[-1] - beat[0]
         assert drift == pytest.approx(-10.2e3, rel=0.05)
 
@@ -402,17 +404,37 @@ class TestSimulateLock:
                             30e6, 1.0, 1e-4, seed=1)
         n = len(run.laser_offset_trace)
         assert len(run.inloop_beat_trace) == n
-        assert run.error_trace.size == n
-        assert run.actuator_trace.size == n
         assert run.lock_flag.size == n
-        assert run.thermal_lockpoint_trace.size == n
+        # the servo's own arrays hold one value per update of 10 samples
+        assert run.update_stride == 10
+        assert run.error_trace.size == n // 10
+        assert run.actuator_trace.size == n // 10
+        assert run.thermal_lockpoint_trace.size == n // 10
+
+    def test_peak_memory_is_the_outputs(self):
+        # Noiseless oscillators make synthesis np.zeros, so the peak is the loop's own arrays.
+        # Expanding the servo's traces to full rate peaked at 10.5 x 8n bytes; now about 4.6,
+        # of which 4.1 are the three full-rate outputs, the lock-point deviation and one repeat.
+        disc = DiscriminatorConfig(delay_s=cable_delay(5.0))
+        f0 = lock_points(disc, 15e6, 45e6)[0].f_hz
+        laser = OscillatorModel(IDEAL_REF.nominal_hz + round(f0), NoiseSpec())
+        n = 200_000
+        tracemalloc.start()
+        try:
+            run = simulate_lock(laser, IDEAL_REF, disc, servo_for_bandwidth(disc, f0, 100.0),
+                                f0, n * 1e-4, 1e-4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.laser_offset_trace) == n and run.status["lock_fraction"] == 1.0
+        assert peak < 5.5 * 8 * n
 
     def test_export_writes_manifest(self, tmp_path):
         disc = wide_disc()
         laser = laser_from_linewidth(198_000_019_000_000, 1e3)
         run = simulate_lock(laser, IDEAL_REF, disc, self._servo(disc, 30e6),
                             30e6, 1.0, 1e-4, seed=1)
-        assert run.error_trace.size == 10_000
+        assert run.error_trace.size == 1_000
         out = tmp_path / "run"
         assert_lockrun_dir(run, run.export(out), out)
 
@@ -508,7 +530,7 @@ class TestScalarLoopMatchesReference:
              servo=ServoConfig(kp=1e5, ki=2e9)),
         dict(id="detector-noise", disc=wide_disc(noise_v2_per_hz=1e-8)),
         dict(id="laser-below-line", laser=NOISY_LOW_LASER, disc=wide_disc(sign=-1)),
-        dict(id="stride-7-ragged-end", duration_s=1.2345,
+        dict(id="stride-7-ragged-end", duration_s=1.2345, n_updates=1764,  # 12 345 samples
              servo=ServoConfig(ki=2e9, update_dt_s=7e-4)),
         dict(id="narrow-passband", initial_beat_offset_hz=12e6,
              disc=wide_disc(bandpass_center_hz=30e6, bandpass_halfwidth_hz=10e6)),
@@ -522,13 +544,18 @@ class TestScalarLoopMatchesReference:
                       initial_beat_offset_hz=case.get("initial_beat_offset_hz", 0.0))
         run = simulate_lock(*args, **kwargs)
         expected, status = reference_simulate_lock(*args, **kwargs)
+        n, stride = len(run.laser_offset_trace), run.update_stride
+        assert stride == round(servo.update_dt_s / 1e-4)
+        servo_rate = (run.error_trace, run.actuator_trace, run.thermal_lockpoint_trace)
+        assert [a.size for a in servo_rate] == [case.get("n_updates", 2000)] * 3
+        error, actuator, lockpoint = (np.repeat(a, stride)[:n] for a in servo_rate)
         got = {
             "laser_offset": run.laser_offset_trace.samples,
             "inloop_beat": run.inloop_beat_trace.samples,
-            "error": run.error_trace,
-            "actuator": run.actuator_trace,
+            "error": error,
+            "actuator": actuator,
             "lock_flag": run.lock_flag,
-            "lockpoint": run.thermal_lockpoint_trace,
+            "lockpoint": lockpoint,
         }
         for name, want in expected.items():
             assert got[name].tobytes() == want.tobytes(), name

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -66,6 +67,20 @@ class TestNoiseSpec:
     def test_unsupported_exponent_rejected(self):
         with pytest.raises(ParameterError):
             NoiseSpec(h_coeffs={3: 1.0})
+
+    def test_exponent_keys_exact(self):
+        # keys used to go through int(): "00" and "+0" both read as 0 (the later one won),
+        # 0.5 was truncated to 0 and True read as 1
+        assert NoiseSpec(h_coeffs={"0": 1.0, "-2": 2.0, np.int64(1): 3.0}).h_coeffs == {
+            0: 1.0, -2: 2.0, 1: 3.0}
+        for bad in ({"00": 12732.4, "+0": 1.0}, {"00": 1.0}, {"+0": 1.0}, {"-0": 1.0},
+                    {" 0": 1.0}, {"0.0": 1.0}, {"": 1.0}, {0.5: 1.0}, {0.0: 1.0}, {True: 1.0},
+                    {np.bool_(False): 1.0}):
+            key = next(iter(bad))
+            with pytest.raises(ParameterError, match=f"PSD exponent {re.escape(repr(key))} must"):
+                NoiseSpec(h_coeffs=bad)
+        with pytest.raises(ParameterError, match="unsupported PSD exponent 3"):
+            NoiseSpec(h_coeffs={"3": 1.0})
 
     def test_negative_random_walk_rejected(self):
         with pytest.raises(ParameterError):
@@ -477,12 +492,13 @@ class TestWriteColumn:
     @pytest.mark.parametrize("n", COLUMN_LENGTHS)
     def test_lockrun_export_bytes(self, tmp_path, n):
         values = column_values(n)
+        per_update = values[::3]  # servo-rate arrays: one value per 3 samples, ragged end kept
         run = LockRun(laser_offset_trace=FrequencyTrace(29_679_453, 1.0 / 3.0, values, seed=7),
                       inloop_beat_trace=FrequencyTrace(198_000_019_000_000, 1.0 / 3.0,
                                                        np.roll(values, 1), seed=2**63 - 1),
-                      error_trace=values[::-1].copy(), actuator_trace=-values,
-                      lock_flag=np.ones(n, bool), thermal_lockpoint_trace=values,
-                      f_lock_hz=29_679_453.0, status={}, config={})
+                      error_trace=per_update[::-1].copy(), actuator_trace=-per_update,
+                      lock_flag=np.ones(n, bool), thermal_lockpoint_trace=per_update,
+                      update_stride=3, f_lock_hz=29_679_453.0, status={}, config={})
         assert_lockrun_dir(run, run.export(tmp_path), tmp_path)
 
 

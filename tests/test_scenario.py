@@ -248,6 +248,20 @@ class TestValidateConfig:
                      {"nominal_hz": 297000057000000, "noise": {"h": {"0": "12732.4"}}},
                      "oscillators.laser1010: h_0 must be a finite number >= 0, got '12732.4'",
                      id="string-noise-h"),
+        # noise h keys used to go through int(): "00" and "+0" both read as 0 and the later
+        # one replaced the earlier; 0.5 read as 0 and True as 1
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "noise": {"h": {"00": 12732.4, "+0": 1.0}}},
+                     "oscillators.laser1010: PSD exponent '00' must be an integer",
+                     id="non-canonical-noise-h-keys"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "noise": {"h": {0.5: 1.0}}},
+                     "oscillators.laser1010: PSD exponent 0.5 must be an integer",
+                     id="fractional-noise-h-key"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "noise": {"h": {True: 1.0}}},
+                     "oscillators.laser1010: PSD exponent True must be an integer",
+                     id="boolean-noise-h-key"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 1e-5, "times_s": ["0", "60"], "temps_K": [True, "1"]},
                      "locks[0].thermal: times_s and temps_K must hold finite numbers only",
