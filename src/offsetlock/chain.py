@@ -115,26 +115,15 @@ def solve_aom(target_hz: int, current: ChainNode) -> float:
 def comb_beat(nu_hz, comb: CombModel):
     """Nearest comb line and beat: n = round((nu - f_ceo)/f_rep), ties toward lower n.
 
-    Accepts a scalar integer or an integer ndarray; the beat never exceeds
-    f_rep/2.
+    Accepts a scalar integer or an integer ndarray; the beat never exceeds f_rep/2.
     """
-    if isinstance(nu_hz, np.ndarray):
-        if nu_hz.dtype.kind not in "iu":
-            raise ParameterError("array input must be integer-typed")
-        if np.any(nu_hz <= comb.f_ceo_hz):
-            raise ParameterError("nu must exceed f_ceo")
-        q, r = np.divmod(nu_hz - comb.f_ceo_hz, comb.f_rep_hz)
-        up = 2 * r > comb.f_rep_hz
-        n = q + up
-        f_beat = np.where(up, comb.f_rep_hz - r, r)
-        return n, f_beat
-    nu = int(nu_hz)
-    if nu <= comb.f_ceo_hz:
+    if np.asarray(nu_hz).dtype.kind not in "iu":
+        raise ParameterError("nu must be integer-typed")
+    if np.any(nu_hz <= comb.f_ceo_hz):
         raise ParameterError("nu must exceed f_ceo")
-    q, r = divmod(nu - comb.f_ceo_hz, comb.f_rep_hz)
-    if 2 * r > comb.f_rep_hz:
-        return q + 1, comb.f_rep_hz - r
-    return q, r
+    q, r = divmod(nu_hz - comb.f_ceo_hz, comb.f_rep_hz)
+    up = 2 * r > comb.f_rep_hz
+    return q + up, r + up * (comb.f_rep_hz - 2 * r)
 
 
 def afc_budget(node: ChainNode, afc: AfcSpec) -> BudgetReport:

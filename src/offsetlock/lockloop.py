@@ -438,8 +438,8 @@ def closed_loop_components(
     dt_s: float,
     seed: int,
     detection_noise_hz2_per_hz: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral-model building blocks: (locked laser offsets, reference offsets, laser free-run).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectral-model building blocks: (locked laser offsets, reference offsets).
 
     Locked = lowpass(reference + detection noise) + highpass(laser free-run),
     with complementary first-order responses at the loop bandwidth.
@@ -450,13 +450,14 @@ def closed_loop_components(
     ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
     seen = ref_free
     if detection_noise_hz2_per_hz > 0.0:
-        det = synth_power_law(
+        seen = synth_power_law(
             NoiseSpec(h_coeffs={0: detection_noise_hz2_per_hz}),
             duration_s, dt_s, derive_seed(seed, "detector")).samples
-        seen = ref_free + det
-    lp = _one_pole_lowpass(seen, loop_bandwidth_hz, dt_s)
-    hp = laser_free - _one_pole_lowpass(laser_free, loop_bandwidth_hz, dt_s)
-    return lp + hp, ref_free, laser_free
+        seen += ref_free
+    locked = _one_pole_lowpass(seen, loop_bandwidth_hz, dt_s)
+    laser_free -= _one_pole_lowpass(laser_free, loop_bandwidth_hz, dt_s)
+    locked += laser_free
+    return locked, ref_free
 
 
 def out_of_loop_beat(locked: FrequencyTrace, independent_ref: FrequencyTrace) -> FrequencyTrace:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 from .noisegen import FrequencyTrace, grid_steps, read_column, write_column
@@ -137,13 +138,9 @@ def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
     dead = grid_steps(cfg.dead_time_s, trace.dt_s, 1e-6)
     if cfg.dead_time_s > 0.0 and not dead:
         raise ParameterError("dead_time_s must be an integer multiple of trace dt")
-    stride = m + dead
-    n_gates = (trace.samples.size - m) // stride + 1
-    if n_gates < 1:
+    if trace.samples.size < m:
         raise ParameterError("trace shorter than one gate")
-    starts = stride * np.arange(n_gates)
-    idx = starts[:, None] + np.arange(m)[None, :]
-    readings = trace.samples[idx].mean(axis=1)
+    readings = sliding_window_view(trace.samples, m)[::m + dead].mean(axis=1)
     return CounterSeries(nominal_hz=trace.nominal_hz, gate_s=cfg.gate_s, readings=readings)
 
 

@@ -269,13 +269,6 @@ class FrequencyTrace:
     def __len__(self) -> int:
         return self.samples.size
 
-    def times(self) -> np.ndarray:
-        return self.dt_s * np.arange(self.samples.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.dt_s * self.samples.size
-
 
 #: Values per ``write_column`` chunk (series, ``synth``); larger is no faster and costs memory.
 _COLUMN_CHUNK = 4096

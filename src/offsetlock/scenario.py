@@ -162,7 +162,7 @@ class Measurement:
     """One measurement with every default applied and its tau grid resolved."""
 
     id: str
-    kind: str  # one of _MEASUREMENT_KINDS
+    kind: str  # a key of _MEASUREMENT_KEYS
     signal: Signal
     baseline: Optional[Signal]  # adev_ratio_max only
     gate_s: float
@@ -194,10 +194,12 @@ _TOP_KEYS = ("name", "seed", "duration_s", "dt_s", "oscillators", "combs", "lock
              "measurements", "chain", "expectations")
 _LOCK_KEYS = ("id", "laser", "comb", "f_lock_hz", "fidelity", "loop_bandwidth_hz",
               "discriminator", "servo", "thermal")
-#: One key set for every kind of measurement.
-_MEASUREMENT_KEYS = ("id", "kind", "signal", "baseline", "gate_s", "taus_s", "estimator",
-                     "units", "fractional_ref", "pick_tau_s", "window_s")
-_MEASUREMENT_KINDS = ("peak_to_peak", "adev", "adev_ratio_max")
+#: The keys each kind of measurement reads besides id, kind, signal and gate_s.
+_MEASUREMENT_KEYS = {
+    "peak_to_peak": ("window_s",),
+    "adev": ("taus_s", "estimator", "units", "fractional_ref", "pick_tau_s"),
+    "adev_ratio_max": ("baseline", "taus_s", "estimator"),
+}
 _SIGNAL_ARITY = {"freerun": 1, "locked": 1, "inloop": 1, "outofloop": 2}  # names after the kind
 _ESTIMATORS = ("overlapping", "non-overlapping")
 _CHAIN_STATISTICS = ("chain_nominal_hz", "chain_sigma_abs_hz",
@@ -378,7 +380,6 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}: must be a JSON object")
             continue
         n_errors = len(errors)
-        parsed(json_fields, md, path, _MEASUREMENT_KEYS)
         mid = md.get("id")
         if not isinstance(mid, str) or not mid or mid != os.path.basename(mid):
             errors.append(f"{path}.id: required non-empty string usable as a file name")
@@ -387,9 +388,11 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}.id: duplicate measurement id {mid!r}")
         measurement_ids.add(mid)
         kind = md.get("kind")
-        if kind not in _MEASUREMENT_KINDS:
-            errors.append(f"{path}.kind: must be one of {_MEASUREMENT_KINDS}")
+        kind_keys = _named(_MEASUREMENT_KEYS, kind)
+        if kind_keys is None:
+            errors.append(f"{path}.kind: must be one of {tuple(_MEASUREMENT_KEYS)}")
             continue
+        parsed(json_fields, md, path, ("id", "kind", "signal", "gate_s") + kind_keys)
         pick = md.get("pick_tau_s")
         if kind != "adev" or pick is not None:
             stat_ids.add(mid)
@@ -411,7 +414,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         n_gates = n_samples // m_gate
         span = gate * n_gates
         window = md.get("window_s")
-        if kind == "peak_to_peak" and window is not None:
+        if window is not None:
             if not (_positive(window) and 1 <= grid_steps(float(window), gate, 1e-9) <= n_gates):
                 errors.append(f"{path}.window_s: must be a multiple of gate_s within the run")
         taus: Tuple[float, ...] = ()
@@ -441,6 +444,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                     fractional_hz = ref.nominal_hz
             elif units != UNITS_HZ:
                 errors.append(f"{path}.units: must be '{UNITS_HZ}' or '{UNITS_FRACTIONAL}'")
+            elif "fractional_ref" in md:
+                errors.append(f"{path}.fractional_ref: valid only with units '{UNITS_FRACTIONAL}'")
             if pick is not None and not (_positive(pick)
                                          and np.isclose(fits, pick, rtol=1e-9).any()):
                 errors.append(f"{path}.pick_tau_s: must be a tau of the grid that fits "
@@ -449,8 +454,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             measurements.append(Measurement(
                 id=mid, kind=kind, signal=signal, baseline=baseline, gate_s=gate, taus_s=taus,
                 estimator=estimator, fractional_hz=fractional_hz,
-                pick_tau_s=float(pick) if kind == "adev" and pick is not None else None,
-                window_s=float(window) if kind == "peak_to_peak" and window is not None else None,
+                pick_tau_s=float(pick) if pick is not None else None,
+                window_s=float(window) if window is not None else None,
             ))
 
     chain = None
@@ -515,7 +520,7 @@ def execute_lock(cfg: ScenarioConfig,
                             cfg.duration_s, cfg.dt_s, seed, thermal=block.thermal)
         return run.laser_offset_trace, run.inloop_beat_trace, run.status
     slope = abs(discriminator_slope(block.disc, block.f0_hz))
-    locked_off, ref_off, _ = closed_loop_components(
+    locked_off, ref_off = closed_loop_components(
         block.laser, block.line, block.loop_bandwidth_hz, cfg.duration_s, cfg.dt_s, seed,
         detection_noise_hz2_per_hz=block.disc.noise_v2_per_hz / slope**2)
     polarity = 1.0 if block.laser.nominal_hz >= block.line.nominal_hz else -1.0

@@ -161,9 +161,19 @@ class TestCombBeat:
         for nu, n, beat in zip(nus, n_arr, beat_arr):
             assert comb_beat(int(nu), self.COMB) == (n, beat)
 
+    def test_scalar_returns_python_ints(self):
+        # lockrun.json records the comb line: json.dump refuses numpy integers
+        n, beat = comb_beat(self.COMB.line_hz(1_850_467) + 60_000_000, self.COMB)
+        assert type(n) is int and type(beat) is int
+
     def test_float_array_rejected(self):
         with pytest.raises(ParameterError):
             comb_beat(np.array([1e14]), self.COMB)
+
+    def test_float_scalar_rejected(self):
+        # used to be truncated by int()
+        with pytest.raises(ParameterError, match="integer-typed"):
+            comb_beat(1.5e14, self.COMB)
 
 
 class TestAfcBudget:

@@ -564,13 +564,13 @@ class TestScalarLoopMatchesReference:
 
 class TestSpectralLock:
     def test_noiseless_all_zero(self):
-        locked, _, _ = closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-3, seed=1)
+        locked, _ = closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-3, seed=1)
         assert np.allclose(locked, 0.0)
 
     def test_white_laser_suppressed_at_long_tau(self):
         laser = laser_from_linewidth(198_000_019_000_000, 300e3)
         free = oscillator_trace(laser, 256.0, 2e-3, seed=2)
-        locked_off, _, _ = closed_loop_components(laser, IDEAL_REF, 100.0, 256.0, 2e-3, seed=2)
+        locked_off, _ = closed_loop_components(laser, IDEAL_REF, 100.0, 256.0, 2e-3, seed=2)
         locked = FrequencyTrace(laser.nominal_hz, 2e-3, locked_off)
         taus = [1.0, 8.0]
         s_free = adev_overlapping(count(free, CounterConfig(1.0)), taus).sigmas
@@ -584,7 +584,7 @@ class TestSpectralLock:
     def test_reference_passes_through_below_bandwidth(self):
         # A drifting reference within the loop bandwidth is followed 1:1.
         ref = OscillatorModel(197_999_989_000_000, NoiseSpec(drift_rate=100.0))
-        locked, _, _ = closed_loop_components(IDEAL, ref, 50.0, 20.0, 1e-3, seed=3)
+        locked, _ = closed_loop_components(IDEAL, ref, 50.0, 20.0, 1e-3, seed=3)
         expected_drift = 100.0 * 20.0
         assert locked[-1] - locked[0] == pytest.approx(expected_drift, rel=0.05)
 

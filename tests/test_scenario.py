@@ -266,6 +266,37 @@ class TestValidateConfig:
                      {"tempco_per_K": 1e-5, "times_s": ["0", "60"], "temps_K": [True, "1"]},
                      "locks[0].thermal: times_s and temps_K must hold finite numbers only",
                      id="string-and-boolean-thermal-samples"),
+        # each kind of measurement used to accept, and then drop, the keys of the other kinds
+        pytest.param("fig4_inloop_1010.json", ("measurements", 2, "window_s"), 1.0,
+                     "measurements[2]: unknown key 'window_s'", id="window-s-on-adev"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 2, "baseline"), "freerun:laser1010",
+                     "measurements[2]: unknown key 'baseline'", id="baseline-on-adev"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "estimator"), "non-overlapping",
+                     "measurements[0]: unknown key 'estimator'", id="estimator-on-peak-to-peak"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "units"), "fractional",
+                     "measurements[0]: unknown key 'units'", id="units-on-peak-to-peak"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "pick_tau_s"), 1.0,
+                     "measurements[0]: unknown key 'pick_tau_s'", id="pick-tau-s-on-peak-to-peak"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "taus_s"), "octave",
+                     "measurements[0]: unknown key 'taus_s'", id="taus-s-on-peak-to-peak"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 3, "units"), "hz",
+                     "measurements[3]: unknown key 'units'", id="units-on-adev-ratio-max"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 3, "fractional_ref"), "laser1010",
+                     "measurements[3]: unknown key 'fractional_ref'",
+                     id="fractional-ref-on-adev-ratio-max"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 3, "pick_tau_s"), 1.0,
+                     "measurements[3]: unknown key 'pick_tau_s'", id="pick-tau-s-on-adev-ratio-max"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 3, "window_s"), 1.0,
+                     "measurements[3]: unknown key 'window_s'", id="window-s-on-adev-ratio-max"),
+        pytest.param("fig3_lock_1514.json", ("measurements", 2, "fractional_ref"), "laser1514",
+                     "measurements[2].fractional_ref: valid only with units 'fractional'",
+                     id="fractional-ref-with-hz-units"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "kind"), [],
+                     "measurements[0].kind: must be one of", id="list-measurement-kind"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "kind"), {},
+                     "measurements[0].kind: must be one of", id="object-measurement-kind"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "kind"), 3,
+                     "measurements[0].kind: must be one of", id="number-measurement-kind"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = json.loads(golden_text(name))
@@ -482,11 +513,17 @@ def tiny_drift_configs(draw):
     duration = dt * draw(st.integers(2, 32))
     number = st.one_of(st.integers(0, 40).map(lambda k: k * dt / 2), st.floats(-1.0, 40.0),
                        st.booleans(), st.sampled_from(["1", "octave", None]))
-    md = {"id": "m", "kind": draw(st.sampled_from(["peak_to_peak", "adev", "adev_ratio_max"])),
-          "signal": "freerun:osc", "baseline": "freerun:ref"}
-    for key, values in (("gate_s", number), ("pick_tau_s", number), ("window_s", number),
-                        ("taus_s", number | st.lists(number, max_size=4))):
-        if draw(st.booleans()):
+    kind = draw(st.sampled_from(["peak_to_peak", "adev", "adev_ratio_max"]))
+    md = {"id": "m", "kind": kind, "signal": "freerun:osc"}
+    if kind == "adev_ratio_max":
+        md["baseline"] = "freerun:ref"
+    # only the keys this kind reads: any other key is rejected
+    for key, values, kinds in (("gate_s", number, (kind,)),
+                               ("pick_tau_s", number, ("adev",)),
+                               ("window_s", number, ("peak_to_peak",)),
+                               ("taus_s", number | st.lists(number, max_size=4),
+                                ("adev", "adev_ratio_max"))):
+        if kind in kinds and draw(st.booleans()):
             md[key] = draw(values)
     drift = {"noise": {"drift_rate_hz_per_s": 1.0}}
     return {
