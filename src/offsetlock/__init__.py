@@ -12,7 +12,6 @@ from .noisegen import (
     oscillator_trace,
     read_trace_csv,
     synth_power_law,
-    trace_from_adev_profile,
     write_trace_csv,
 )
 from .metrology import (

@@ -15,12 +15,13 @@ from .lockloop import simulate_lock
 from .metrology import (
     adev_nonoverlapping,
     adev_overlapping,
+    allan_csv,
     octave_taus,
     read_series_csv,
     to_fractional,
     write_allan_csv,
 )
-from .noisegen import NoiseSpec, derive_seed, json_fields, synth_power_law, write_trace_csv
+from .noisegen import NoiseSpec, derive_seed, json_fields, synth_power_law, write_json, write_trace_csv
 from .scenario import (
     OUT_DIR_ENV,
     RunReport,
@@ -125,9 +126,7 @@ def adev(series_csv, taus, overlapping, fractional_hz, out):
         write_allan_csv(result, out)
         click.echo(f"wrote {result.taus_s.size} points to {out}")
     else:
-        click.echo("tau_s,sigma,units,n_pairs")
-        for tau, sigma, n in zip(result.taus_s, result.sigmas, result.n_pairs):
-            click.echo(f"{tau:.17g},{sigma:.17g},{result.units},{n}")
+        click.echo(allan_csv(result), nl=False)
     if result.omitted_taus_s:
         click.echo(f"warning: omitted taus {list(result.omitted_taus_s)}", err=True)
 
@@ -140,13 +139,11 @@ def chain_cmd(chain_json, out):
     """Evaluate a chain-description JSON; emit the budget report."""
     with open(chain_json) as fh, _malformed("CHAIN_JSON"):
         result = chainmod.evaluate_chain(json.load(fh))
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_json(result, out)
         click.echo(f"wrote {out}")
     else:
-        click.echo(text, nl=False)
+        click.echo(json.dumps(result, indent=2, sort_keys=True))
     budget = result.get("budget")
     if budget is not None and not (budget["stability_pass"] and budget["offset_pass"]):
         sys.exit(1)

@@ -10,7 +10,6 @@ runs and a single-pole spectral shaping model for hour-long runs.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -29,6 +28,7 @@ from .noisegen import (
     grid_steps,
     oscillator_trace,
     synth_power_law,
+    write_json,
 )
 
 #: Speed of light, m/s (exact).
@@ -251,11 +251,7 @@ class LockRun:
     config: dict
 
     def export(self, out_dir) -> List[str]:
-        """Write the four traces as float64 .npy, each at its own rate, and lockrun.json.
-
-        The ``traces`` key of lockrun.json holds dt, ``update_stride`` and each
-        FrequencyTrace's nominal and seed.  Returns the five paths.
-        """
+        """Write the LockRun directory that README.md describes; return its five paths."""
         os.makedirs(out_dir, exist_ok=True)
         written = [os.path.join(out_dir, name) for name in (
             "laser_offset.npy", "inloop_beat.npy", "error_v.npy", "actuator_hz.npy", "lockrun.json")]
@@ -265,10 +261,8 @@ class LockRun:
         traces = {"dt_s": laser.dt_s, "update_stride": self.update_stride,
                   "laser_offset": {"nominal_hz": laser.nominal_hz, "seed": laser.seed},
                   "inloop_beat": {"nominal_hz": beat.nominal_hz, "seed": beat.seed}}
-        with open(written[-1], "w") as fh:
-            json.dump({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config,
-                       "traces": traces}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config,
+                    "traces": traces}, written[-1])
         return written
 
 

@@ -103,11 +103,16 @@ def read_series_csv(path) -> CounterSeries:
     return CounterSeries(nominal_hz=int(m.group(1)), gate_s=float(m.group(2)), readings=readings)
 
 
+def allan_csv(result: AllanResult) -> str:
+    """The AllanResult CSV text: a header, then one ``tau,sigma,units,n_pairs`` line per tau."""
+    rows = zip(result.taus_s, result.sigmas, result.n_pairs)
+    return "tau_s,sigma,units,n_pairs\n" + "".join(
+        f"{tau:.17g},{sigma:.17g},{result.units},{n}\n" for tau, sigma, n in rows)
+
+
 def write_allan_csv(result: AllanResult, path) -> None:
     with open(path, "w") as fh:
-        fh.write("tau_s,sigma,units,n_pairs\n")
-        for tau, sigma, n in zip(result.taus_s, result.sigmas, result.n_pairs):
-            fh.write(f"{tau:.17g},{sigma:.17g},{result.units},{n}\n")
+        fh.write(allan_csv(result))
 
 
 def read_allan_csv(path, estimator: str = "overlapping") -> AllanResult:

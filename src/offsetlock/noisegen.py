@@ -12,6 +12,7 @@ granularity, so offsets are stored separately from the integer carrier.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 import sys
@@ -204,28 +205,23 @@ def grid_steps(x: float, unit: float, rtol: float) -> int:
 class OscillatorModel:
     """A noise recipe bound to an exact integer carrier.
 
-    ``adev_profile`` is an optional list of (tau_s, sigma_y) pairs in
-    *fractional* units; when present it overrides ``noise`` for trace
-    synthesis (used for the GPS comb and iodine-stabilized references).
+    A config's ``linewidth_hz`` or fractional ``adev_profile`` becomes ``noise`` when it is parsed.
     """
 
     nominal_hz: int
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    adev_profile: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_hz", exact_int(self.nominal_hz, "nominal_hz"))
         if self.nominal_hz <= 0:
             raise ParameterError("nominal_hz must be > 0")
-        if self.adev_profile is not None:
-            object.__setattr__(self, "adev_profile", _validate_profile(self.adev_profile))
 
 
 @dataclass(frozen=True)
 class CombModel:
     """Optical frequency comb: lines at ``f_ceo + n * f_rep``.
 
-    ``reference_noise`` / ``adev_profile`` describe common-mode *fractional*
+    ``reference_noise`` or ``adev_profile`` (not both) describes common-mode *fractional*
     noise applied to every line.
     """
 
@@ -241,6 +237,8 @@ class CombModel:
             raise ParameterError("f_rep_hz must be > 0")
         if not 0 <= self.f_ceo_hz < self.f_rep_hz:
             raise ParameterError("f_ceo_hz must satisfy 0 <= f_ceo < f_rep")
+        if self.reference_noise is not None and self.adev_profile is not None:
+            raise ParameterError("give 'reference_noise' or 'adev_profile', not both")
         if self.adev_profile is not None:
             object.__setattr__(self, "adev_profile", _validate_profile(self.adev_profile))
 
@@ -283,6 +281,13 @@ def write_column(fh, header: str, values: np.ndarray) -> None:
     for i in range(0, len(values), _COLUMN_CHUNK):
         chunk = values[i:i + _COLUMN_CHUNK].tolist()
         fh.write("%.17g\n" * len(chunk) % tuple(chunk))
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as a JSON artifact: indent 2, sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_trace_csv(trace: FrequencyTrace, path) -> None:
@@ -405,18 +410,19 @@ def laser_from_linewidth(
 def comb_line_oscillator(comb: CombModel, n: int) -> OscillatorModel:
     """Oscillator model of comb line ``n`` (exact integer carrier).
 
-    The comb's common-mode fractional noise is rescaled to absolute Hz at
-    the line frequency; a fractional ADEV profile passes through unchanged.
+    The comb's common-mode fractional noise is rescaled to absolute Hz at the
+    line frequency; a fractional ADEV profile is decomposed at that frequency.
     """
     if n < 1:
         raise ParameterError("comb line index must be >= 1")
     nu = comb.line_hz(n)
     if nu >= _MAX_CARRIER:
         raise ParameterError(f"comb line {n} overflows the integer carrier range")
-    noise = NoiseSpec()
+    if comb.adev_profile is not None:
+        return OscillatorModel(nu, noise_spec_from_profile(comb.adev_profile, nu))
     if comb.reference_noise is not None:
-        noise = comb.reference_noise.scaled(float(nu))
-    return OscillatorModel(nominal_hz=nu, noise=noise, adev_profile=comb.adev_profile)
+        return OscillatorModel(nu, comb.reference_noise.scaled(float(nu)))
+    return OscillatorModel(nu)
 
 
 def decompose_adev_profile(profile) -> Tuple[float, float, float]:
@@ -451,9 +457,9 @@ def decompose_adev_profile(profile) -> Tuple[float, float, float]:
 
 
 def noise_spec_from_profile(profile, nominal_hz: int) -> NoiseSpec:
-    """Convert a fractional ADEV profile to an absolute-Hz NoiseSpec."""
+    """Convert a fractional ADEV profile to an absolute-Hz NoiseSpec at an exact integer carrier."""
+    nu2 = float(exact_int(nominal_hz, "nominal_hz")) ** 2
     a, b, c = decompose_adev_profile(profile)
-    nu2 = float(nominal_hz) ** 2
     h = {}
     if a > 0.0:
         h[0] = 2.0 * a * nu2  # sigma^2 = h0 / (2 tau)
@@ -464,27 +470,8 @@ def noise_spec_from_profile(profile, nominal_hz: int) -> NoiseSpec:
     return NoiseSpec(h_coeffs=h)
 
 
-def trace_from_adev_profile(
-    model: OscillatorModel, duration_s: float, dt_s: float, seed: int
-) -> FrequencyTrace:
-    """Synthesize a trace whose overlapping ADEV matches the model's profile.
-
-    The fractional profile is decomposed into white/flicker/random-walk FM
-    components (see :func:`decompose_adev_profile`) and synthesized at the
-    model's carrier.
-    """
-    if model.adev_profile is None:
-        raise ParameterError("model has no adev_profile")
-    spec = noise_spec_from_profile(model.adev_profile, model.nominal_hz)
-    trace = synth_power_law(spec, duration_s, dt_s, seed)
-    return replace(trace, nominal_hz=model.nominal_hz)
-
-
 def oscillator_trace(
     model: OscillatorModel, duration_s: float, dt_s: float, seed: int
 ) -> FrequencyTrace:
-    """Synthesize the model's free-running offsets (profile-driven if present)."""
-    if model.adev_profile is not None:
-        return trace_from_adev_profile(model, duration_s, dt_s, seed)
-    trace = synth_power_law(model.noise, duration_s, dt_s, seed)
-    return replace(trace, nominal_hz=model.nominal_hz)
+    """Synthesize the model's free-running offsets from its carrier."""
+    return replace(synth_power_law(model.noise, duration_s, dt_s, seed), nominal_hz=model.nominal_hz)

@@ -57,7 +57,9 @@ from .noisegen import (
     grid_steps,
     json_fields,
     laser_from_linewidth,
+    noise_spec_from_profile,
     oscillator_trace,
+    write_json,
 )
 
 OUT_DIR_ENV = "OLS_OUT_DIR"
@@ -76,8 +78,9 @@ _LASER_ARGS = {"linewidth_hz": "fwhm_linewidth_hz", "drift_rate_hz_per_s": "drif
 
 
 def _oscillator(d, path: str) -> OscillatorModel:
-    kw = json_fields(d, path, OscillatorModel, dict.fromkeys(_LASER_ARGS, float),
-                     either=[("noise", "linewidth_hz")],
+    kw = json_fields(d, path, OscillatorModel, dict.fromkeys(_LASER_ARGS, float), ["adev_profile"],
+                     either=[("noise", "linewidth_hz"), ("noise", "adev_profile"),
+                             ("linewidth_hz", "adev_profile")],
                      needs=dict.fromkeys(("drift_rate_hz_per_s", "drift_random_walk"),
                                          "linewidth_hz"))
     if "noise" in kw:
@@ -85,6 +88,8 @@ def _oscillator(d, path: str) -> OscillatorModel:
     if "linewidth_hz" in kw:
         laser = {_LASER_ARGS[k]: kw.pop(k) for k in _LASER_ARGS if k in kw}
         kw["noise"] = laser_from_linewidth(kw["nominal_hz"], **laser).noise
+    if "adev_profile" in kw:
+        kw["noise"] = noise_spec_from_profile(kw.pop("adev_profile"), kw["nominal_hz"])
     return OscillatorModel(**kw)
 
 
@@ -125,10 +130,10 @@ def _named(table: dict, key):
     return table.get(key) if isinstance(key, str) else None
 
 
-def _comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, int, OscillatorModel]:
-    """(index, |beat| Hz, oscillator) of the comb line nearest the laser carrier."""
-    n, f_beat = chainmod.comb_beat(laser.nominal_hz, comb)
-    return n, f_beat, comb_line_oscillator(comb, n)
+def _comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, OscillatorModel]:
+    """(index, oscillator) of the comb line nearest the laser carrier."""
+    n, _ = chainmod.comb_beat(laser.nominal_hz, comb)
+    return n, comb_line_oscillator(comb, n)
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,6 @@ class LockBlock:
     laser: OscillatorModel
     line: OscillatorModel
     line_index: int
-    beat_hz: int
     f0_hz: float
     disc: DiscriminatorConfig
     fidelity: str  # "spectral" | "time-domain"
@@ -329,7 +333,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if len(errors) > n_errors:
             continue
         try:
-            n, f_beat, line = _comb_line(laser, comb)
+            n, line = _comb_line(laser, comb)
             f0 = resolve_lock_point(disc, float(f_lock), capture_halfwidth(disc)).f_hz
             if fidelity == "time-domain":
                 servo = servo or servo_for_bandwidth(disc, f0, float(bw))
@@ -338,7 +342,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}: {exc}")
             continue
         locks[lid] = LockBlock(
-            id=lid, laser=laser, line=line, line_index=n, beat_hz=f_beat, f0_hz=f0,
+            id=lid, laser=laser, line=line, line_index=n, f0_hz=f0,
             disc=disc, fidelity=fidelity,
             loop_bandwidth_hz=float(bw) if fidelity == "spectral" else None,
             servo=servo, thermal=thermal,
@@ -360,8 +364,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             ref = names[1]
             if ref in combs and source in locks:
                 try:
-                    n, _, line = _comb_line(locks[source].laser, combs[ref])
-                except ParameterError as exc:
+                    n, line = _comb_line(locks[source].laser, combs[ref])
+                except _BAD_VALUE as exc:
                     errors.append(f"{path}: {exc}")
                     return None
                 ref = f"{ref}:line{n}"
@@ -401,7 +405,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if kind == "adev_ratio_max":
             baseline = parse_signal(md.get("baseline"), f"{path}.baseline")
             osc = baseline and baseline.kind == "freerun" and oscillators.get(baseline.source)
-            if osc and osc.noise.is_zero and osc.adev_profile is None:
+            if osc and osc.noise.is_zero:
                 errors.append(f"{path}.baseline: oscillator {baseline.source!r} has no noise, "
                               f"drift or adev_profile, so its ADEV is zero at every tau")
         gate = md.get("gate_s", 1.0)
@@ -523,20 +527,11 @@ def execute_lock(cfg: ScenarioConfig,
     locked_off, ref_off = closed_loop_components(
         block.laser, block.line, block.loop_bandwidth_hz, cfg.duration_s, cfg.dt_s, seed,
         detection_noise_hz2_per_hz=block.disc.noise_v2_per_hz / slope**2)
-    polarity = 1.0 if block.laser.nominal_hz >= block.line.nominal_hz else -1.0
-    locked_trace = FrequencyTrace(nominal_hz=block.laser.nominal_hz, dt_s=cfg.dt_s,
-                                  samples=locked_off, seed=seed)
-    inloop_trace = FrequencyTrace(nominal_hz=block.beat_hz, dt_s=cfg.dt_s,
-                                  samples=polarity * (locked_off - ref_off), seed=seed)
+    locked = FrequencyTrace(block.laser.nominal_hz, cfg.dt_s, locked_off, seed)
+    inloop = out_of_loop_beat(locked, FrequencyTrace(block.line.nominal_hz, cfg.dt_s, ref_off))
     status = {"model": "spectral", "loop_bandwidth_hz": block.loop_bandwidth_hz,
               "f_lock_hz": block.f0_hz, "comb_line": block.line_index}
-    return locked_trace, inloop_trace, status
-
-
-def _write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return locked, inloop, status
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunReport:
@@ -564,7 +559,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         locked, inloop, status = execute_lock(cfg, block)
         traces[Signal("locked", lid, None)] = locked
         traces[Signal("inloop", lid, None)] = inloop
-        lockruns.append((f"{lid}_lockrun.json", _write_json, {
+        lockruns.append((f"{lid}_lockrun.json", write_json, {
             "f_lock_hz": block.f0_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
 
     def freerun(name: str, osc: OscillatorModel) -> FrequencyTrace:
@@ -608,7 +603,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
             statistics[m.id] = float(max(ratios))
 
     if cfg.chain is not None:
-        artifacts.append(("chain_budget.json", _write_json, cfg.chain))
+        artifacts.append(("chain_budget.json", write_json, cfg.chain))
         budget = cfg.chain.get("budget")
         if budget is not None:
             statistics["chain_nominal_hz"] = float(budget["node"]["nominal_hz"])
@@ -634,7 +629,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         config_echo=cfg.raw,
         wall_time_s=time.monotonic() - t_start,
     )
-    _write_json(asdict(report), os.path.join(out_dir, "report.json"))
+    write_json(asdict(report), os.path.join(out_dir, "report.json"))
     report.manifest.append("report.json")
     return report
 

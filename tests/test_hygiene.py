@@ -1,6 +1,8 @@
 """Static checks on the package source, without a linter dependency."""
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from offsetlock.scenario import validate_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "offsetlock"
 
@@ -96,7 +100,46 @@ def test_time_domain_lock_loads_no_scipy(tmp_path):
 
 
 def test_readme_scenario_sketch_validates():
-    section = (SRC.parents[1] / "README.md").read_text().split("## Scenario format", 1)[1]
+    section = README.split("## Scenario format", 1)[1]
     sketch = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg, errors = validate_config(sketch)
     assert errors == [] and cfg is not None
+
+
+def readme_key_table():
+    """README's config key table: object -> the keys its row lists in backticks."""
+    table = README.split("| Object | Keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = (line.strip("|").split(" | ", 1) for line in table.splitlines())
+    return {obj.strip(): re.findall(r"`(\w+)`", keys) for obj, keys in rows}
+
+
+# A golden object for each row, and the path its errors name; servo and thermal are added.
+@pytest.mark.parametrize("row, golden, where, path", [
+    ("oscillator", "fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+     "oscillators.laser1010"),
+    ("comb", "fig4_lock_1010_timedomain.json", ("combs", "comb_gps"), "combs.comb_gps"),
+    ("lock", "fig4_lock_1010_timedomain.json", ("locks", 0), "locks[0]"),
+    ("discriminator", "fig4_lock_1010_timedomain.json", ("locks", 0, "discriminator"),
+     "locks[0].discriminator"),
+    ("servo", "fig4_lock_1010_timedomain.json", ("locks", 0, "servo"), "locks[0].servo"),
+    ("thermal", "fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"), "locks[0].thermal"),
+    ("measurement of kind `peak_to_peak`", "fig4_inloop_1010.json", ("measurements", 0),
+     "measurements[0]"),
+    ("measurement of kind `adev`", "fig4_inloop_1010.json", ("measurements", 2),
+     "measurements[2]"),
+    ("measurement of kind `adev_ratio_max`", "fig4_inloop_1010.json", ("measurements", 3),
+     "measurements[3]"),
+])
+def test_readme_key_table_matches_parsers(row, golden, where, path):
+    """Every key a row lists is known to the parser; a key it does not list is not."""
+    keys = readme_key_table()[row]
+    doc = json.loads((SRC / "scenarios" / golden).read_text())
+    target = doc
+    for k in where:
+        target = target.setdefault(k, {}) if isinstance(target, dict) else target[k]
+    for key in keys + ["no_such_key"]:
+        target.setdefault(key, 1.0)
+    _, errors = validate_config(doc)
+    assert keys and any(e.startswith(f"{path}: ") and "unknown key 'no_such_key'" in e
+                        for e in errors), errors
+    assert not [e for e in errors for key in keys if f"unknown key {key!r}" in e]

@@ -25,7 +25,6 @@ from offsetlock import (
     psd_estimate,
     read_trace_csv,
     synth_power_law,
-    trace_from_adev_profile,
     write_trace_csv,
 )
 from offsetlock.lockloop import LockRun
@@ -335,31 +334,41 @@ class TestCombModel:
         assert line.noise.h_coeffs[0] == pytest.approx(1e-24 * nu**2)
 
     def test_profile_passes_through_fractional(self):
+        # decomposed at the line's carrier (fig4's line): a scaled 1 Hz decomposition rounds h_-2
         profile = ((1.0, 3.4e-12), (263.0, 7.2e-12))
-        comb = CombModel(f_rep_hz=107_000_000, f_ceo_hz=0, adev_profile=profile)
-        line = comb_line_oscillator(comb, 2)
-        assert line.adev_profile == profile
+        comb = CombModel(f_rep_hz=107_000_000, f_ceo_hz=20_000_000, adev_profile=profile)
+        line = comb_line_oscillator(comb, 2_775_701)
+        nu = 297_000_027_000_000
+        assert comb.adev_profile == profile and line.nominal_hz == nu
+        assert line.noise == noise_spec_from_profile(profile, nu)
+        assert line.noise != noise_spec_from_profile(profile, 1).scaled(float(nu))
+
+    def test_both_fractional_forms_rejected(self):
+        with pytest.raises(ParameterError, match="give 'reference_noise' or 'adev_profile'"):
+            CombModel(f_rep_hz=107_000_000, reference_noise=NoiseSpec(h_coeffs={0: 1e-24}),
+                      adev_profile=((1.0, 3.4e-12), (263.0, 7.2e-12)))
 
 
 class TestAdevProfile:
     def test_profile_validation(self):
-        with pytest.raises(ParameterError):
-            OscillatorModel(10**14, adev_profile=((1.0, 1e-12),))
-        with pytest.raises(ParameterError):
-            OscillatorModel(10**14, adev_profile=((2.0, 1e-12), (1.0, 1e-12)))
-        with pytest.raises(ParameterError):
-            OscillatorModel(10**14, adev_profile=((1.0, 0.0), (2.0, 1e-12)))
+        for bad in (((1.0, 1e-12),), ((2.0, 1e-12), (1.0, 1e-12)), ((1.0, 0.0), (2.0, 1e-12))):
+            with pytest.raises(ParameterError):
+                noise_spec_from_profile(bad, 10**14)
+            with pytest.raises(ParameterError):
+                CombModel(f_rep_hz=107_000_000, adev_profile=bad)
+        with pytest.raises(ParameterError, match="nominal_hz must be an exact integer"):
+            noise_spec_from_profile(((1.0, 1e-12), (2.0, 1e-12)), 1e14)
 
     def test_numbers_inside_profile_and_h_checked(self):
         # numpy scalars are numbers; a bool, a string or NaN used to be coerced or let through
         profile = ((np.float64(1.0), np.float32(3.5e-12)), (np.int64(263), 7.2e-12))
-        assert OscillatorModel(10**14, adev_profile=profile).adev_profile == (
+        assert CombModel(f_rep_hz=107_000_000, adev_profile=profile).adev_profile == (
             (1.0, float(np.float32(3.5e-12))), (263.0, 7.2e-12))
         assert NoiseSpec(h_coeffs={0: np.float32(0.5), -2: np.float64(2.0)}).h_coeffs == {
             0: 0.5, -2: 2.0}
         for bad in (True, "1", float("nan"), None):
             with pytest.raises(ParameterError, match="finite numbers"):
-                OscillatorModel(10**14, adev_profile=((1.0, 1e-12), (2.0, bad)))
+                noise_spec_from_profile(((1.0, 1e-12), (2.0, bad)), 10**14)
             with pytest.raises(ParameterError, match="h_0 must be a finite number >= 0"):
                 NoiseSpec(h_coeffs={0: bad})
 
@@ -391,18 +400,14 @@ class TestAdevProfile:
 
     def test_trace_matches_profile_iodine(self):
         profile = ((1.0, 9.1e-13), (155.0, 6.8e-13))
-        model = OscillatorModel(297_000_000_000_000, adev_profile=profile)
-        trace = trace_from_adev_profile(model, 3600.0, 0.5, seed=5)
+        nu = 297_000_000_000_000
+        model = OscillatorModel(nu, noise_spec_from_profile(profile, nu))
+        trace = oscillator_trace(model, 3600.0, 0.5, seed=5)
         series = count(trace, CounterConfig(gate_s=1.0))
         result = adev_overlapping(series, [1.0, 155.0])
         for tau, sigma_frac in profile:
             target = sigma_frac * model.nominal_hz
             assert result.sigma_at(tau) == pytest.approx(target, rel=0.25)
-
-    def test_trace_requires_profile(self):
-        model = OscillatorModel(10**14, noise=NoiseSpec(h_coeffs={0: 1.0}))
-        with pytest.raises(ParameterError):
-            trace_from_adev_profile(model, 10.0, 1.0, seed=0)
 
     def test_oscillator_trace_dispatch(self):
         plain = OscillatorModel(10**14, noise=NoiseSpec(drift_rate=1.0))

@@ -17,6 +17,7 @@ from offsetlock import (
     validate_config,
 )
 from offsetlock import scenario
+from offsetlock.noisegen import noise_spec_from_profile
 from offsetlock.scenario import expand_seeds
 
 GOLDEN_NAMES = [
@@ -297,6 +298,25 @@ class TestValidateConfig:
                      "measurements[0].kind: must be one of", id="object-measurement-kind"),
         pytest.param("fig4_inloop_1010.json", ("measurements", 0, "kind"), 3,
                      "measurements[0].kind: must be one of", id="number-measurement-kind"),
+        # an oscillator's adev_profile used to override its other noise form, which was dropped
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010", "adev_profile"),
+                     [[1.0, 3.4e-12], [263.0, 7.2e-12]],
+                     "oscillators.laser1010: give 'linewidth_hz' or 'adev_profile', not both",
+                     id="linewidth-and-adev-profile"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "noise": {"h": {"0": 1e4}},
+                      "adev_profile": [[1.0, 3.4e-12], [263.0, 7.2e-12]]},
+                     "oscillators.laser1010: give 'noise' or 'adev_profile', not both",
+                     id="noise-and-adev-profile"),
+        # and a comb's adev_profile overrode its reference_noise
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "reference_noise"),
+                     {"h": {"0": 1e-24}},
+                     "combs.comb_gps: give 'reference_noise' or 'adev_profile', not both",
+                     id="reference-noise-and-adev-profile"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": "297 THz", "adev_profile": [[1.0, 3.4e-12], [263.0, 7.2e-12]]},
+                     "oscillators.laser1010: nominal_hz must be an exact integer",
+                     id="string-carrier-with-adev-profile"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = json.loads(golden_text(name))
@@ -396,6 +416,19 @@ class TestRunScenario:
         report = run_scenario(cfg, tmp_path / "out")
         assert report.statistics["r"] == 1.0
         assert len(calls) == 4  # pp, a, and r's signal and baseline
+
+    def test_profile_oscillator_as_ratio_baseline(self, tmp_path):
+        # no golden has a profile-form oscillator: its profile becomes its noise when parsed
+        profile = [[1.0, 1e-12], [4.0, 5e-13]]
+        doc = small_doc()
+        doc["oscillators"]["ref"] = {"nominal_hz": 10**14, "adev_profile": profile}
+        doc["measurements"].append({"id": "r", "kind": "adev_ratio_max",
+                                    "signal": "freerun:osc", "baseline": "freerun:ref"})
+        cfg, errors = validate_config(doc)
+        assert errors == []
+        assert cfg.oscillators["ref"].noise == noise_spec_from_profile(profile, 10**14)
+        report = run_scenario(cfg, str(tmp_path))
+        assert report.statistics["r"] > 0.0 and "r_series.csv" in report.manifest
 
     def test_failing_envelope(self, tmp_path):
         doc = small_doc()
