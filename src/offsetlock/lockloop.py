@@ -231,13 +231,8 @@ def servo_for_bandwidth(disc: DiscriminatorConfig, f_lock_hz: float, bandwidth_h
 
 @dataclass(frozen=True)
 class LockRun:
-    """Record of one closed-loop run, each array at the rate it is computed.
-
-    The two FrequencyTraces and ``lock_flag`` hold one value per sample.  The servo's
-    ``error_trace``, ``actuator_trace`` and ``thermal_lockpoint_trace`` hold one value per
-    update, which lasts ``update_stride`` samples; ``np.repeat(a, update_stride)[:n]``
-    gives the value at each of the n samples.
-    """
+    """One closed-loop run, each array at the rate README.md's "LockRun directory" gives it;
+    ``lock_flag`` is per sample like the traces, ``thermal_lockpoint_trace`` per servo update."""
 
     laser_offset_trace: FrequencyTrace
     inloop_beat_trace: FrequencyTrace

@@ -127,10 +127,10 @@ def _validate_profile(profile) -> Tuple[Tuple[float, float], ...]:
     if len(pts) < 2:
         raise ParameterError("adev_profile needs at least 2 points")
     taus = [t for t, _ in pts]
-    if any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
-        raise ParameterError("adev_profile taus must be strictly increasing")
-    if any(s <= 0.0 for _, s in pts):
-        raise ParameterError("adev_profile sigmas must be > 0")
+    if taus[0] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
+        raise ParameterError("adev_profile taus must be > 0 and strictly increasing")
+    if not all(s > 0.0 and 0.0 < s * s < math.inf for _, s in pts):
+        raise ParameterError("adev_profile sigmas must be > 0 with a finite, nonzero square")
     return pts
 
 

@@ -65,6 +65,8 @@ from .noisegen import (
 OUT_DIR_ENV = "OLS_OUT_DIR"
 #: Longest duration the time-domain servo model runs, s.
 TIME_DOMAIN_CAP_S = 60.0
+#: Most samples a run may hold: validation counts a zero trace that long, so this bounds its cost.
+MAX_SAMPLES = 2**25
 #: What the model constructors raise on a malformed config value.
 _BAD_VALUE = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
@@ -198,11 +200,11 @@ _TOP_KEYS = ("name", "seed", "duration_s", "dt_s", "oscillators", "combs", "lock
              "measurements", "chain", "expectations")
 _LOCK_KEYS = ("id", "laser", "comb", "f_lock_hz", "fidelity", "loop_bandwidth_hz",
               "discriminator", "servo", "thermal")
-#: The keys each kind of measurement reads besides id, kind, signal and gate_s.
+#: The keys each kind of measurement reads besides id, kind, signal and gate_s, with their types.
 _MEASUREMENT_KEYS = {
-    "peak_to_peak": ("window_s",),
-    "adev": ("taus_s", "estimator", "units", "fractional_ref", "pick_tau_s"),
-    "adev_ratio_max": ("baseline", "taus_s", "estimator"),
+    "peak_to_peak": {"window_s": float},
+    "adev": {**dict.fromkeys(("taus_s", "estimator", "units", "fractional_ref")), "pick_tau_s": float},
+    "adev_ratio_max": dict.fromkeys(("baseline", "taus_s", "estimator")),
 }
 _SIGNAL_ARITY = {"freerun": 1, "locked": 1, "inloop": 1, "outofloop": 2}  # names after the kind
 _ESTIMATORS = ("overlapping", "non-overlapping")
@@ -262,8 +264,9 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     n_samples = 0
     if _positive(duration) and _positive(dt):
         n_samples = grid_steps(duration, dt, 1e-6)
-        if n_samples < 2:
-            errors.append("duration_s: must be a multiple of dt_s, at least 2*dt_s")
+        if not 2 <= n_samples <= MAX_SAMPLES:
+            errors.append(f"duration_s: must be a multiple of dt_s, from 2 to {MAX_SAMPLES} samples")
+            n_samples = 0
     duration = float(duration) if _positive(duration) else 1.0
     dt = float(dt) if _positive(dt) else 1.0
 
@@ -396,9 +399,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if kind_keys is None:
             errors.append(f"{path}.kind: must be one of {tuple(_MEASUREMENT_KEYS)}")
             continue
-        parsed(json_fields, md, path, ("id", "kind", "signal", "gate_s") + kind_keys)
-        pick = md.get("pick_tau_s")
-        if kind != "adev" or pick is not None:
+        kw = parsed(json_fields, md, path, ("id", "kind", "signal"), {"gate_s": float}, kind_keys)
+        if kind != "adev" or md.get("pick_tau_s") is not None:
             stat_ids.add(mid)
         signal = parse_signal(md.get("signal"), f"{path}.signal")
         baseline = None
@@ -408,33 +410,12 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             if osc and osc.noise.is_zero:
                 errors.append(f"{path}.baseline: oscillator {baseline.source!r} has no noise, "
                               f"drift or adev_profile, so its ADEV is zero at every tau")
-        gate = md.get("gate_s", 1.0)
-        gate = float(gate) if _positive(gate) else 0.0
-        m_gate = grid_steps(gate, dt, 1e-6)
-        if not 2 <= m_gate <= n_samples:
-            errors.append(f"{path}.gate_s: must be an integer multiple of dt_s, "
-                          f"from 2*dt_s up to duration_s")
-            continue
-        n_gates = n_samples // m_gate
-        span = gate * n_gates
-        window = md.get("window_s")
-        if window is not None:
-            if not (_positive(window) and 1 <= grid_steps(float(window), gate, 1e-9) <= n_gates):
-                errors.append(f"{path}.window_s: must be a multiple of gate_s within the run")
-        taus: Tuple[float, ...] = ()
-        estimator = md.get("estimator", "overlapping")
+        grid = md.get("taus_s", "octave")
+        numeric = grid == "octave" or isinstance(grid, list) and all(_positive(t) for t in grid)
         if kind != "peak_to_peak":
-            spec = md.get("taus_s", "octave")
-            grid = octave_taus(gate, span) if spec == "octave" else spec
-            numeric = isinstance(grid, list) and all(_positive(t) for t in grid)
-            taus = tuple(float(t) for t in grid) if numeric else ()
-            multiples = [grid_steps(t, gate, 1e-9) for t in taus]
-            fits = [m * gate for m in multiples if 2 * m <= n_gates]
-            if not numeric or not all(multiples):
-                errors.append(f"{path}.taus_s: must be 'octave' or a list of multiples of gate_s")
-            elif not fits:
-                errors.append(f"{path}.taus_s: no tau fits twice into the series")
-            if estimator not in _ESTIMATORS:
+            if not numeric:
+                errors.append(f"{path}.taus_s: must be 'octave' or a list of positive numbers")
+            if md.get("estimator", "overlapping") not in _ESTIMATORS:
                 errors.append(f"{path}.estimator: must be 'overlapping' or 'non-overlapping'")
         fractional_hz = None
         if kind == "adev":
@@ -450,17 +431,30 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 errors.append(f"{path}.units: must be '{UNITS_HZ}' or '{UNITS_FRACTIONAL}'")
             elif "fractional_ref" in md:
                 errors.append(f"{path}.fractional_ref: valid only with units '{UNITS_FRACTIONAL}'")
-            if pick is not None and not (_positive(pick)
-                                         and np.isclose(fits, pick, rtol=1e-9).any()):
-                errors.append(f"{path}.pick_tau_s: must be a tau of the grid that fits "
-                              f"twice into the series")
+        if kw is None or not n_samples:
+            continue  # the error is recorded; the rules below need typed keys and a time grid
+        # The gate, window, tau and pick rules: count's, peak_to_peak's and the ADEV's, on zeros.
+        gate, taus, key = kw.get("gate_s", 1.0), (), "gate_s"
+        try:
+            series = count(FrequencyTrace(0, dt, np.broadcast_to(0.0, n_samples)), CounterConfig(gate))
+            key = "window_s" if kind == "peak_to_peak" else "taus_s"
+            if kind == "peak_to_peak":
+                peak_to_peak(series, kw.get("window_s"))
+            elif numeric:
+                taus = tuple(map(float, octave_taus(gate, series.span_s) if grid == "octave" else grid))
+                result = adev_overlapping(series, taus)  # omits, without raising, a tau too long
+                if not result.taus_s.size:
+                    errors.append(f"{path}.taus_s: no tau fits twice into the series")
+                elif kw.get("pick_tau_s") is not None:
+                    key = "pick_tau_s"
+                    result.sigma_at(kw["pick_tau_s"])
+        except ParameterError as exc:
+            errors.append(f"{path}.{key}: {exc}")
         if len(errors) == n_errors:
             measurements.append(Measurement(
                 id=mid, kind=kind, signal=signal, baseline=baseline, gate_s=gate, taus_s=taus,
-                estimator=estimator, fractional_hz=fractional_hz,
-                pick_tau_s=float(pick) if pick is not None else None,
-                window_s=float(window) if window is not None else None,
-            ))
+                estimator=kw.get("estimator", "overlapping"), fractional_hz=fractional_hz,
+                pick_tau_s=kw.get("pick_tau_s"), window_s=kw.get("window_s")))
 
     chain = None
     if doc.get("chain") is not None:

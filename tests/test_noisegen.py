@@ -351,10 +351,15 @@ class TestCombModel:
 
 class TestAdevProfile:
     def test_profile_validation(self):
-        for bad in (((1.0, 1e-12),), ((2.0, 1e-12), (1.0, 1e-12)), ((1.0, 0.0), (2.0, 1e-12))):
-            with pytest.raises(ParameterError):
+        for bad in (((1.0, 1e-12),), ((2.0, 1e-12), (1.0, 1e-12)), ((1.0, 0.0), (2.0, 1e-12)),
+                    # a tau of zero or below used to drop out of the fit (h_-2 only, h_-1 only);
+                    # sigma^2 overflowed into scipy's "array must not contain infs or NaNs",
+                    # or underflowed to a noiseless NoiseSpec
+                    ((0.0, 1e-12), (2.0, 1e-12)), ((-1.0, 1e-12), (2.0, 1e-12)),
+                    ((1.0, 1e200), (2.0, 1e-12)), ((1.0, 1e-200), (2.0, 1e-200))):
+            with pytest.raises(ParameterError, match="adev_profile"):
                 noise_spec_from_profile(bad, 10**14)
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match="adev_profile"):
                 CombModel(f_rep_hz=107_000_000, adev_profile=bad)
         with pytest.raises(ParameterError, match="nominal_hz must be an exact integer"):
             noise_spec_from_profile(((1.0, 1e-12), (2.0, 1e-12)), 1e14)

@@ -317,6 +317,54 @@ class TestValidateConfig:
                      {"nominal_hz": "297 THz", "adev_profile": [[1.0, 3.4e-12], [263.0, 7.2e-12]]},
                      "oscillators.laser1010: nominal_hz must be an exact integer",
                      id="string-carrier-with-adev-profile"),
+        # a profile tau of zero or below dropped out of the decomposition, and a sigma whose
+        # square underflows gave a noiseless oscillator; an overflowing square failed in scipy
+        pytest.param("fig3_lock_1514.json", ("combs", "comb_narrow", "adev_profile"),
+                     [[0.0, 1e-12], [2.0, 1e-12]],
+                     "combs.comb_narrow: adev_profile taus must be > 0", id="zero-tau-comb-profile"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "adev_profile": [[-1.0, 1e-12], [2.0, 1e-12]]},
+                     "oscillators.laser1010: adev_profile taus must be > 0",
+                     id="negative-tau-oscillator-profile"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000, "adev_profile": [[1.0, 1e200], [2.0, 1e-12]]},
+                     "oscillators.laser1010: adev_profile sigmas must be > 0 with a finite",
+                     id="overflowing-sigma-oscillator-profile"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010"),
+                     {"nominal_hz": 297000057000000,
+                      "adev_profile": [[1.0, 1e-200], [2.0, 1e-200]]},
+                     "oscillators.laser1010: adev_profile sigmas must be > 0 with a finite",
+                     id="underflowing-sigma-oscillator-profile"),
+        pytest.param("fig3_lock_1514.json", ("combs", "comb_narrow", "adev_profile"),
+                     [[1.0, 1e-200], [2.0, 1e-200]],
+                     "combs.comb_narrow: adev_profile sigmas must be > 0 with a finite",
+                     id="underflowing-sigma-comb-profile"),
+        # the measurement rules, applied by count, peak_to_peak and the ADEV since
+        # validate_config runs them on a zero trace; the paths are the same as before
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "gate_s"), 120.0,
+                     "measurements[0].gate_s: ", id="gate-longer-than-run"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "taus_s"), [1.0, 1.5],
+                     "measurements[0].taus_s: ", id="tau-not-gate-multiple"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "taus_s"), [32.0, 64.0],
+                     "measurements[0].taus_s: no tau fits twice into the series",
+                     id="no-tau-fits-twice"),
+        pytest.param("fig3_lock_1514.json", ("measurements", 0, "window_s"), 7200.0,
+                     "measurements[0].window_s: ", id="window-beyond-run"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "pick_tau_s"), 3.0,
+                     "measurements[0].pick_tau_s: ", id="pick-tau-off-grid"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "gate_s"), True,
+                     "gate_s", id="boolean-gate-s"),
+        pytest.param("fig3_lock_1514.json", ("measurements", 0, "window_s"), True,
+                     "window_s", id="boolean-window-s"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "pick_tau_s"), True,
+                     "pick_tau_s", id="boolean-pick-tau-s"),
+        # null is not a number; it used to read as an absent window (the whole series)
+        pytest.param("fig3_lock_1514.json", ("measurements", 0, "window_s"), None,
+                     "measurements[0]: 'window_s' must be a number", id="null-window-s"),
+        # 2**40 s of 1/512 s samples: validation counts a zero trace of the run's length
+        pytest.param("fig3_lock_1514.json", ("duration_s",), 2.0**40,
+                     "duration_s: must be a multiple of dt_s, from 2 to",
+                     id="duration-beyond-max-samples"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = json.loads(golden_text(name))
@@ -552,6 +600,8 @@ def tiny_drift_configs(draw):
         md["baseline"] = "freerun:ref"
     # only the keys this kind reads: any other key is rejected
     for key, values, kinds in (("gate_s", number, (kind,)),
+                               ("estimator", st.sampled_from(["overlapping", "non-overlapping"]),
+                                ("adev", "adev_ratio_max")),
                                ("pick_tau_s", number, ("adev",)),
                                ("window_s", number, ("peak_to_peak",)),
                                ("taus_s", number | st.lists(number, max_size=4),
