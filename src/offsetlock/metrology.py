@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,10 +71,7 @@ class AllanResult:
         object.__setattr__(self, "n_pairs", np.asarray(self.n_pairs, dtype=int))
 
     def sigma_at(self, tau_s: float) -> float:
-        idx = np.nonzero(np.isclose(self.taus_s, tau_s, rtol=1e-9))[0]
-        if idx.size == 0:
-            raise ParameterError(f"no ADEV point at tau={tau_s}")
-        return float(self.sigmas[idx[0]])
+        return float(self.sigmas[tau_index(self.taus_s, tau_s)])
 
 
 @dataclass(frozen=True)
@@ -135,16 +132,56 @@ def read_allan_csv(path, estimator: str = "overlapping") -> AllanResult:
     )
 
 
+# The gate, window, tau and pick rules.  Each takes sizes only, so validation applies the
+# same rule to a run's sizes as counting and the ADEV apply to its data.
+
+def gate_steps(gate_s: float, dt_s: float, n_samples: int) -> int:
+    """Samples per gate of a trace of ``n_samples`` samples of ``dt_s``."""
+    m = grid_steps(gate_s, dt_s, 1e-6)
+    if not 2 <= m <= n_samples:
+        raise ParameterError("gate_s must be an integer multiple of dt_s, "
+                             "from 2*dt_s up to the duration")
+    return m
+
+
+def window_steps(window_s: float, gate_s: float, n_gates: int) -> int:
+    """Readings in a leading window of a series of ``n_gates`` readings."""
+    k = grid_steps(window_s, gate_s, 1e-9)
+    if not 1 <= k <= n_gates:
+        raise ParameterError("window_s must be a multiple of gate_s within the series span")
+    return k
+
+
+def tau_steps(taus: Sequence[float], gate_s: float, n_gates: int) -> Tuple[List[int], List[float]]:
+    """Gates per tau of the taus that fit twice into ``n_gates`` readings, and the taus omitted."""
+    steps, omitted = [], []
+    for tau in taus:
+        m = grid_steps(tau, gate_s, 1e-9)
+        if not m:
+            raise ParameterError(f"taus_s must be multiples of gate_s; tau={tau} is not "
+                                 f"(gate_s={gate_s})")
+        if 2 * m <= n_gates:
+            steps.append(m)
+        else:
+            omitted.append(float(tau))
+    return steps, omitted
+
+
+def tau_index(taus_s: Sequence[float], tau_s: float) -> int:
+    """Where ``tau_s`` is in a grid of the taus that fit twice into a series (to 1e-9)."""
+    idx = np.nonzero(np.isclose(taus_s, tau_s, rtol=1e-9, atol=0.0))[0]
+    if idx.size == 0:
+        raise ParameterError(f"pick_tau_s must be a tau of the grid that fits twice into the "
+                             f"series: no ADEV point at tau={tau_s}")
+    return int(idx[0])
+
+
 def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
     """Apply a gated Pi counter to a trace; trailing partial gate discarded."""
-    m = grid_steps(cfg.gate_s, trace.dt_s, 1e-6)
-    if m < 2:
-        raise ParameterError("gate_s must be a multiple of trace dt (no resampling) of 2 or more samples")
+    m = gate_steps(cfg.gate_s, trace.dt_s, trace.samples.size)
     dead = grid_steps(cfg.dead_time_s, trace.dt_s, 1e-6)
     if cfg.dead_time_s > 0.0 and not dead:
         raise ParameterError("dead_time_s must be an integer multiple of trace dt")
-    if trace.samples.size < m:
-        raise ParameterError("trace shorter than one gate")
     readings = sliding_window_view(trace.samples, m)[::m + dead].mean(axis=1)
     return CounterSeries(nominal_hz=trace.nominal_hz, gate_s=cfg.gate_s, readings=readings)
 
@@ -152,14 +189,9 @@ def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
 def _allan(series: CounterSeries, taus: Sequence[float], estimator: str,
            differences: Callable[[int], np.ndarray]) -> AllanResult:
     """sigma(tau) = sqrt(0.5 * <d^2>) over the ``differences(m)`` of m-gate averages."""
-    out_t, out_s, out_n, omitted = [], [], [], []
-    for tau in taus:
-        m = grid_steps(tau, series.gate_s, 1e-9)
-        if not m:
-            raise ParameterError(f"tau={tau} is not a multiple of gate={series.gate_s}")
-        if series.readings.size < 2 * m:
-            omitted.append(float(tau))
-            continue
+    steps, omitted = tau_steps(taus, series.gate_s, series.readings.size)
+    out_t, out_s, out_n = [], [], []
+    for m in steps:
         d = differences(m)
         out_t.append(m * series.gate_s)
         out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
@@ -215,13 +247,9 @@ def to_absolute(result: AllanResult, nominal_hz: int) -> AllanResult:
 
 def peak_to_peak(series: CounterSeries, window_s: Optional[float] = None) -> float:
     """Max minus min reading over the leading window (full series if omitted)."""
-    if window_s is None:
-        y = series.readings
-    else:
-        k = grid_steps(window_s, series.gate_s, 1e-9)
-        if not 1 <= k <= series.readings.size:
-            raise ParameterError("window_s must be a multiple of gate_s within the series span")
-        y = series.readings[:k]
+    y = series.readings
+    if window_s is not None:
+        y = y[:window_steps(window_s, series.gate_s, y.size)]
     return float(y.max() - y.min())
 
 

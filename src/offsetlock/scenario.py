@@ -40,9 +40,13 @@ from .metrology import (
     adev_nonoverlapping,
     adev_overlapping,
     count,
+    gate_steps,
     octave_taus,
     peak_to_peak,
+    tau_index,
+    tau_steps,
     to_fractional,
+    window_steps,
     write_allan_csv,
     write_series_csv,
 )
@@ -65,8 +69,6 @@ from .noisegen import (
 OUT_DIR_ENV = "OLS_OUT_DIR"
 #: Longest duration the time-domain servo model runs, s.
 TIME_DOMAIN_CAP_S = 60.0
-#: Most samples a run may hold: validation counts a zero trace that long, so this bounds its cost.
-MAX_SAMPLES = 2**25
 #: What the model constructors raise on a malformed config value.
 _BAD_VALUE = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
@@ -203,8 +205,9 @@ _LOCK_KEYS = ("id", "laser", "comb", "f_lock_hz", "fidelity", "loop_bandwidth_hz
 #: The keys each kind of measurement reads besides id, kind, signal and gate_s, with their types.
 _MEASUREMENT_KEYS = {
     "peak_to_peak": {"window_s": float},
-    "adev": {**dict.fromkeys(("taus_s", "estimator", "units", "fractional_ref")), "pick_tau_s": float},
-    "adev_ratio_max": dict.fromkeys(("baseline", "taus_s", "estimator")),
+    "adev": {"taus_s": None, "estimator": None, "units": None, "fractional_ref": None,
+             "pick_tau_s": float},
+    "adev_ratio_max": {"baseline": None, "taus_s": None, "estimator": None},
 }
 _SIGNAL_ARITY = {"freerun": 1, "locked": 1, "inloop": 1, "outofloop": 2}  # names after the kind
 _ESTIMATORS = ("overlapping", "non-overlapping")
@@ -264,9 +267,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     n_samples = 0
     if _positive(duration) and _positive(dt):
         n_samples = grid_steps(duration, dt, 1e-6)
-        if not 2 <= n_samples <= MAX_SAMPLES:
-            errors.append(f"duration_s: must be a multiple of dt_s, from 2 to {MAX_SAMPLES} samples")
-            n_samples = 0
+        if n_samples < 2:
+            errors.append("duration_s: must be a multiple of dt_s, at least 2*dt_s")
     duration = float(duration) if _positive(duration) else 1.0
     dt = float(dt) if _positive(dt) else 1.0
 
@@ -410,11 +412,12 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             if osc and osc.noise.is_zero:
                 errors.append(f"{path}.baseline: oscillator {baseline.source!r} has no noise, "
                               f"drift or adev_profile, so its ADEV is zero at every tau")
-        grid = md.get("taus_s", "octave")
-        numeric = grid == "octave" or isinstance(grid, list) and all(_positive(t) for t in grid)
+        grid = None
         if kind != "peak_to_peak":
-            if not numeric:
+            grid = md.get("taus_s", "octave")
+            if grid != "octave" and not (isinstance(grid, list) and all(map(_positive, grid))):
                 errors.append(f"{path}.taus_s: must be 'octave' or a list of positive numbers")
+                grid = None
             if md.get("estimator", "overlapping") not in _ESTIMATORS:
                 errors.append(f"{path}.estimator: must be 'overlapping' or 'non-overlapping'")
         fractional_hz = None
@@ -431,25 +434,26 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 errors.append(f"{path}.units: must be '{UNITS_HZ}' or '{UNITS_FRACTIONAL}'")
             elif "fractional_ref" in md:
                 errors.append(f"{path}.fractional_ref: valid only with units '{UNITS_FRACTIONAL}'")
-        if kw is None or not n_samples:
+        if kw is None or n_samples < 2:
             continue  # the error is recorded; the rules below need typed keys and a time grid
-        # The gate, window, tau and pick rules: count's, peak_to_peak's and the ADEV's, on zeros.
-        gate, taus, key = kw.get("gate_s", 1.0), (), "gate_s"
+        # metrology's gate, window, tau and pick rules, applied to the sizes of the run
+        gate = kw.get("gate_s", 1.0)
+        taus: Tuple[float, ...] = ()
         try:
-            series = count(FrequencyTrace(0, dt, np.broadcast_to(0.0, n_samples)), CounterConfig(gate))
-            key = "window_s" if kind == "peak_to_peak" else "taus_s"
-            if kind == "peak_to_peak":
-                peak_to_peak(series, kw.get("window_s"))
-            elif numeric:
-                taus = tuple(map(float, octave_taus(gate, series.span_s) if grid == "octave" else grid))
-                result = adev_overlapping(series, taus)  # omits, without raising, a tau too long
-                if not result.taus_s.size:
+            n_gates = n_samples // gate_steps(gate, dt, n_samples)
+            if "window_s" in kw:
+                window_steps(kw["window_s"], gate, n_gates)
+            if grid is not None:
+                if grid == "octave":
+                    grid = octave_taus(gate, gate * n_gates)
+                taus = tuple(float(t) for t in grid)
+                steps, _ = tau_steps(taus, gate, n_gates)  # a tau too long is omitted, not raised
+                if not steps:
                     errors.append(f"{path}.taus_s: no tau fits twice into the series")
-                elif kw.get("pick_tau_s") is not None:
-                    key = "pick_tau_s"
-                    result.sigma_at(kw["pick_tau_s"])
+                elif "pick_tau_s" in kw:
+                    tau_index([m * gate for m in steps], kw["pick_tau_s"])
         except ParameterError as exc:
-            errors.append(f"{path}.{key}: {exc}")
+            errors.append(f"{path}: {exc}")
         if len(errors) == n_errors:
             measurements.append(Measurement(
                 id=mid, kind=kind, signal=signal, baseline=baseline, gate_s=gate, taus_s=taus,

@@ -95,6 +95,14 @@ class TestAdevOverlapping:
         with pytest.raises(ParameterError):
             adev_overlapping(make_series(np.arange(8.0)), [1.5])
 
+    def test_sigma_at_matches_to_1e9_relative(self):
+        # np.isclose's default atol of 1e-8 matched 2 ns to the 1 ns point before it
+        result = AllanResult(taus_s=[1e-9, 2e-9], sigmas=[1.0, 2.0], n_pairs=[3, 1],
+                             units="hz", estimator="overlapping")
+        assert result.sigma_at(2e-9) == 2.0
+        with pytest.raises(ParameterError, match="no ADEV point at tau=0.0"):
+            result.sigma_at(0.0)
+
     def test_n_pairs_counts_overlapping_starts(self, make_series):
         result = adev_overlapping(make_series(np.arange(10.0)), [2.0])
         assert result.n_pairs[0] == 10 - 2 * 2 + 1
