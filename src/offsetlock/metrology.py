@@ -132,8 +132,8 @@ def read_allan_csv(path, estimator: str = "overlapping") -> AllanResult:
     )
 
 
-# The gate, window, tau and pick rules.  Each takes sizes only, so validation applies the
-# same rule to a run's sizes as counting and the ADEV apply to its data.
+# The gate, window, tau and pick rules.  Each takes sizes and tau grids, not data, so
+# validation applies to a run's sizes the rule that counting and the ADEV apply to its data.
 
 def gate_steps(gate_s: float, dt_s: float, n_samples: int) -> int:
     """Samples per gate of a trace of ``n_samples`` samples of ``dt_s``."""
@@ -168,7 +168,7 @@ def tau_steps(taus: Sequence[float], gate_s: float, n_gates: int) -> Tuple[List[
 
 
 def tau_index(taus_s: Sequence[float], tau_s: float) -> int:
-    """Where ``tau_s`` is in a grid of the taus that fit twice into a series (to 1e-9)."""
+    """Where ``tau_s`` is in a grid of the taus that fit twice into a series (to 1e-9 of it)."""
     idx = np.nonzero(np.isclose(taus_s, tau_s, rtol=1e-9, atol=0.0))[0]
     if idx.size == 0:
         raise ParameterError(f"pick_tau_s must be a tau of the grid that fits twice into the "
