@@ -118,7 +118,11 @@ class ThermalModel:
         return float(np.interp(t_s, times, temps))
 
     def delay_at(self, disc: DiscriminatorConfig, t_s: float) -> float:
-        return disc.delay_s * (1.0 + self.tempco_per_K * self.delta_t(t_s))
+        """The delay at ``t_s``; raises unless it is positive (a callable profile may break that)."""
+        tau_d = disc.delay_s * (1.0 + self.tempco_per_K * self.delta_t(t_s))
+        if not tau_d > 0.0:
+            raise ParameterError(f"thermal delay {tau_d} s at t={t_s} s is not positive")
+        return tau_d
 
 
 def linear_ramp(rate_K_per_s: float) -> Callable[[float], float]:
@@ -186,7 +190,8 @@ def resolve_lock_point(disc: DiscriminatorConfig, f_hz: float, tolerance_hz: flo
     """The passband lock point nearest ``f_hz``; raises unless it is closer than ``tolerance_hz``.
 
     A scenario's f_lock_hz may lie anywhere inside the capture half-range; the model
-    functions take the lock point itself, to within 1e-6 of that half-range.
+    functions take the lock point itself, to within 1e-6 of that half-range.  No f_hz <= 0
+    resolves: the first lock point lies a full capture half-range above zero.
     """
     hw = capture_halfwidth(disc)
     if not f_hz - hw < f_hz + hw:
@@ -223,8 +228,8 @@ def servo_for_bandwidth(disc: DiscriminatorConfig, f_lock_hz: float, bandwidth_h
 
     ``limits`` are ServoConfig's ``actuator_limit_hz`` and ``update_dt_s`` (default: its own).
     """
-    if bandwidth_hz <= 0.0:
-        raise ParameterError("bandwidth_hz must be > 0")
+    if not bandwidth_hz > 0.0:
+        raise ParameterError(f"loop_bandwidth_hz {bandwidth_hz!r} must be > 0")
     slope = abs(discriminator_slope(disc, f_lock_hz))
     return ServoConfig(kp=0.0, ki=2.0 * np.pi * bandwidth_hz / slope, **limits)
 
@@ -346,8 +351,6 @@ def simulate_lock(
         k0 = j * stride
         if thermal is not None:
             tau_d = tau_upd[j] = thermal.delay_at(disc, k0 * dt_s)
-            if not tau_d > 0.0:
-                raise ParameterError(f"thermal delay {tau_d} s at t={k0 * dt_s} s is not positive")
         # the discriminator sees the beat of the previous interval (the first sample at j=0)
         volts = []
         for b in base[k0 - stride:k0].tolist() if j else base[:1].tolist():
@@ -419,6 +422,13 @@ def _one_pole_lowpass(x: np.ndarray, bandwidth_hz: float, dt_s: float) -> np.nda
     return y
 
 
+def check_spectral_bandwidth(loop_bandwidth_hz: float, dt_s: float) -> None:
+    """Raise unless the spectral model's bandwidth lies in (0, Nyquist), 0 < bw < 1/(2 dt)."""
+    if not 0.0 < loop_bandwidth_hz < 1.0 / (2.0 * dt_s):
+        raise ParameterError(f"loop_bandwidth_hz {loop_bandwidth_hz!r} must lie in "
+                             f"(0, Nyquist 1/(2*dt_s) = {1.0 / (2.0 * dt_s):.6g} Hz)")
+
+
 def closed_loop_components(
     laser: OscillatorModel,
     reference: OscillatorModel,
@@ -433,8 +443,7 @@ def closed_loop_components(
     Locked = lowpass(reference + detection noise) + highpass(laser free-run),
     with complementary first-order responses at the loop bandwidth.
     """
-    if not 0.0 < loop_bandwidth_hz < 1.0 / (2.0 * dt_s):
-        raise ParameterError("loop bandwidth must lie in (0, Nyquist)")
+    check_spectral_bandwidth(loop_bandwidth_hz, dt_s)
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
     ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
     seen = ref_free

@@ -154,9 +154,9 @@ def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> d
     A spec is a dataclass, whose fields are allowed keys (spelt as its ``JSON_KEYS`` say)
     and required unless they have a default; a dict of allowed keys to their types; or a
     collection of allowed keys.  ``required`` names more required keys.  A ``float`` value
-    must be a JSON number, not a bool or a string, and is converted with float().  Of each
-    pair ``(a, b)`` in ``either`` at most one may be given, and one must be if ``a`` is
-    required.  ``needs`` maps a key to the key it is valid only with.  Returns the members
+    must be a finite number, not NaN, an infinity, a bool or a string; float() converts it.
+    Of each pair ``(a, b)`` in ``either`` at most one may be given, and one must be if ``a``
+    is required.  ``needs`` maps a key to the key it is valid only with.  Returns the members
     by field name; raises one ConfigKeyError naming ``path`` and every offending key.
     """
     if not isinstance(obj, dict):
@@ -185,7 +185,7 @@ def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> d
                  if k in obj and v not in obj]
     numbers = [k for k, t in types.items() if t in (float, "float")]
     problems += [f"{k!r} must be a number" for k, v in obj.items()
-                 if k in numbers and not (isinstance(v, float) or finite(v))]
+                 if k in numbers and not finite(v)]
     if problems:
         raise ConfigKeyError(f"{path}: " + "; ".join(problems))
     return {names.get(k, k): float(v) if k in numbers else v for k, v in obj.items()}

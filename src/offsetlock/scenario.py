@@ -13,8 +13,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import chain as chainmod
 from .errors import ConfigKeyError, ParameterError
 from .lockloop import (
@@ -24,6 +22,7 @@ from .lockloop import (
     ThermalModel,
     cable_delay,
     capture_halfwidth,
+    check_spectral_bandwidth,
     closed_loop_components,
     discriminator_slope,
     linear_ramp,
@@ -151,7 +150,7 @@ class LockBlock:
     f0_hz: float
     disc: DiscriminatorConfig
     fidelity: str  # "spectral" | "time-domain"
-    loop_bandwidth_hz: Optional[float]
+    loop_bandwidth_hz: Optional[float]  # time-domain: None when the servo gains are given
     servo: Optional[ServoConfig]  # time-domain: as given, or derived from the bandwidth
     thermal: Optional[ThermalModel]
 
@@ -200,8 +199,8 @@ class ScenarioConfig:
 
 _TOP_KEYS = ("name", "seed", "duration_s", "dt_s", "oscillators", "combs", "locks",
              "measurements", "chain", "expectations")
-_LOCK_KEYS = ("id", "laser", "comb", "f_lock_hz", "fidelity", "loop_bandwidth_hz",
-              "discriminator", "servo", "thermal")
+_LOCK_KEYS = {"id": None, "laser": None, "comb": None, "f_lock_hz": float, "fidelity": None,
+              "loop_bandwidth_hz": float, "discriminator": None, "servo": None, "thermal": None}
 #: The keys each kind of measurement reads besides id, kind, signal and gate_s, with their types.
 _MEASUREMENT_KEYS = {
     "peak_to_peak": {"window_s": float},
@@ -232,10 +231,10 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     if not isinstance(doc, dict):
         return None, ["$: config must be a JSON object"]
 
-    def parsed(build, value, path, *spec):
-        """``build(value, path, *spec)``, or None with its error recorded under ``path``."""
+    def parsed(build, value, path, *spec, **options):
+        """``build(value, path, *spec, **options)``, or None with its error recorded under ``path``."""
         try:
-            return build(value, path, *spec)
+            return build(value, path, *spec, **options)
         except ConfigKeyError as exc:
             errors.append(str(exc))
         except _BAD_VALUE as exc:
@@ -288,7 +287,11 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}: must be a JSON object")
             continue
         n_errors = len(errors)
-        parsed(json_fields, ld, path, _LOCK_KEYS)
+        fidelity = ld.get("fidelity", "spectral")
+        timed = fidelity == "time-domain"
+        kw = parsed(json_fields, ld, path, _LOCK_KEYS,
+                    required=("f_lock_hz", "servo" if timed else "loop_bandwidth_hz"),
+                    either=[("servo", "loop_bandwidth_hz")] if timed else ())
         lid = ld.get("id", f"lock{i}")
         if not isinstance(lid, str) or lid != os.path.basename(lid):
             errors.append(f"{path}.id: must be a string usable as a file name")
@@ -302,54 +305,41 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         comb = _named(combs, ld.get("comb"))
         if comb is None:
             errors.append(f"{path}.comb: unknown comb {ld.get('comb')!r}")
-        fidelity = ld.get("fidelity", "spectral")
         if fidelity not in ("spectral", "time-domain"):
             errors.append(f"{path}.fidelity: must be 'spectral' or 'time-domain'")
-        if fidelity == "time-domain" and duration > TIME_DOMAIN_CAP_S:
+        if timed and duration > TIME_DOMAIN_CAP_S:
             errors.append(f"{path}: time-domain fidelity requires duration_s <= {TIME_DOMAIN_CAP_S}")
         disc = parsed(_discriminator, ld.get("discriminator", {}), f"{path}.discriminator")
         if disc is None:
             continue
-        bw = ld.get("loop_bandwidth_hz")
         servo = thermal = None
-        if fidelity == "spectral":
-            for key in ("servo", "thermal"):
-                if ld.get(key) is not None:
-                    errors.append(f"{path}.{key}: applies to time-domain fidelity only")
-            if not _positive(bw):
-                errors.append(f"{path}.loop_bandwidth_hz: required positive number for spectral fidelity")
-            elif bw >= 1.0 / (2.0 * dt):
-                errors.append(f"{path}.loop_bandwidth_hz: must be below Nyquist 1/(2*dt_s)")
-        else:
-            if ld.get("servo") is not None:
-                servo = parsed(lambda d, p: ServoConfig(**json_fields(d, p, ServoConfig)),
-                               ld["servo"], f"{path}.servo")
-            elif not _positive(bw):
-                errors.append(f"{path}: time-domain lock needs 'servo' gains or 'loop_bandwidth_hz'")
-            if ld.get("thermal") is not None:
-                thermal = parsed(_thermal, ld["thermal"], f"{path}.thermal")
-                if thermal is not None and not all(thermal.delay_at(disc, t) > 0.0
-                                                   for t in (0.0, duration)):
-                    errors.append(f"{path}.thermal: temperature excursion drives the delay "
-                                  f"to zero or below")
-        f_lock = ld.get("f_lock_hz")
-        if not _positive(f_lock):
-            errors.append(f"{path}.f_lock_hz: required positive number")
+        for key in ("servo", "thermal"):
+            if not timed and key in ld:
+                errors.append(f"{path}.{key}: applies to time-domain fidelity only")
+        if timed and "servo" in ld:
+            servo = parsed(lambda d, p: ServoConfig(**json_fields(d, p, ServoConfig)),
+                           ld["servo"], f"{path}.servo")
+        if timed and "thermal" in ld:
+            thermal = parsed(_thermal, ld["thermal"], f"{path}.thermal")
         if len(errors) > n_errors:
             continue
+        bw = kw.get("loop_bandwidth_hz")
         try:
             n, line = _comb_line(laser, comb)
-            f0 = resolve_lock_point(disc, float(f_lock), capture_halfwidth(disc)).f_hz
-            if fidelity == "time-domain":
-                servo = servo or servo_for_bandwidth(disc, f0, float(bw))
+            f0 = resolve_lock_point(disc, kw["f_lock_hz"], capture_halfwidth(disc)).f_hz
+            if not timed:
+                check_spectral_bandwidth(bw, dt)
+            else:
+                servo = servo or servo_for_bandwidth(disc, f0, bw)
                 servo_stride(disc, servo, f0, dt)
+                if thermal is not None:
+                    thermal.delay_at(disc, duration)  # a ramp's delay is monotonic in time
         except _BAD_VALUE as exc:
             errors.append(f"{path}: {exc}")
             continue
         locks[lid] = LockBlock(
             id=lid, laser=laser, line=line, line_index=n, f0_hz=f0,
-            disc=disc, fidelity=fidelity,
-            loop_bandwidth_hz=float(bw) if fidelity == "spectral" else None,
+            disc=disc, fidelity=fidelity, loop_bandwidth_hz=bw,
             servo=servo, thermal=thermal,
         )
 
@@ -594,8 +584,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         else:
             num = allan(m, series)
             den = allan(m, counted(m.baseline, m.gate_s))
-            shared = [t for t in num.taus_s if any(np.isclose(t, den.taus_s))]
-            ratios = [num.sigma_at(t) / den.sigma_at(t) for t in shared if den.sigma_at(t) > 0]
+            # both series are counted on the run's grid with one gate and tau list: equal taus
+            ratios = [a / b for a, b in zip(num.sigmas, den.sigmas) if b > 0]
             if not ratios:
                 raise ParameterError(f"measurement {m.id}: baseline ADEV is zero at every tau")
             statistics[m.id] = float(max(ratios))

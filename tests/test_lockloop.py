@@ -299,6 +299,10 @@ class TestThermal:
         with pytest.raises(ParameterError, match="not positive"):
             simulate_lock(IDEAL, IDEAL_REF, disc, servo, 30e6, 2.0, 1e-4, seed=1,
                           thermal=thermal)
+        # the check is delay_at's, so every caller of it gets it
+        assert thermal.delay_at(disc, 0.5) > 0.0
+        with pytest.raises(ParameterError, match=r"at t=1\.0 s is not positive"):
+            thermal_lockpoint_shift(disc, thermal, 1.0, 30e6)
 
 
 class TestConfigValidation:
@@ -578,7 +582,8 @@ class TestSpectralLock:
         assert np.all(s_locked * 10.0 < s_free)
 
     def test_bandwidth_above_nyquist_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match=r"loop_bandwidth_hz 100\.0 must lie in \(0, Nyquist"):
             closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-1, seed=1)
 
     def test_reference_passes_through_below_bandwidth(self):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import tempfile
 from importlib import resources
@@ -17,7 +18,8 @@ from offsetlock import (
     validate_config,
 )
 from offsetlock import scenario
-from offsetlock.noisegen import noise_spec_from_profile
+from offsetlock.lockloop import closed_loop_components
+from offsetlock.noisegen import OscillatorModel, noise_spec_from_profile
 from offsetlock.scenario import expand_seeds
 
 GOLDEN_NAMES = [
@@ -130,9 +132,26 @@ class TestValidateConfig:
 
     def test_spectral_bandwidth_below_nyquist(self):
         doc = json.loads(golden_text("fig3_lock_1514.json"))
-        doc["locks"][0]["loop_bandwidth_hz"] = 1000.0
+        ideal = OscillatorModel(10**14)
+        for bw in (256.0, 1000.0):  # Nyquist of the 1/512 s grid is 256 Hz
+            doc["locks"][0]["loop_bandwidth_hz"] = bw
+            cfg, errors = validate_config(doc)
+            with pytest.raises(ParameterError, match="Nyquist") as exc:
+                closed_loop_components(ideal, ideal, bw, doc["duration_s"], doc["dt_s"], seed=1)
+            assert errors == [f"locks[0]: {exc.value}"]
+
+    @pytest.mark.parametrize("bw", [100.0, 1e9, "abc"])
+    def test_time_domain_lock_takes_servo_or_bandwidth(self, bw):
+        # the gains used to win and the bandwidth, whatever its value, was never read
+        doc = json.loads(golden_text("fig4_lock_1010_timedomain.json"))
+        doc["locks"][0].update(servo={"ki": 5000.0}, loop_bandwidth_hz=bw)
         cfg, errors = validate_config(doc)
-        assert any("Nyquist" in e for e in errors)
+        assert cfg is None
+        assert "locks[0]: give 'servo' or 'loop_bandwidth_hz', not both" in errors[0]
+        assert ("'loop_bandwidth_hz' must be a number" in errors[0]) == isinstance(bw, str)
+        del doc["locks"][0]["servo"], doc["locks"][0]["loop_bandwidth_hz"]
+        cfg, errors = validate_config(doc)
+        assert errors == ["locks[0]: missing required key 'servo' or 'loop_bandwidth_hz'"]
 
     @pytest.mark.parametrize("name, path, value, message", [
         # 5 and 50 MHz both sit outside the 9.89 MHz capture half-range of the
@@ -170,7 +189,8 @@ class TestValidateConfig:
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"), {"ki": 1e13},
                      "1/(10 dt)", id="servo-gain-above-guard"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
-                     {"ki": float("nan")}, "1/(10 dt)", id="servo-gain-nan"),
+                     {"ki": float("nan")}, "locks[0].servo: 'ki' must be a number",
+                     id="servo-gain-nan"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 1e-5, "times_s": [0.0, 30.0, 60.0], "temps_K": [0.0, 1.0]},
                      "equal length", id="thermal-length-mismatch"),
@@ -185,9 +205,51 @@ class TestValidateConfig:
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 5e-3, "times_s": [0.0, 2.0], "temps_K": [0.0, -300.0]},
                      "zero or below", id="thermal-sampled-delay-collapse"),
+        # a ramp is checked where the run ends, by the delay_at that the servo loop calls
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 5e-3, "ramp_K_per_s": -5.0},
-                     "zero or below", id="thermal-ramp-delay-collapse"),
+                     "s at t=60.0 s is not positive", id="thermal-ramp-delay-collapse"),
+        # a bandwidth or lock point <= 0 is reported by the lockloop function it would reach
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "loop_bandwidth_hz"), 0,
+                     "locks[0]: loop_bandwidth_hz 0.0 must be > 0", id="zero-servo-bandwidth"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "loop_bandwidth_hz"), -5.0,
+                     "locks[0]: loop_bandwidth_hz -5.0 must be > 0", id="negative-servo-bandwidth"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "loop_bandwidth_hz"), 0,
+                     "locks[0]: loop_bandwidth_hz 0.0 must lie in (0, Nyquist",
+                     id="zero-spectral-bandwidth"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "f_lock_hz"), 0,
+                     "locks[0]: f_lock_hz 0.0: no passband lock point", id="zero-f-lock"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "f_lock_hz"), -30e6,
+                     "locks[0]: f_lock_hz -30000000.0: no passband lock point",
+                     id="negative-f-lock"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "f_lock_hz"), "30e6",
+                     "locks[0]: 'f_lock_hz' must be a number", id="string-f-lock"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "loop_bandwidth_hz"), None,
+                     "locks[0]: 'loop_bandwidth_hz' must be a number", id="null-servo-bandwidth"),
+        # a null servo or thermal block is a given key, not an absent one
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"), None,
+                     "locks[0].servo: must be a JSON object", id="null-servo"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"), None,
+                     "locks[0].thermal: must be a JSON object", id="null-thermal"),
+        pytest.param("fig3_lock_1514.json", ("locks", 0, "thermal"), None,
+                     "locks[0].thermal: applies to time-domain fidelity only",
+                     id="null-thermal-on-spectral"),
+        # NaN and the infinities are JSON numbers to Python's parser, but no model takes them
+        pytest.param("fig4_lock_1010_timedomain.json",
+                     ("locks", 0, "discriminator", "noise_v2_per_hz"), float("inf"),
+                     "locks[0].discriminator: 'noise_v2_per_hz' must be a number",
+                     id="infinite-noise_v2_per_hz"),
+        pytest.param("fig4_lock_1010_timedomain.json",
+                     ("locks", 0, "discriminator", "amplitude_v"), float("nan"),
+                     "locks[0].discriminator: 'amplitude_v' must be a number", id="nan-amplitude_v"),
+        pytest.param("fig4_lock_1010_timedomain.json",
+                     ("locks", 0, "discriminator", "cable_m"), float("nan"),
+                     "locks[0].discriminator: 'cable_m' must be a number", id="nan-cable_m"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": float("nan"), "ramp_K_per_s": 0.01},
+                     "locks[0].thermal: 'tempco_per_K' must be a number", id="nan-tempco_per_K"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "f_lock_hz"), float("-inf"),
+                     "locks[0]: 'f_lock_hz' must be a number", id="infinite-f-lock"),
         pytest.param("chain_afc_606.json", ("chain", "sources", "laser1514", "nominal_hz"),
                      198000019000000.7, "exact integer", id="fractional-chain-nominal_hz"),
         pytest.param("chain_afc_606.json", ("chain", "afc", "center_hz"),
@@ -369,6 +431,8 @@ class TestValidateConfig:
         for k in parents:
             target = target[k]
         target[key] = value
+        if key == "servo" and target.get("fidelity") == "time-domain":
+            del target["loop_bandwidth_hz"]  # the gains are given instead of a bandwidth
         cfg, errors = validate_config(doc)
         assert cfg is None
         assert any(message in e for e in errors), errors
@@ -631,3 +695,58 @@ def test_validated_config_runs_to_a_report(doc):
     with tempfile.TemporaryDirectory() as out:
         report = run_scenario(cfg, out)
         assert sorted(report.manifest) == sorted(os.listdir(out))
+
+
+def _mostly(values):
+    """A draw from ``values`` nine times in ten, else any JSON value (NaN and infinities too)."""
+    return st.sampled_from([values] * 9 + [JSON_VALUES]).flatmap(lambda s: s)
+
+
+@st.composite
+def tiny_lock_configs(draw):
+    """One lock of 20-40 samples on ideal oscillators, its keys drawn mostly from values near
+    the rules' edges and otherwise from any JSON value, NaN and the infinities included."""
+    dt = 1e-4
+    timed = draw(st.booleans())
+    gain = _mostly(st.sampled_from([0.0, 1e5, 4e9, 1e13]))
+    servo = st.fixed_dictionaries({"ki": gain}, optional={
+        "kp": gain, "update_dt_s": _mostly(st.sampled_from([1e-3, 2e-4, 1.5e-4, 5e-5])),
+        "actuator_limit_hz": _mostly(st.sampled_from([1.0, 50e6]))})
+    profile = (st.fixed_dictionaries({"ramp_K_per_s": _mostly(st.sampled_from([0.01, -1e6]))})
+               | st.fixed_dictionaries({"times_s": _mostly(st.just([0.0, 1.0])), "temps_K": _mostly(
+                   st.sampled_from([[0.0, -300.0], [0.0, 1.0]]))}))
+    thermal = st.tuples(_mostly(st.sampled_from([0.0, 1e-5, 5e-3])), profile).map(
+        lambda t: dict(t[1], tempco_per_K=t[0]))
+    values = {"f_lock_hz": st.sampled_from([30e6, 29.5e6, 20e6, 0.0, -30e6]),
+              "loop_bandwidth_hz": st.sampled_from([100.0, 999.0, 4999.0, 5000.0, 0.0]),
+              "servo": servo, "thermal": thermal}
+    if timed:  # one of servo and loop_bandwidth_hz, or (rejected) both or neither
+        given = draw(st.sampled_from([["servo"], ["loop_bandwidth_hz"]] * 4
+                                     + [["servo", "loop_bandwidth_hz"], []]))
+        given += ["thermal"] if draw(st.booleans()) else []
+    else:  # servo and thermal are rejected
+        given = ["loop_bandwidth_hz"] + draw(st.sampled_from([[]] * 8 + [["servo"], ["thermal"]]))
+    lock = {"id": "L", "laser": "laser", "comb": "comb", "discriminator": {"cable_m": 5.0},
+            "fidelity": "time-domain" if timed else "spectral"}
+    lock.update({key: draw(_mostly(values[key])) for key in ["f_lock_hz"] + given})
+    return {
+        "name": "tiny", "seed": 1, "duration_s": dt * draw(st.integers(20, 40)), "dt_s": dt,
+        "oscillators": {"laser": {"nominal_hz": 297000057000000}},
+        "combs": {"comb": {"f_rep_hz": 107000000, "f_ceo_hz": 20000000}},
+        "locks": [lock],
+        "measurements": [{"id": "pp", "kind": "peak_to_peak", "signal": "inloop:L",
+                          "gate_s": 2 * dt}],
+    }
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_lock_configs())
+def test_validated_lock_runs_to_a_report(doc):
+    cfg, errors = validate_config(doc)
+    if cfg is None:
+        assert errors and all(isinstance(e, str) for e in errors)
+        return
+    with tempfile.TemporaryDirectory() as out:
+        report = run_scenario(cfg, out)
+        assert sorted(report.manifest) == sorted(os.listdir(out))
+        assert math.isfinite(report.statistics["pp"])
