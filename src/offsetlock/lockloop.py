@@ -413,13 +413,81 @@ def simulate_lock(
     )
 
 
-def _one_pole_lowpass(x: np.ndarray, bandwidth_hz: float, dt_s: float) -> np.ndarray:
-    # Causal single-pole IIR; steady start at x[0] avoids a spurious step.
-    from scipy.signal import lfilter  # deferred: importing scipy.signal costs about 1 s
+#: Nepers a block's warm-up decays, (1 - a)**warm < 2**-120: far below one ulp, so a
+#: warm-up nearly always ends on the exact state (each one is checked, not trusted).
+_SETTLE = 120.0 * math.log(2.0)
+#: Samples per block at least; the fewest blocks worth vectorising; samples per chunk of
+#: a transposed copy and of a Python-float run (cache- and list-sized).
+_BLOCK, _MIN_BLOCKS, _CHUNK = 256, 64, 1 << 15
 
-    a = 1.0 - math.exp(-2.0 * np.pi * bandwidth_hz * dt_s)
-    y, _ = lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
-    return y
+
+def _one_pole_run(x: np.ndarray, out: np.ndarray, a: float, c: float, z: float) -> None:
+    """The one-pole recurrence sample by sample from state ``z``, in Python floats."""
+    for i in range(0, x.size, _CHUNK):
+        ys = []
+        for xk in x[i:i + _CHUNK].tolist():
+            y = xk * a + z
+            z = xk * 0.0 - y * c
+            ys.append(y)
+        out[i:i + _CHUNK] = ys
+
+
+def _one_pole_lowpass(x: np.ndarray, bandwidth_hz: float, dt_s: float) -> np.ndarray:
+    """Causal single-pole IIR started steady at x[0], bit for bit scipy's
+    ``lfilter([a], [1, a - 1], x, zi=[(1 - a) * x[0]])``: y = x a + z, then
+    z = x 0.0 - y (a - 1), whose ``x 0.0`` sets the sign of a zero z.
+
+    The series runs as blocks of L samples side by side, the rows of an (L, n_blocks)
+    array (a blocked linear recurrence).  Block j > 0 starts from the state that a warm-up
+    from z = 0 over the last ``warm`` samples of block j - 1 reaches.  That state is exact
+    if and only if the warm-up ends on block j - 1's exact last value, bit for bit; a block
+    that fails the check is recomputed sequentially from the exact state, and the block
+    after it is checked again.  Short series and narrow bandwidths run sequentially.
+    """
+    rate = 2.0 * np.pi * bandwidth_hz * dt_s
+    a = 1.0 - math.exp(-rate)
+    c = a - 1.0
+    n = x.size
+    warm = math.ceil(_SETTLE / rate) if rate * n > _SETTLE else n  # no huge int or 1/0
+    L = max(_BLOCK, warm)
+    nb = n // L
+    if nb < _MIN_BLOCKS:
+        out = np.empty(n)
+        _one_pole_run(x, out, a, c, (1.0 - a) * x.item(0))
+        return out
+    m = nb * L
+    y, head = np.empty((L, nb)), x[:m]
+    step = max(1, _CHUNK // L)
+    for j in range(0, nb, step):  # cache-sized chunks: 5x faster than one whole copy
+        y[:, j:j + step] = head[j * L:(j + step) * L].reshape(-1, L).T
+    x0 = y * 0.0
+    y *= a  # y holds x a until step k overwrites row k with the output
+    z = np.zeros(nb)
+    zw, ends = z[1:], np.empty(nb - 1)
+    for k in range(L - warm, L):
+        np.add(y[k, :-1], zw, out=ends)
+        np.multiply(ends, c, out=zw)
+        np.subtract(x0[k, :-1], zw, out=zw)
+    z[0] = (1.0 - a) * x.item(0)
+    for k in range(L):
+        yk = y[k]
+        np.add(yk, z, out=yk)
+        np.multiply(yk, c, out=z)
+        np.subtract(x0[k], z, out=z)
+    del x0
+    ends, last = ends.view(np.int64), y[-1].view(np.int64)
+    exact = 0  # blocks 0..exact are exact
+    for j in (np.flatnonzero(ends != last[:-1]) + 1).tolist():
+        while exact < j < nb and ends[j - 1] != last[j - 1]:
+            _one_pole_run(x[j * L:(j + 1) * L], y[:, j], a, c,
+                          x.item(j * L - 1) * 0.0 - y.item(L - 1, j - 1) * c)
+            j += 1
+        exact = max(exact, j)
+    out = np.empty(n)
+    out[:m].reshape(nb, L)[...] = y.T
+    del y
+    _one_pole_run(x[m:], out[m:], a, c, x.item(m - 1) * 0.0 - out.item(m - 1) * c)
+    return out
 
 
 def check_spectral_bandwidth(loop_bandwidth_hz: float, dt_s: float) -> None:

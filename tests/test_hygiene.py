@@ -72,31 +72,41 @@ def test_no_unreferenced_private_functions():
     assert unreferenced_private_functions(sources) == []
 
 
-# Importing scipy.fft, scipy.optimize and scipy.signal costs about 1.4 s and 80 MB per process;
-# only spectral locks (lfilter) and ADEV profiles of 3+ points (nnls) need them.
-SCIPY_FREE_LOCK = textwrap.dedent("""
+# Importing scipy.optimize costs about 0.5 s and 50 MB per process (scipy.signal, which
+# spectral locks no longer use, about 1 s and 80 MB); only ADEV profiles of 3+ points (nnls)
+# need it, and no golden scenario has one.
+SCIPY_FREE_CLI = textwrap.dedent("""
     import sys
-    from importlib import resources
 
     import offsetlock
     import offsetlock.cli
     from click.testing import CliRunner
 
-    golden = str(resources.files("offsetlock") / "scenarios" / "fig4_lock_1010_timedomain.json")
-    result = CliRunner().invoke(offsetlock.cli.main,
-                                ["lock", golden, "--lock-id", "lock1010", "-o", sys.argv[1]])
+    result = CliRunner().invoke(offsetlock.cli.main, sys.argv[1:])
     assert result.exit_code == 0, result.output
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
 
 
-def test_time_domain_lock_loads_no_scipy(tmp_path):
+def scipy_modules_after(*cli_args):
+    """The scipy modules loaded by a fresh process that imports offsetlock and runs the CLI."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_LOCK, str(tmp_path / "lock")],
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_CLI, *cli_args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_time_domain_lock_loads_no_scipy(tmp_path):
+    golden = str(SRC / "scenarios" / "fig4_lock_1010_timedomain.json")
+    assert scipy_modules_after("lock", golden, "--lock-id", "lock1010",
+                               "-o", str(tmp_path / "lock")) == "[]"
+
+
+def test_spectral_run_loads_no_scipy(tmp_path):
+    golden = str(SRC / "scenarios" / "fig4_inloop_1010.json")
+    assert scipy_modules_after("run", golden, "-o", str(tmp_path / "run")) == "[]"
 
 
 def test_readme_scenario_sketch_validates():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from offsetlock import (
     CounterConfig,
@@ -31,7 +32,8 @@ from offsetlock import (
     simulate_lock,
     thermal_lockpoint_shift,
 )
-from offsetlock.lockloop import linear_ramp, resolve_lock_point
+from offsetlock import lockloop
+from offsetlock.lockloop import _one_pole_lowpass, linear_ramp, resolve_lock_point
 
 from conftest import assert_lockrun_dir
 
@@ -592,6 +594,77 @@ class TestSpectralLock:
         locked, _ = closed_loop_components(IDEAL, ref, 50.0, 20.0, 1e-3, seed=3)
         expected_drift = 100.0 * 20.0
         assert locked[-1] - locked[0] == pytest.approx(expected_drift, rel=0.05)
+
+    def test_tiny_bandwidth_runs_without_a_huge_warm_up(self):
+        # bw 1e-300 validates; its warm-up (~1e303 samples) must not size an allocation.
+        # Its pole is 1.0, so the low-pass holds the first sample.
+        laser = laser_from_linewidth(198_000_019_000_000, 300e3)
+        ref = OscillatorModel(197_999_989_000_000, NoiseSpec(h_coeffs={0: 1e4}))
+        locked, ref_free = closed_loop_components(laser, ref, 1e-300, 2.0, 1e-3, seed=4)
+        laser_free = oscillator_trace(laser, 2.0, 1e-3, derive_seed(4, "laser")).samples
+        assert locked.tobytes() == (ref_free[0] + (laser_free - laser_free[0])).tobytes()
+
+
+DT_GOLDEN = 1.0 / 512.0  # fig3 and fig4: 100 Hz at 512 samples per second
+
+
+def assert_matches_lfilter(x, bandwidth_hz=100.0, dt_s=DT_GOLDEN):
+    """``_one_pole_lowpass`` equals the scipy filter it replaced, the byte oracle, to the bit."""
+    a = 1.0 - math.exp(-2.0 * np.pi * bandwidth_hz * dt_s)
+    want = lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])[0]
+    assert _one_pole_lowpass(x, bandwidth_hz, dt_s).tobytes() == want.tobytes()
+
+
+def walk(n, seed=5):
+    """A random walk plus white noise, with exact zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)
+    x[3::97], x[5::89] = 0.0, -0.0
+    return x
+
+
+class TestOnePoleMatchesLfilter:
+    """``_one_pole_lowpass`` against scipy's ``lfilter``: equal to the bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 4097, 100_001, 3600 * 512])
+    def test_golden_parameters(self, n):
+        assert_matches_lfilter(walk(n))
+
+    @pytest.mark.parametrize("n", [4097, 50_001])  # sequential, blocked
+    @pytest.mark.parametrize("draw", [
+        np.zeros,
+        lambda n: np.full(n, -0.0),
+        lambda n: np.where(np.arange(n) % 3, 0.0, -0.0),
+        # the smallest subnormals and signed zeros: x 0.0 decides the sign of a zero state
+        lambda n: np.random.default_rng(6).choice(
+            [k * 5e-324 for k in (-3, -2, -1, 1, 2, 3)] + [0.0, -0.0], n),
+    ], ids=["+0.0", "-0.0", "signed zeros", "subnormal"])
+    def test_zeros_and_subnormals(self, draw, n):
+        assert_matches_lfilter(draw(n))
+
+    @pytest.mark.parametrize("bandwidth_hz, dt_s, n", [
+        (np.nextafter(256.0, 0.0), DT_GOLDEN, 100_001),  # just under Nyquist
+        (0.05, DT_GOLDEN, 200_001),  # a 135 600-sample warm-up: too few blocks, sequential
+        (0.05, 1.0, 100_001),  # the same bandwidth at 1 s: a 265-sample warm-up, blocked
+        (1e-300, DT_GOLDEN, 1001),  # pole 1.0
+        (5e-324, DT_GOLDEN, 1001),  # 2 pi bw dt underflows to 0
+    ])
+    def test_bandwidths(self, bandwidth_hz, dt_s, n):
+        assert_matches_lfilter(walk(n), bandwidth_hz, dt_s)
+
+    @pytest.mark.parametrize("settle", [1.0, 36.0])
+    def test_blocks_that_fail_to_synchronise_are_recomputed(self, monkeypatch, settle):
+        # A warm-up of 1 (settle 1.0) or 30 samples (36.0) instead of 68 leaves all or some
+        # blocks on an inexact state; the check must find each, and the output stay exact.
+        runs = []
+        real_run = lockloop._one_pole_run
+        monkeypatch.setattr(lockloop, "_SETTLE", settle)
+        monkeypatch.setattr(lockloop, "_one_pole_run", lambda x, *a: runs.append(x.size)
+                            or real_run(x, *a))
+        assert_matches_lfilter(walk(100_001))
+        blocks = 100_001 // lockloop._BLOCK
+        recomputed = runs.count(lockloop._BLOCK)
+        assert (recomputed == blocks - 1) if settle == 1.0 else (0 < recomputed < blocks - 1)
 
 
 class TestOutOfLoopBeat:
