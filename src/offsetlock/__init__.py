@@ -10,7 +10,6 @@ from .noisegen import (
     derive_seed,
     laser_from_linewidth,
     oscillator_trace,
-    read_trace_csv,
     synth_power_law,
     write_trace_csv,
 )
@@ -18,15 +17,11 @@ from .metrology import (
     AllanResult,
     CounterConfig,
     CounterSeries,
-    SlopeFit,
     adev_nonoverlapping,
     adev_overlapping,
     count,
-    fit_noise_slope,
     octave_taus,
     peak_to_peak,
-    psd_estimate,
-    to_absolute,
     to_fractional,
 )
 from .lockloop import (
@@ -44,7 +39,6 @@ from .lockloop import (
     out_of_loop_beat,
     servo_for_bandwidth,
     simulate_lock,
-    thermal_lockpoint_shift,
 )
 from .chain import (
     AfcSpec,
@@ -57,7 +51,6 @@ from .chain import (
     pdc_degenerate,
     sfg,
     shg,
-    solve_aom,
 )
 from .scenario import (
     RunReport,

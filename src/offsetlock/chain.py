@@ -107,11 +107,6 @@ def aom_double_pass(a: ChainNode, f_rf_hz: int) -> ChainNode:
     return replace(a, nominal_hz=a.nominal_hz + 2 * exact_int(f_rf_hz, "f_rf_hz"))
 
 
-def solve_aom(target_hz: int, current: ChainNode) -> float:
-    """RF frequency whose double-pass shift moves ``current`` onto ``target``."""
-    return (target_hz - current.nominal_hz) / 2.0
-
-
 def comb_beat(nu_hz, comb: CombModel):
     """Nearest comb line and beat: n = round((nu - f_ceo)/f_rep), ties toward lower n.
 

@@ -215,13 +215,6 @@ def capture_halfwidth(disc: DiscriminatorConfig) -> float:
     return 1.0 / (4.0 * disc.delay_s)
 
 
-def thermal_lockpoint_shift(
-    disc: DiscriminatorConfig, thermal: ThermalModel, t_s: float, f_lock_hz: float
-) -> float:
-    """Instantaneous lock-point frequency f_lock * tau_d(0) / tau_d(t)."""
-    return f_lock_hz * disc.delay_s / thermal.delay_at(disc, t_s)
-
-
 def servo_for_bandwidth(disc: DiscriminatorConfig, f_lock_hz: float, bandwidth_hz: float,
                         **limits) -> ServoConfig:
     """Pure-integral gains giving a first-order closed loop of the given bandwidth.

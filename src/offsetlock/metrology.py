@@ -25,13 +25,10 @@ class CounterConfig:
     """Pi-type frequency counter: reading = mean frequency over each gate."""
 
     gate_s: float
-    dead_time_s: float = 0.0
 
     def __post_init__(self):
         if self.gate_s <= 0.0:
             raise ParameterError("gate_s must be > 0")
-        if self.dead_time_s < 0.0:
-            raise ParameterError("dead_time_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,14 +71,6 @@ class AllanResult:
         return float(self.sigmas[tau_index(self.taus_s, tau_s)])
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    tau_range_s: Tuple[float, float]
-    slope: float
-    intercept: float
-    residual: float
-
-
 def write_series_csv(series: CounterSeries, path) -> None:
     with open(path, "w") as fh:
         write_column(fh, f"# nominal_hz={series.nominal_hz} gate_s={series.gate_s:.17g}",
@@ -110,26 +99,6 @@ def allan_csv(result: AllanResult) -> str:
 def write_allan_csv(result: AllanResult, path) -> None:
     with open(path, "w") as fh:
         fh.write(allan_csv(result))
-
-
-def read_allan_csv(path, estimator: str = "overlapping") -> AllanResult:
-    taus, sigmas, pairs, units = [], [], [], UNITS_HZ
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "tau_s,sigma,units,n_pairs":
-            raise ParameterError(f"{path}: not an AllanResult CSV")
-        for row, line in enumerate(fh, 2):
-            try:
-                tau, sigma, units, n = line.strip().split(",")
-                taus.append(float(tau))
-                sigmas.append(float(sigma))
-                pairs.append(int(n))
-            except ValueError as exc:
-                raise ParameterError(f"{path}, line {row}: {exc}") from None
-    return AllanResult(
-        taus_s=np.array(taus), sigmas=np.array(sigmas), n_pairs=np.array(pairs),
-        units=units, estimator=estimator,
-    )
 
 
 # The gate, window, tau and pick rules.  Each takes sizes and tau grids, not data, so
@@ -179,10 +148,7 @@ def tau_index(taus_s: Sequence[float], tau_s: float) -> int:
 def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
     """Apply a gated Pi counter to a trace; trailing partial gate discarded."""
     m = gate_steps(cfg.gate_s, trace.dt_s, trace.samples.size)
-    dead = grid_steps(cfg.dead_time_s, trace.dt_s, 1e-6)
-    if cfg.dead_time_s > 0.0 and not dead:
-        raise ParameterError("dead_time_s must be an integer multiple of trace dt")
-    readings = sliding_window_view(trace.samples, m)[::m + dead].mean(axis=1)
+    readings = sliding_window_view(trace.samples, m)[::m].mean(axis=1)
     return CounterSeries(nominal_hz=trace.nominal_hz, gate_s=cfg.gate_s, readings=readings)
 
 
@@ -236,15 +202,6 @@ def to_fractional(result: AllanResult, nominal_hz: int) -> AllanResult:
     return replace(result, sigmas=result.sigmas / float(nominal_hz), units=UNITS_FRACTIONAL)
 
 
-def to_absolute(result: AllanResult, nominal_hz: int) -> AllanResult:
-    """Convert a fractional result to absolute Hz (sigma * nu0)."""
-    if nominal_hz <= 0:
-        raise ParameterError("nominal_hz must be > 0")
-    if result.units != UNITS_FRACTIONAL:
-        raise ParameterError("result is already absolute")
-    return replace(result, sigmas=result.sigmas * float(nominal_hz), units=UNITS_HZ)
-
-
 def peak_to_peak(series: CounterSeries, window_s: Optional[float] = None) -> float:
     """Max minus min reading over the leading window (full series if omitted)."""
     y = series.readings
@@ -261,41 +218,3 @@ def octave_taus(gate_s: float, span_s: float) -> list:
         taus.append(m * gate_s)
         m *= 2
     return taus
-
-
-def fit_noise_slope(result: AllanResult, tau_min: float, tau_max: float) -> SlopeFit:
-    """Least-squares line through (log tau, log sigma) within [tau_min, tau_max]."""
-    mask = (result.taus_s >= tau_min) & (result.taus_s <= tau_max) & (result.sigmas > 0.0)
-    if np.count_nonzero(mask) < 3:
-        raise ParameterError("slope fit needs at least 3 points in range")
-    x = np.log(result.taus_s[mask])
-    y = np.log(result.sigmas[mask])
-    (slope, intercept), res, *_ = np.polyfit(x, y, 1, full=True)
-    residual = float(res[0]) if res.size else 0.0
-    return SlopeFit(
-        tau_range_s=(float(tau_min), float(tau_max)),
-        slope=float(slope), intercept=float(intercept), residual=residual,
-    )
-
-
-def psd_estimate(trace: FrequencyTrace, segments: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Averaged-periodogram one-sided PSD of a trace.
-
-    The trace is split into ``segments`` equal non-overlapping chunks
-    (boxcar window, remainder discarded); per-segment periodograms are
-    averaged.  Satisfies Parseval: sum(S) * df = mean square of the data.
-    """
-    if segments < 1:
-        raise ParameterError("segments must be >= 1")
-    n = trace.samples.size
-    if n < 4 * segments:
-        raise ParameterError("trace must be at least 4 samples per segment")
-    seg_len = n // segments
-    data = trace.samples[: segments * seg_len].reshape(segments, seg_len)
-    spectra = np.fft.rfft(data, axis=1)
-    psd = (2.0 * trace.dt_s / seg_len) * np.abs(spectra) ** 2
-    psd[:, 0] /= 2.0
-    if seg_len % 2 == 0:
-        psd[:, -1] /= 2.0
-    freqs = np.fft.rfftfreq(seg_len, trace.dt_s)
-    return freqs, psd.mean(axis=0)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import ClassVar, Dict, Mapping, Optional, Tuple
@@ -148,6 +147,14 @@ def finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+#: What a value of each type ``json_fields`` checks must be: its message, and its test.
+_JSON_TYPES = {
+    float: ("a number", finite),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> dict:
     """The members of the JSON object ``obj`` found at ``path``, checked against ``specs``.
 
@@ -155,9 +162,11 @@ def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> d
     and required unless they have a default; a dict of allowed keys to their types; or a
     collection of allowed keys.  ``required`` names more required keys.  A ``float`` value
     must be a finite number, not NaN, an infinity, a bool or a string; float() converts it.
-    Of each pair ``(a, b)`` in ``either`` at most one may be given, and one must be if ``a``
-    is required.  ``needs`` maps a key to the key it is valid only with.  Returns the members
-    by field name; raises one ConfigKeyError naming ``path`` and every offending key.
+    An ``int`` value must be an integer, not a bool or a float; a ``str`` value a string.
+    Of a dataclass's fields only the floats are typed.  Of each pair ``(a, b)`` in ``either``
+    at most one may be given, and one must be if ``a`` is required.  ``needs`` maps a key to
+    the key it is valid only with.  Returns the members by field name; raises one
+    ConfigKeyError naming ``path`` and every offending key.
     """
     if not isinstance(obj, dict):
         raise ConfigKeyError(f"{path}: must be a JSON object")
@@ -169,7 +178,7 @@ def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> d
         keys = {name: key for key, name in getattr(spec, "JSON_KEYS", {}).items()}
         for f in fields(spec):
             key = keys.get(f.name, f.name)
-            names[key], types[key] = f.name, f.type
+            names[key], types[key] = f.name, float if f.type in (float, "float") else None
             if f.default is MISSING and f.default_factory is MISSING:
                 required.append(key)
     problems = [f"unknown key {k!r}" for k in obj if k not in types]
@@ -183,12 +192,11 @@ def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> d
     problems += [f"missing required key {k!r}" for k in required if k not in obj]
     problems += [f"{k!r} is valid only with {v!r}" for k, v in (needs or {}).items()
                  if k in obj and v not in obj]
-    numbers = [k for k, t in types.items() if t in (float, "float")]
-    problems += [f"{k!r} must be a number" for k, v in obj.items()
-                 if k in numbers and not finite(v)]
+    problems += [f"{k!r} must be {_JSON_TYPES[types[k]][0]}" for k, v in obj.items()
+                 if types.get(k) in _JSON_TYPES and not _JSON_TYPES[types[k]][1](v)]
     if problems:
         raise ConfigKeyError(f"{path}: " + "; ".join(problems))
-    return {names.get(k, k): float(v) if k in numbers else v for k, v in obj.items()}
+    return {names.get(k, k): float(v) if types[k] is float else v for k, v in obj.items()}
 
 
 def grid_steps(x: float, unit: float, rtol: float) -> int:
@@ -307,21 +315,6 @@ def read_column(fh, path) -> np.ndarray:
         return np.loadtxt(fh, dtype=float, ndmin=1)
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from None
-
-
-_TRACE_HEADER = re.compile(r"#\s*nominal_hz=(-?\d+)\s+dt=(\S+)\s+seed=(\d+)")
-
-
-def read_trace_csv(path) -> FrequencyTrace:
-    with open(path) as fh:
-        header = fh.readline()
-        m = _TRACE_HEADER.match(header)
-        if not m:
-            raise ParameterError(f"{path}: not a FrequencyTrace CSV")
-        samples = read_column(fh, path)
-    return FrequencyTrace(
-        nominal_hz=int(m.group(1)), dt_s=float(m.group(2)), samples=samples, seed=int(m.group(3))
-    )
 
 
 def _fast_len(n: int) -> int:

@@ -124,8 +124,10 @@ def _thermal(d, path: str) -> ThermalModel:
     return ThermalModel(kw["tempco_per_K"], (kw["times_s"], kw["temps_K"]))
 
 
-def _positive(x) -> bool:
-    return finite(x) and x > 0
+def _file_name(x) -> bool:
+    """A string that names one file or directory inside the output directory."""
+    return (isinstance(x, str) and x not in ("", ".", "..") and "\0" not in x
+            and x == os.path.basename(x))
 
 
 def _named(table: dict, key):
@@ -197,8 +199,9 @@ class ScenarioConfig:
     raw: dict
 
 
-_TOP_KEYS = ("name", "seed", "duration_s", "dt_s", "oscillators", "combs", "locks",
-             "measurements", "chain", "expectations")
+_TOP_KEYS = {"name": str, "seed": int, "duration_s": float, "dt_s": float, "oscillators": None,
+             "combs": None, "locks": None, "measurements": None, "chain": None,
+             "expectations": None}
 _LOCK_KEYS = {"id": None, "laser": None, "comb": None, "f_lock_hz": float, "fidelity": None,
               "loop_bandwidth_hz": float, "discriminator": None, "servo": None, "thermal": None}
 #: The keys each kind of measurement reads besides id, kind, signal and gate_s, with their types.
@@ -241,7 +244,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append(f"{path}: {exc}")
         return None
 
-    parsed(json_fields, doc, "$", _TOP_KEYS)
+    top = parsed(json_fields, doc, "$", _TOP_KEYS, required=("name", "duration_s", "dt_s")) or {}
 
     def section(key, kind):
         value = doc.get(key, kind())
@@ -250,26 +253,17 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         errors.append(f"{key}: must be a JSON {'object' if kind is dict else 'array'}")
         return kind()
 
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append("name: required non-empty string")
-        name = "unnamed"
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed: must be an integer")
-        seed = 0
-    duration, dt = doc.get("duration_s"), doc.get("dt_s")
-    if not _positive(duration):
-        errors.append("duration_s: must be a positive number")
-    if not _positive(dt):
-        errors.append("dt_s: must be a positive number")
-    n_samples = 0
-    if _positive(duration) and _positive(dt):
+    name, seed = top.get("name", "unnamed"), top.get("seed", 0)
+    if not _file_name(name):  # run writes to <output root>/<name>
+        errors.append("name: must be a string usable as a directory name")
+    duration, dt = top.get("duration_s", 1.0), top.get("dt_s", 1.0)
+    errors += [f"{key}: must be a positive number"
+               for key in ("duration_s", "dt_s") if top.get(key, 1.0) <= 0]
+    n_samples = 0  # below 2 unless the run's time grid is valid
+    if top and duration > 0 < dt:
         n_samples = grid_steps(duration, dt, 1e-6)
         if n_samples < 2:
             errors.append("duration_s: must be a multiple of dt_s, at least 2*dt_s")
-    duration = float(duration) if _positive(duration) else 1.0
-    dt = float(dt) if _positive(dt) else 1.0
 
     def models(key, build) -> dict:
         """The objects of section ``key`` that parse, by name."""
@@ -293,7 +287,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                     required=("f_lock_hz", "servo" if timed else "loop_bandwidth_hz"),
                     either=[("servo", "loop_bandwidth_hz")] if timed else ())
         lid = ld.get("id", f"lock{i}")
-        if not isinstance(lid, str) or lid != os.path.basename(lid):
+        if not _file_name(lid):
             errors.append(f"{path}.id: must be a string usable as a file name")
             continue
         if lid in lock_ids:
@@ -327,10 +321,11 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         try:
             n, line = _comb_line(laser, comb)
             f0 = resolve_lock_point(disc, kw["f_lock_hz"], capture_halfwidth(disc)).f_hz
-            if not timed:
-                check_spectral_bandwidth(bw, dt)
-            else:
+            if timed:
                 servo = servo or servo_for_bandwidth(disc, f0, bw)
+            if n_samples >= 2 and not timed:  # the timing rules need the run's time grid
+                check_spectral_bandwidth(bw, dt)
+            elif n_samples >= 2:
                 servo_stride(disc, servo, f0, dt)
                 if thermal is not None:
                     thermal.delay_at(disc, duration)  # a ramp's delay is monotonic in time
@@ -380,7 +375,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             continue
         n_errors = len(errors)
         mid = md.get("id")
-        if not isinstance(mid, str) or not mid or mid != os.path.basename(mid):
+        if not _file_name(mid):
             errors.append(f"{path}.id: required non-empty string usable as a file name")
             mid = f"m{i}"
         if mid in measurement_ids:
@@ -405,7 +400,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         grid = None
         if kind != "peak_to_peak":
             grid = md.get("taus_s", "octave")
-            if grid != "octave" and not (isinstance(grid, list) and all(map(_positive, grid))):
+            if grid != "octave" and not (isinstance(grid, list)
+                                         and all(finite(t) and t > 0 for t in grid)):
                 errors.append(f"{path}.taus_s: must be 'octave' or a list of positive numbers")
                 grid = None
             if md.get("estimator", "overlapping") not in _ESTIMATORS:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,39 @@ def brute_force_adev_nonoverlapping(readings, m):
     for b1, b2 in zip(blocks, blocks[1:]):
         sq_sum += (b2 - b1) ** 2
     return math.sqrt(0.5 * sq_sum / (n_blocks - 1))
+
+
+def psd_estimate(trace, segments):
+    """Averaged-periodogram one-sided PSD of a trace: the synthesis tests' oracle.
+
+    The trace is split into ``segments`` equal non-overlapping chunks (boxcar window,
+    remainder discarded); per-segment periodograms are averaged.  Satisfies Parseval:
+    sum(S) * df = mean square of the data.
+    """
+    seg_len = trace.samples.size // segments
+    data = trace.samples[: segments * seg_len].reshape(segments, seg_len)
+    psd = (2.0 * trace.dt_s / seg_len) * np.abs(np.fft.rfft(data, axis=1)) ** 2
+    psd[:, 0] /= 2.0
+    if seg_len % 2 == 0:
+        psd[:, -1] /= 2.0
+    return np.fft.rfftfreq(seg_len, trace.dt_s), psd.mean(axis=0)
+
+
+def read_trace_csv(path):
+    """A ``write_trace_csv`` (``synth -o``) file read back into a FrequencyTrace."""
+    with open(path) as fh:
+        header = dict(item.split("=") for item in fh.readline().lstrip("#").split())
+    return FrequencyTrace(int(header["nominal_hz"]), float(header["dt"]),
+                          np.loadtxt(path, ndmin=1), int(header["seed"]))
+
+
+def read_allan_csv(path):
+    """The columns of a ``write_allan_csv`` (``adev -o``) file: taus, sigmas, units, n_pairs."""
+    header, *rows = Path(path).read_text().splitlines()
+    assert header == "tau_s,sigma,units,n_pairs"
+    taus, sigmas, units, pairs = zip(*(row.split(",") for row in rows))
+    return (np.array(taus, dtype=float), np.array(sigmas, dtype=float), units,
+            np.array(pairs, dtype=int))
 
 
 @pytest.fixture

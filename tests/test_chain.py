@@ -14,7 +14,6 @@ from offsetlock import (
     pdc_degenerate,
     sfg,
     shg,
-    solve_aom,
 )
 from offsetlock.chain import evaluate_chain
 
@@ -118,12 +117,6 @@ class TestAom:
     def test_sigma_invariant(self):
         for f_rf in (-10**9, 0, 12_345_678):
             assert aom_double_pass(L1514, f_rf).sigma_abs_hz == L1514.sigma_abs_hz
-
-    def test_solve_then_apply_round_trip(self):
-        target = L1514.nominal_hz + 3_000_000
-        f_rf = solve_aom(target, L1514)
-        assert f_rf == pytest.approx(1_500_000)
-        assert aom_double_pass(L1514, int(f_rf)).nominal_hz == target
 
     def test_non_integer_rf_rejected(self):
         with pytest.raises(ParameterError):

@@ -44,14 +44,30 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def unreferenced_private_functions(sources):
-    """Module-private top-level functions that no module in ``sources`` ({name: text}) reads."""
+def is_click_command(node):
+    """A definition decorated by ``<group>.command(...)`` or ``click.group(...)``."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def unreferenced_definitions(sources, public=False):
+    """Top-level definitions that no module in ``sources`` ({name: text}) reads.
+
+    Module-private functions; or, with ``public``, public functions and classes other than
+    click commands, which the command line reaches through their group.  An import is not a
+    read, so a name that ``__init__.py`` only re-exports counts as unreferenced.
+    """
     defined, used = {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
+            if public:
+                wanted = (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                          and not node.name.startswith("_") and not is_click_command(node))
+            else:
+                wanted = (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and node.name.startswith("_") and not node.name.startswith("__"))
+            if wanted:
                 defined[node.name] = module
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -64,12 +80,31 @@ def unreferenced_private_functions(sources):
 def test_scanner_finds_unreferenced_private_functions():
     sources = {"a.py": "def _called():\n    pass\ndef _dead():\n    pass\ndef public():\n    pass\n",
                "b.py": "import a\na._called()\n"}
-    assert unreferenced_private_functions(sources) == ["a.py: _dead"]
+    assert unreferenced_definitions(sources) == ["a.py: _dead"]
+
+
+def test_scanner_finds_unreferenced_public_functions():
+    sources = {"a.py": "import click\n@click.group()\ndef main():\n    pass\n"
+                       "@main.command()\ndef cmd():\n    pass\n"
+                       "def called():\n    pass\ndef dead():\n    pass\n"
+                       "class Read:\n    pass\nclass Dead:\n    pass\ndef _private():\n    pass\n",
+               "b.py": "from a import Dead, called, dead\ncalled()\nx: Read = None\n"}
+    assert unreferenced_definitions(sources, public=True) == ["a.py: Dead", "a.py: dead"]
 
 
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_definitions(sources) == []
+
+
+#: Public names that only the tests read: test_lockloop checks the servo loop's
+#: error voltages against ``error_signal``.
+TEST_ORACLES = {"lockloop.py: error_signal"}
+
+
+def test_no_unreferenced_public_functions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert set(unreferenced_definitions(sources, public=True)) - TEST_ORACLES == set()
 
 
 # Importing scipy.optimize costs about 0.5 s and 50 MB per process (scipy.signal, which

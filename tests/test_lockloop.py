@@ -30,7 +30,6 @@ from offsetlock import (
     out_of_loop_beat,
     servo_for_bandwidth,
     simulate_lock,
-    thermal_lockpoint_shift,
 )
 from offsetlock import lockloop
 from offsetlock.lockloop import _one_pole_lowpass, linear_ramp, resolve_lock_point
@@ -255,21 +254,27 @@ class TestCaptureHalfwidth:
                 assert product == pytest.approx(np.pi * v0 / 2.0, rel=1e-12)
 
 
+def drifted_lock_point(thermal, t_s, f_lock_hz=30e6):
+    """The lock point f_lock * tau_d(0) / tau_d(t) that the servo loop tracks at time t."""
+    disc = wide_disc()
+    return f_lock_hz * disc.delay_s / thermal.delay_at(disc, t_s)
+
+
 class TestThermal:
     def test_zero_delta_t_no_shift(self):
         thermal = ThermalModel(1.7e-4, linear_ramp(0.0))
-        assert thermal_lockpoint_shift(wide_disc(), thermal, 100.0, 30e6) == 30e6
+        assert drifted_lock_point(thermal, 100.0) == 30e6
 
     def test_two_kelvin_shift(self):
         thermal = ThermalModel(1.7e-4, lambda t: 2.0)
-        shift = thermal_lockpoint_shift(wide_disc(), thermal, 1.0, 30e6) - 30e6
+        shift = drifted_lock_point(thermal, 1.0) - 30e6
         assert shift == pytest.approx(-10.2e3, rel=5e-3)
 
     def test_tempco_sign_antisymmetry(self):
         up = ThermalModel(1.7e-4, lambda t: 2.0)
         dn = ThermalModel(-1.7e-4, lambda t: 2.0)
-        s_up = thermal_lockpoint_shift(wide_disc(), up, 0.0, 30e6) - 30e6
-        s_dn = thermal_lockpoint_shift(wide_disc(), dn, 0.0, 30e6) - 30e6
+        s_up = drifted_lock_point(up, 0.0) - 30e6
+        s_dn = drifted_lock_point(dn, 0.0) - 30e6
         assert s_dn == pytest.approx(-s_up, rel=1e-3)
 
     def test_sampled_profile_interpolates(self):
@@ -304,7 +309,7 @@ class TestThermal:
         # the check is delay_at's, so every caller of it gets it
         assert thermal.delay_at(disc, 0.5) > 0.0
         with pytest.raises(ParameterError, match=r"at t=1\.0 s is not positive"):
-            thermal_lockpoint_shift(disc, thermal, 1.0, 30e6)
+            thermal.delay_at(disc, 1.0)
 
 
 class TestConfigValidation:

@@ -175,6 +175,35 @@ class TestValidateConfig:
                      20000000.5, "exact integer", id="fractional-f_ceo_hz"),
         pytest.param("fig4_lock_1010_timedomain.json", ("seed",), True, "seed",
                      id="boolean-seed"),
+        # each top-level key is typed; the parent's hand-written checks gave other words,
+        # so these cases match the key alone
+        pytest.param("chain_afc_606.json", ("name",), 7, "name", id="number-name"),
+        pytest.param("chain_afc_606.json", ("name",), "", "name", id="empty-name"),
+        pytest.param("chain_afc_606.json", ("seed",), 1.5, "seed", id="fractional-seed"),
+        pytest.param("chain_afc_606.json", ("duration_s",), "3600", "duration_s",
+                     id="string-duration"),
+        pytest.param("chain_afc_606.json", ("dt_s",), None, "dt_s", id="null-dt"),
+        # run writes to <root>/<name>: these names used to write outside the output root
+        pytest.param("chain_afc_606.json", ("name",), "/abs/path",
+                     "name: must be a string usable as a directory name",
+                     id="absolute-name"),
+        pytest.param("chain_afc_606.json", ("name",), "../up",
+                     "name: must be a string usable as a directory name",
+                     id="parent-relative-name"),
+        pytest.param("chain_afc_606.json", ("name",), "a/b",
+                     "name: must be a string usable as a directory name",
+                     id="nested-name"),
+        pytest.param("chain_afc_606.json", ("name",), "..",
+                     "name: must be a string usable as a directory name",
+                     id="parent-directory-name"),
+        # a NUL byte passed the file-name rules, and the first write raised ValueError
+        pytest.param("chain_afc_606.json", ("name",), "a\0b",
+                     "name: must be a string usable as a directory name", id="nul-name"),
+        pytest.param("fig4_inloop_1010.json", ("locks", 0, "id"), "lock\0",
+                     "locks[0].id: must be a string usable as a file name", id="nul-lock-id"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "id"), "pp\0",
+                     "measurements[0].id: required non-empty string usable as a file name",
+                     id="nul-measurement-id"),
         # 2.00049 s is 20004.9 samples of 0.1 ms; it used to run as 20005
         pytest.param("fig4_lock_1010_timedomain.json", ("duration_s",), 2.00049,
                      "multiple of dt_s", id="duration-off-sample-grid"),
