@@ -419,48 +419,48 @@ def comb_line_oscillator(comb: CombModel, n: int) -> OscillatorModel:
 
 
 def decompose_adev_profile(profile) -> Tuple[float, float, float]:
-    """Fit sigma^2(tau) = A/tau + B + C*tau to an ADEV profile.
+    """Fit sigma^2(tau) = A/tau + B + C*tau to an ADEV profile by nonnegative least squares.
 
-    (A, B, C) >= 0 are the white-FM, flicker-FM and random-walk-FM Allan
-    variance coefficients.  Two-point profiles are resolved exactly,
-    preferring a white-FM component at the shortest tau (so extrapolation
-    toward shorter averaging times behaves as white FM); longer profiles
-    use nonnegative least squares on the {tau^-1, 1, tau} basis.
+    A, B, C >= 0 are the white-, flicker- and random-walk-FM Allan variance coefficients: of the
+    column subsets white+RW, white+flicker, flicker+RW, each alone, then all three, the one whose
+    unconstrained fit is finite, >= 0 and lowest in residual (KKT; Lawson & Hanson 1974), the
+    earlier on a tie.  A square subset fits exactly and ends the search, so a two-point profile
+    keeps white FM (it governs extrapolation to shorter taus) whenever a pair with it fits.
     """
     pts = _validate_profile(profile)
-    taus = np.array([t for t, _ in pts])
-    var = np.array([s * s for _, s in pts])
-    if len(pts) == 2:
-        for cols in ((0, 2), (0, 1), (1, 2)):  # white+RW, white+flicker, flicker+RW
-            basis = np.column_stack([1.0 / taus, np.ones_like(taus), taus])[:, cols]
-            try:
-                sol = np.linalg.solve(basis, var)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(sol >= 0.0):
-                full = [0.0, 0.0, 0.0]
-                for c, v in zip(cols, sol):
-                    full[c] = float(v)
-                return tuple(full)
-    from scipy.optimize import nnls  # deferred: no shipped scenario has a profile of 3+ points
-
-    basis = np.column_stack([1.0 / taus, np.ones_like(taus), taus])
-    sol, _ = nnls(basis, var)
-    return float(sol[0]), float(sol[1]), float(sol[2])
+    m, e = np.frexp([t for t, _ in pts])  # power-of-two scaling: no product overflows, no bit moves
+    e_var = math.frexp(max(s * s for _, s in pts))[1]
+    var = np.ldexp([s * s for _, s in pts], -e_var)
+    basis = np.column_stack([np.ldexp(1.0 / m, e[0] - e), np.ones_like(var), np.ldexp(m, e - e[-1])])
+    best, best_res = None, math.inf
+    for cols in (c for c in ([0, 2], [0, 1], [1, 2], [0], [1], [2], [0, 1, 2])
+                 if len(c) <= len(pts) and best_res > 0.0):  # read lazily: an exact fit ends it
+        sub, square = basis[:, cols], len(cols) == len(pts)
+        try:
+            sol = np.linalg.solve(sub, var) if square else np.linalg.lstsq(sub, var, rcond=None)[0]
+        except np.linalg.LinAlgError:  # a singular square subset
+            continue
+        res = 0.0 if square else float(np.sum((sub @ sol - var) ** 2))
+        if np.all(np.isfinite(sol) & (sol >= 0.0)) and res < best_res:
+            best, best_res = np.zeros(3), res
+            best[cols] = sol
+    scale = np.array([e_var + e[0], e_var, e_var - e[-1]])  # best is set: a lone column fits
+    with np.errstate(over="ignore"):
+        coeffs = np.ldexp(best, scale)
+    if not np.array_equal(np.ldexp(coeffs, -scale), best):  # overflowed or underflowed
+        raise ParameterError("adev_profile's Allan variance coefficients fall outside a double's range")
+    return tuple(coeffs.tolist())
 
 
 def noise_spec_from_profile(profile, nominal_hz: int) -> NoiseSpec:
     """Convert a fractional ADEV profile to an absolute-Hz NoiseSpec at an exact integer carrier."""
     nu2 = float(exact_int(nominal_hz, "nominal_hz")) ** 2
     a, b, c = decompose_adev_profile(profile)
-    h = {}
-    if a > 0.0:
-        h[0] = 2.0 * a * nu2  # sigma^2 = h0 / (2 tau)
-    if b > 0.0:
-        h[-1] = b * nu2 / (2.0 * _LN2)  # sigma^2 = 2 ln2 h_{-1}
-    if c > 0.0:
-        h[-2] = 3.0 * c * nu2 / (2.0 * np.pi**2)  # sigma^2 = (2 pi^2 / 3) h_{-2} tau
-    return NoiseSpec(h_coeffs=h)
+    return NoiseSpec(h_coeffs={  # a zero coefficient leaves no h
+        0: 2.0 * a * nu2,  # sigma^2 = h0 / (2 tau)
+        -1: b * nu2 / (2.0 * _LN2),  # sigma^2 = 2 ln2 h_{-1}
+        -2: 3.0 * c * nu2 / (2.0 * np.pi**2),  # sigma^2 = (2 pi^2 / 3) h_{-2} tau
+    })
 
 
 def oscillator_trace(

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import offsetlock
 from offsetlock import CounterSeries, FrequencyTrace
 
 #: What ``LockRun.export`` writes, in the order it returns the paths.
@@ -111,3 +114,12 @@ def assert_lockrun_dir(run, written, out_dir):
     for name, arr in (("error_v", run.error_trace), ("actuator_hz", run.actuator_trace)):
         assert (arrays[name].dtype, arrays[name].shape) == (np.float64, (n_updates,))
         assert arrays[name].tobytes() == arr.tobytes()
+
+
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this checkout's offsetlock."""
+    src = str(Path(offsetlock.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)

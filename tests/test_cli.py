@@ -9,7 +9,7 @@ from offsetlock import CounterSeries
 from offsetlock.cli import main
 from offsetlock.metrology import write_series_csv
 
-from conftest import LOCKRUN_FILES, read_allan_csv, read_trace_csv
+from conftest import LOCKRUN_FILES, read_allan_csv, read_trace_csv, run_python
 
 
 @pytest.fixture
@@ -131,6 +131,24 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "config error" in result.output
+
+    def test_extreme_comb_profile_runs_to_a_verdict(self, tmp_path):
+        # The profile passes validation, but scipy's nnls, which used to fit it, died with
+        # SIGSEGV; in a fresh process a crash fails this test, not the session.  The exact fit
+        # is flicker FM alone, a finite h_-1 of 1.1e294 Hz^2/Hz at the comb line, so the run
+        # ends in an envelope failure.
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "fig3_lock_1514.json").read_text())
+        doc["combs"]["comb_narrow"]["adev_profile"] = [
+            [1.7613675502242292e-195, 9.30571501351394e-52],
+            [6.157066705634049e-104, 1.2686142013793315e+133],
+            [4.9336747762105416e-83, 6.158886544606135e-91],
+            [7.571640409386293e+104, 4488.459918398783]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        proc = run_python("-m", "offsetlock.cli", "run", str(path), "-o", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["failed"] == ["outofloop_adev"]
 
     def test_invalid_json_exit_two(self, runner, tmp_path):
         path = tmp_path / "bad.json"

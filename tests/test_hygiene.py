@@ -1,16 +1,15 @@
 """Static checks on the package source, without a linter dependency."""
 import ast
 import json
-import os
 import re
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from offsetlock.scenario import validate_config
+
+from conftest import run_python
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -107,9 +106,30 @@ def test_no_unreferenced_public_functions():
     assert set(unreferenced_definitions(sources, public=True)) - TEST_ORACLES == set()
 
 
-# Importing scipy.optimize costs about 0.5 s and 50 MB per process (scipy.signal, which
-# spectral locks no longer use, about 1 s and 80 MB); only ADEV profiles of 3+ points (nnls)
-# need it, and no golden scenario has one.
+def scipy_imports(source):
+    """Lines that import scipy, at module level or inside a function."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "scipy")
+
+
+def test_scanner_finds_scipy_imports():
+    source = ("import scipy\nimport numpy, scipy.fft as f\nimport scipyx\nfrom . import scipy\n"
+              "def fit():\n    from scipy.optimize import nnls\n    from numpy import fft\n")
+    assert scipy_imports(source) == [1, 2, 6]
+
+
+def test_no_scipy_imports():
+    """scipy is the tests' oracle (nnls, lfilter, FFT), not a runtime dependency."""
+    found = {p.name: scipy_imports(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# No src/ module imports scipy (above); these fresh processes check that running the CLI
+# loads none of it either, through a dependency.  A scipy import costs a process about 0.5 s
+# and 50 MB (scipy.optimize) or 1 s and 80 MB (scipy.signal).
 SCIPY_FREE_CLI = textwrap.dedent("""
     import sys
 
@@ -125,10 +145,7 @@ SCIPY_FREE_CLI = textwrap.dedent("""
 
 def scipy_modules_after(*cli_args):
     """The scipy modules loaded by a fresh process that imports offsetlock and runs the CLI."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_CLI, *cli_args],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = run_python("-c", SCIPY_FREE_CLI, *cli_args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 

@@ -1,13 +1,15 @@
 import io
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft as sp_fft
+from scipy.optimize import nnls
 
 from offsetlock import (
     CombModel,
@@ -347,12 +349,20 @@ class TestCombModel:
                       adev_profile=((1.0, 3.4e-12), (263.0, 7.2e-12)))
 
 
+@st.composite
+def adev_profiles(draw):
+    """2 to 8 points anywhere in the range ``_validate_profile`` accepts."""
+    taus = draw(st.lists(st.floats(math.ulp(0.0), sys.float_info.max), min_size=2, max_size=8,
+                         unique=True))
+    sigma = st.floats(math.sqrt(math.ulp(0.0)), math.sqrt(sys.float_info.max))
+    return [(tau, draw(sigma.filter(lambda s: s * s < math.inf))) for tau in sorted(taus)]
+
+
 class TestAdevProfile:
     def test_profile_validation(self):
         for bad in (((1.0, 1e-12),), ((2.0, 1e-12), (1.0, 1e-12)), ((1.0, 0.0), (2.0, 1e-12)),
                     # a tau of zero or below used to drop out of the fit (h_-2 only, h_-1 only);
-                    # sigma^2 overflowed into scipy's "array must not contain infs or NaNs",
-                    # or underflowed to a noiseless NoiseSpec
+                    # sigma^2 overflowed to infinity, or underflowed to a noiseless NoiseSpec
                     ((0.0, 1e-12), (2.0, 1e-12)), ((-1.0, 1e-12), (2.0, 1e-12)),
                     ((1.0, 1e200), (2.0, 1e-12)), ((1.0, 1e-200), (2.0, 1e-200))):
             with pytest.raises(ParameterError, match="adev_profile"):
@@ -384,16 +394,53 @@ class TestAdevProfile:
         assert c == pytest.approx(0.0, abs=1e-30)
 
     def test_two_point_profile_reconstructs_exactly(self):
-        for profile in [((1.0, 3.4e-12), (263.0, 7.2e-12)),
-                        ((1.0, 9.1e-13), (155.0, 6.8e-13))]:
+        # the goldens' profiles, pinned to the bits of np.linalg.solve on the white+RW pair
+        for profile, (a_hex, c_hex) in [
+                (((1.0, 3.4e-12), (263.0, 7.2e-12)),
+                 ("0x1.b7963c7b27303p-77", "0x1.e79d595b80fdfp-83")),
+                (((1.0, 9.1e-13), (155.0, 6.8e-13)),
+                 ("0x1.febe69fd693a5p-81", "0x1.d344cbb1bff53p-89"))]:
             a, b, c = decompose_adev_profile(profile)
+            assert (a, b, c) == (float.fromhex(a_hex), 0.0, float.fromhex(c_hex))
             for tau, sigma in profile:
                 var = a / tau + b + c * tau
                 assert var == pytest.approx(sigma**2, rel=1e-9)
 
-    def test_three_point_profile_nonnegative(self):
-        a, b, c = decompose_adev_profile([(1.0, 1e-12), (10.0, 8e-13), (100.0, 1.2e-12)])
-        assert a >= 0.0 and b >= 0.0 and c >= 0.0
+    @settings(max_examples=300, deadline=None)
+    @example([(1.0, 1e-12), (10.0, 8e-13), (100.0, 1.2e-12)])
+    @given(adev_profiles())
+    def test_fit_is_nonnegative_least_squares(self, profile):
+        """Finite coefficients >= 0 whose residual is scipy's nnls's, or a ParameterError;
+        never a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                coeffs = decompose_adev_profile(profile)
+            except ParameterError as exc:
+                assert "adev_profile" in str(exc)
+                return
+        assert all(math.isfinite(x) and x >= 0.0 for x in coeffs)
+        # nnls on the problem with each column and the variances scaled by a power of two:
+        # unscaled, extreme profiles overflow inside nnls, and one crashed it
+        taus, sigmas = np.array(profile).T
+        var = sigmas**2
+        e_short, e_long, e_var = (math.frexp(x)[1] for x in (taus[0], taus[-1], var.max()))
+        with np.errstate(over="ignore"):
+            white = 1.0 / np.ldexp(taus, -e_short)
+        basis = np.column_stack([white, np.ones_like(taus), np.ldexp(taus, -e_long)])
+        var = np.ldexp(var, -e_var)
+        scaled = [math.ldexp(x, k)
+                  for x, k in zip(coeffs, (-e_short - e_var, -e_var, e_long - e_var))]
+        _, oracle = nnls(basis, var)
+        assert np.sum((basis @ scaled - var) ** 2) <= oracle**2 + 1e-12 * np.sum(var**2)
+
+    @pytest.mark.parametrize("profile", [
+        [(5e-324, 0.5), (1.0, 1.0)],  # white FM at the shortest tau: A = 1.25e-324 underflows
+        [(1e300, 1e150), (2e300, 5e149)],  # white FM alone: A = 1e600 overflows
+    ])
+    def test_fit_beyond_double_range_rejected(self, profile):
+        with pytest.raises(ParameterError, match="adev_profile's Allan variance coefficients"):
+            decompose_adev_profile(profile)
 
     def test_noise_spec_from_profile_white_relation(self):
         # Pure white profile: h0 = 2 * A * nu^2 reproduces sigma = sqrt(h0/(2 tau)).

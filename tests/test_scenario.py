@@ -408,8 +408,8 @@ class TestValidateConfig:
                      {"nominal_hz": "297 THz", "adev_profile": [[1.0, 3.4e-12], [263.0, 7.2e-12]]},
                      "oscillators.laser1010: nominal_hz must be an exact integer",
                      id="string-carrier-with-adev-profile"),
-        # a profile tau of zero or below dropped out of the decomposition, and a sigma whose
-        # square underflows gave a noiseless oscillator; an overflowing square failed in scipy
+        # a profile tau of zero or below dropped out of the decomposition, a sigma whose square
+        # underflows gave a noiseless oscillator, and one whose square overflows broke the fit
         pytest.param("fig3_lock_1514.json", ("combs", "comb_narrow", "adev_profile"),
                      [[0.0, 1e-12], [2.0, 1e-12]],
                      "combs.comb_narrow: adev_profile taus must be > 0", id="zero-tau-comb-profile"),
