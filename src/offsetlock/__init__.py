@@ -33,10 +33,10 @@ from .lockloop import (
     cable_delay,
     capture_halfwidth,
     closed_loop_components,
-    discriminator_slope,
     error_signal,
     lock_points,
     out_of_loop_beat,
+    resolve_lock_point,
     servo_for_bandwidth,
     simulate_lock,
 )

@@ -33,13 +33,13 @@ from .scenario import (
 
 
 class _Group(click.Group):
-    """Exit status 2 with the message on stderr for a ParameterError from any command;
-    status 1 stays reserved for failed envelopes and budgets."""
+    """Exit status 2 with the message on stderr for a ParameterError or an unwritable path
+    (OSError) from any command; status 1 stays reserved for failed envelopes and budgets."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ParameterError as exc:
+        except (ParameterError, OSError) as exc:
             click.echo(f"Error: {exc}", err=True)
             sys.exit(2)
 
@@ -63,8 +63,8 @@ def main():
               help="NoiseSpec JSON: {\"h\": {\"0\": 2.0}, \"drift_rate_hz_per_s\": 0, ...}")
 @click.option("--duration", type=float, required=True, help="Trace duration, s.")
 @click.option("--dt", type=float, required=True, help="Sample spacing, s.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--nominal-hz", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--nominal-hz", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "-o", type=click.Path(), required=True)
 def synth(spec_path, duration, dt, seed, nominal_hz, out):
     """Synthesize a power-law frequency-noise trace to a CSV."""
@@ -91,11 +91,11 @@ def lock(config, lock_id, out_dir):
         raise click.UsageError(
             "the lock command runs time-domain blocks only; "
             "use 'offsetlock run' for spectral-fidelity scenarios")
-    run = simulate_lock(block.laser, block.line, block.disc, block.servo, block.f0_hz,
-                        cfg.duration_s, cfg.dt_s, derive_seed(cfg.seed, f"lock:{block.id}"),
-                        thermal=block.thermal)
     out_dir = out_dir or os.path.join(os.environ.get(OUT_DIR_ENV, "runs"),
                                       f"{cfg.name}_{lock_id}")
+    os.makedirs(out_dir, exist_ok=True)  # an unwritable directory fails before the run
+    run = simulate_lock(block.laser, block.line, block.lock, block.servo, cfg.duration_s,
+                        cfg.dt_s, derive_seed(cfg.seed, f"lock:{block.id}"), thermal=block.thermal)
     written = run.export(out_dir)
     click.echo(f"lock fraction {run.status['lock_fraction']:.3f}; wrote {len(written)} files to {out_dir}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,7 +78,7 @@ class DiscriminatorConfig:
         lo = self.bandpass_center_hz - self.bandpass_halfwidth_hz
         hi = self.bandpass_center_hz + self.bandpass_halfwidth_hz
         k = _lock_index(self, lo)  # the first zero crossing may sit on the open edge lo
-        if not any(self.in_passband(_lock_point(self, j).f_hz) for j in (k, k + 1)):
+        if not any(self.in_passband(_crossing_hz(self, j)) for j in (k, k + 1)):
             raise ParameterError("bandpass passband contains no lock point")
 
     def in_passband(self, f_hz) -> np.ndarray:
@@ -156,21 +156,36 @@ def error_signal(f_beat_hz, disc: DiscriminatorConfig, delay_s: Optional[float] 
     return float(v) if np.isscalar(f_beat_hz) else v
 
 
-@dataclass(frozen=True)
-class LockPoint:
-    f_hz: float
-    slope_sign: int
-
-
 def _lock_index(disc: DiscriminatorConfig, f_hz: float) -> int:
     """Index k >= 0 of the first zero crossing at or above ``f_hz``."""
     return max(0, math.ceil((f_hz * 4.0 * disc.delay_s - 1.0) / 2.0))
 
 
-def _lock_point(disc: DiscriminatorConfig, k: int) -> LockPoint:
-    """Zero crossing k at (2k+1)/(4 tau_d), where the error slope has sign -sign * (-1)^k."""
-    return LockPoint(f_hz=(2 * k + 1) / (4.0 * disc.delay_s),
-                     slope_sign=-disc.sign * (1 if k % 2 == 0 else -1))
+def _crossing_hz(disc: DiscriminatorConfig, k: int) -> float:
+    """Zero crossing k of the error voltage, (2k+1)/(4 tau_d)."""
+    return (2 * k + 1) / (4.0 * disc.delay_s)
+
+
+@dataclass(frozen=True)
+class LockPoint:
+    """Zero crossing k of ``disc``, exactly, inside its passband (else raises); ``slope`` is
+    d(error)/df there, 2 pi V0 tau_d * ``slope_sign``, whose sign is -sign * (-1)^k."""
+
+    disc: DiscriminatorConfig
+    f_hz: float
+    slope_sign: int = field(init=False)
+    slope: float = field(init=False)
+
+    def __post_init__(self):
+        disc, k = self.disc, (self.f_hz * 4.0 * self.disc.delay_s - 1.0) / 2.0
+        k = round(k) if math.isfinite(k) else -1
+        if not (k >= 0 and _crossing_hz(disc, k) == self.f_hz):
+            raise ParameterError(f"{self.f_hz!r} Hz is not a zero crossing of the discriminator")
+        if not disc.in_passband(self.f_hz):
+            raise ParameterError(f"lock point {self.f_hz!r} Hz lies outside the passband")
+        sign = -disc.sign * (1 if k % 2 == 0 else -1)
+        object.__setattr__(self, "slope_sign", sign)
+        object.__setattr__(self, "slope", 2.0 * np.pi * disc.amplitude_v * disc.delay_s * sign)
 
 
 def lock_points(disc: DiscriminatorConfig, f_min_hz: float, f_max_hz: float) -> List[LockPoint]:
@@ -179,35 +194,28 @@ def lock_points(disc: DiscriminatorConfig, f_min_hz: float, f_max_hz: float) -> 
         raise ParameterError("f_min must be < f_max")
     out = []
     k = _lock_index(disc, f_min_hz)
-    while (p := _lock_point(disc, k)).f_hz <= f_max_hz:
-        if p.f_hz >= f_min_hz and disc.in_passband(p.f_hz):
-            out.append(p)
+    while (f := _crossing_hz(disc, k)) <= f_max_hz:
+        if f >= f_min_hz and disc.in_passband(f):
+            out.append(LockPoint(disc, f))
         k += 1
     return out
 
 
-def resolve_lock_point(disc: DiscriminatorConfig, f_hz: float, tolerance_hz: float) -> LockPoint:
-    """The passband lock point nearest ``f_hz``; raises unless it is closer than ``tolerance_hz``.
+def resolve_lock_point(disc: DiscriminatorConfig, f_hz: float) -> LockPoint:
+    """The passband lock point nearest ``f_hz``, which must lie inside its capture half-range.
 
-    A scenario's f_lock_hz may lie anywhere inside the capture half-range; the model
-    functions take the lock point itself, to within 1e-6 of that half-range.  No f_hz <= 0
-    resolves: the first lock point lies a full capture half-range above zero.
+    The one place a frequency becomes a lock point; the model functions take the LockPoint.
+    No f_hz <= 0 resolves: the first lock point lies a full capture half-range above zero.
     """
     hw = capture_halfwidth(disc)
     if not f_hz - hw < f_hz + hw:
         raise ParameterError(f"f_lock_hz {f_hz!r}: no lock point can be resolved at this frequency "
                              f"(its float spacing exceeds the capture half-range {hw:.6g} Hz)")
     p = min(lock_points(disc, f_hz - hw, f_hz + hw), key=lambda p: abs(p.f_hz - f_hz), default=None)
-    if p is None or not abs(p.f_hz - f_hz) < tolerance_hz:
-        raise ParameterError(f"f_lock_hz {f_hz!r}: no passband lock point within {tolerance_hz:.6g} Hz "
-                             f"(capture half-range {hw:.6g} Hz)")
+    if p is None or not abs(p.f_hz - f_hz) < hw:
+        raise ParameterError(f"f_lock_hz {f_hz!r}: no passband lock point within the capture "
+                             f"half-range {hw:.6g} Hz")
     return p
-
-
-def discriminator_slope(disc: DiscriminatorConfig, f_lock_hz: float) -> float:
-    """Signed d(error)/df at a passband lock point; magnitude 2 pi V0 tau_d."""
-    p = resolve_lock_point(disc, f_lock_hz, 1e-6 * capture_halfwidth(disc))
-    return 2.0 * np.pi * disc.amplitude_v * disc.delay_s * p.slope_sign
 
 
 def capture_halfwidth(disc: DiscriminatorConfig) -> float:
@@ -215,16 +223,11 @@ def capture_halfwidth(disc: DiscriminatorConfig) -> float:
     return 1.0 / (4.0 * disc.delay_s)
 
 
-def servo_for_bandwidth(disc: DiscriminatorConfig, f_lock_hz: float, bandwidth_hz: float,
-                        **limits) -> ServoConfig:
-    """Pure-integral gains giving a first-order closed loop of the given bandwidth.
-
-    ``limits`` are ServoConfig's ``actuator_limit_hz`` and ``update_dt_s`` (default: its own).
-    """
+def servo_for_bandwidth(lock: LockPoint, bandwidth_hz: float) -> ServoConfig:
+    """Pure-integral gains giving a first-order closed loop of the given bandwidth at ``lock``."""
     if not bandwidth_hz > 0.0:
         raise ParameterError(f"loop_bandwidth_hz {bandwidth_hz!r} must be > 0")
-    slope = abs(discriminator_slope(disc, f_lock_hz))
-    return ServoConfig(kp=0.0, ki=2.0 * np.pi * bandwidth_hz / slope, **limits)
+    return ServoConfig(kp=0.0, ki=2.0 * np.pi * bandwidth_hz / abs(lock.slope))
 
 
 @dataclass(frozen=True)
@@ -259,13 +262,12 @@ class LockRun:
         return written
 
 
-def servo_stride(disc: DiscriminatorConfig, servo: ServoConfig, f_lock_hz: float,
-                 dt_s: float) -> int:
-    """Samples per servo update at lock point ``f_lock_hz``; raises on unrunnable timing or gains."""
+def servo_stride(lock: LockPoint, servo: ServoConfig, dt_s: float) -> int:
+    """Samples per servo update at ``lock``; raises on unrunnable timing or gains."""
     stride = grid_steps(servo.update_dt_s, dt_s, 1e-6)
     if not stride:
         raise ParameterError("servo.update_dt_s must be an integer multiple of dt (dt must not exceed it)")
-    implied_bw = abs(discriminator_slope(disc, f_lock_hz)) * (
+    implied_bw = abs(lock.slope) * (
         abs(servo.ki) / (2.0 * np.pi) + abs(servo.kp) / (2.0 * np.pi * servo.update_dt_s))
     if not implied_bw < 1.0 / (10.0 * dt_s):  # NaN gains fail too
         raise ParameterError("servo gains imply a loop bandwidth above the 1/(10 dt) guard")
@@ -283,9 +285,8 @@ def _mean(v: List[float]) -> float:
 def simulate_lock(
     laser: OscillatorModel,
     reference: OscillatorModel,
-    disc: DiscriminatorConfig,
+    lock: LockPoint,
     servo: ServoConfig,
-    f_lock_hz: float,
     duration_s: float,
     dt_s: float,
     seed: int,
@@ -304,10 +305,8 @@ def simulate_lock(
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
-    lock = resolve_lock_point(disc, f_lock_hz, 1e-6 * capture_halfwidth(disc))
-    fb = lock.slope_sign  # negative feedback for either slope sign
-    f0 = lock.f_hz
-    stride = servo_stride(disc, servo, f0, dt_s)
+    disc, f0, fb = lock.disc, lock.f_hz, lock.slope_sign  # fb: negative feedback for either sign
+    stride = servo_stride(lock, servo, dt_s)
 
     # synthesis raises unless duration_s is a multiple of dt_s of at least 2 samples
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
@@ -493,11 +492,11 @@ def check_spectral_bandwidth(loop_bandwidth_hz: float, dt_s: float) -> None:
 def closed_loop_components(
     laser: OscillatorModel,
     reference: OscillatorModel,
+    lock: LockPoint,
     loop_bandwidth_hz: float,
     duration_s: float,
     dt_s: float,
     seed: int,
-    detection_noise_hz2_per_hz: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Spectral-model building blocks: (locked laser offsets, reference offsets).
 
@@ -508,10 +507,10 @@ def closed_loop_components(
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
     ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
     seen = ref_free
-    if detection_noise_hz2_per_hz > 0.0:
-        seen = synth_power_law(
-            NoiseSpec(h_coeffs={0: detection_noise_hz2_per_hz}),
-            duration_s, dt_s, derive_seed(seed, "detector")).samples
+    h0 = lock.disc.noise_v2_per_hz / lock.slope**2  # detection noise, V^2/Hz -> Hz^2/Hz
+    if h0 > 0.0:
+        seen = synth_power_law(NoiseSpec(h_coeffs={0: h0}), duration_s, dt_s,
+                               derive_seed(seed, "detector")).samples
         seen += ref_free
     locked = _one_pole_lowpass(seen, loop_bandwidth_hz, dt_s)
     laser_free -= _one_pole_lowpass(laser_free, loop_bandwidth_hz, dt_s)

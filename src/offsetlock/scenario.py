@@ -18,13 +18,12 @@ from .errors import ConfigKeyError, ParameterError
 from .lockloop import (
     DEFAULT_VELOCITY_FACTOR,
     DiscriminatorConfig,
+    LockPoint,
     ServoConfig,
     ThermalModel,
     cable_delay,
-    capture_halfwidth,
     check_spectral_bandwidth,
     closed_loop_components,
-    discriminator_slope,
     linear_ramp,
     out_of_loop_beat,
     resolve_lock_point,
@@ -143,14 +142,14 @@ def _comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, Oscillator
 
 @dataclass(frozen=True)
 class LockBlock:
-    """A lock resolved against its comb: the line nearest the laser and the lock point f0."""
+    """A lock resolved against its comb and discriminator: the line nearest the laser and the
+    lock point that f_lock_hz names."""
 
     id: str
     laser: OscillatorModel
     line: OscillatorModel
     line_index: int
-    f0_hz: float
-    disc: DiscriminatorConfig
+    lock: LockPoint
     fidelity: str  # "spectral" | "time-domain"
     loop_bandwidth_hz: Optional[float]  # time-domain: None when the servo gains are given
     servo: Optional[ServoConfig]  # time-domain: as given, or derived from the bandwidth
@@ -320,23 +319,21 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         bw = kw.get("loop_bandwidth_hz")
         try:
             n, line = _comb_line(laser, comb)
-            f0 = resolve_lock_point(disc, kw["f_lock_hz"], capture_halfwidth(disc)).f_hz
+            lock = resolve_lock_point(disc, kw["f_lock_hz"])
             if timed:
-                servo = servo or servo_for_bandwidth(disc, f0, bw)
+                servo = servo or servo_for_bandwidth(lock, bw)
             if n_samples >= 2 and not timed:  # the timing rules need the run's time grid
                 check_spectral_bandwidth(bw, dt)
             elif n_samples >= 2:
-                servo_stride(disc, servo, f0, dt)
+                servo_stride(lock, servo, dt)
                 if thermal is not None:
                     thermal.delay_at(disc, duration)  # a ramp's delay is monotonic in time
         except _BAD_VALUE as exc:
             errors.append(f"{path}: {exc}")
             continue
-        locks[lid] = LockBlock(
-            id=lid, laser=laser, line=line, line_index=n, f0_hz=f0,
-            disc=disc, fidelity=fidelity, loop_bandwidth_hz=bw,
-            servo=servo, thermal=thermal,
-        )
+        locks[lid] = LockBlock(id=lid, laser=laser, line=line, line_index=n, lock=lock,
+                               fidelity=fidelity, loop_bandwidth_hz=bw, servo=servo,
+                               thermal=thermal)
 
     references: Dict[str, OscillatorModel] = {}
 
@@ -504,17 +501,16 @@ def execute_lock(cfg: ScenarioConfig,
     """Run one lock block: (locked laser trace, in-loop beat trace, status)."""
     seed = derive_seed(cfg.seed, f"lock:{block.id}")
     if block.fidelity == "time-domain":
-        run = simulate_lock(block.laser, block.line, block.disc, block.servo, block.f0_hz,
+        run = simulate_lock(block.laser, block.line, block.lock, block.servo,
                             cfg.duration_s, cfg.dt_s, seed, thermal=block.thermal)
         return run.laser_offset_trace, run.inloop_beat_trace, run.status
-    slope = abs(discriminator_slope(block.disc, block.f0_hz))
-    locked_off, ref_off = closed_loop_components(
-        block.laser, block.line, block.loop_bandwidth_hz, cfg.duration_s, cfg.dt_s, seed,
-        detection_noise_hz2_per_hz=block.disc.noise_v2_per_hz / slope**2)
+    locked_off, ref_off = closed_loop_components(block.laser, block.line, block.lock,
+                                                 block.loop_bandwidth_hz, cfg.duration_s,
+                                                 cfg.dt_s, seed)
     locked = FrequencyTrace(block.laser.nominal_hz, cfg.dt_s, locked_off, seed)
     inloop = out_of_loop_beat(locked, FrequencyTrace(block.line.nominal_hz, cfg.dt_s, ref_off))
     status = {"model": "spectral", "loop_bandwidth_hz": block.loop_bandwidth_hz,
-              "f_lock_hz": block.f0_hz, "comb_line": block.line_index}
+              "f_lock_hz": block.lock.f_hz, "comb_line": block.line_index}
     return locked, inloop, status
 
 
@@ -544,7 +540,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         traces[Signal("locked", lid, None)] = locked
         traces[Signal("inloop", lid, None)] = inloop
         lockruns.append((f"{lid}_lockrun.json", write_json, {
-            "f_lock_hz": block.f0_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
+            "f_lock_hz": block.lock.f_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
 
     def freerun(name: str, osc: OscillatorModel) -> FrequencyTrace:
         return oscillator_trace(osc, cfg.duration_s, cfg.dt_s,

@@ -28,9 +28,9 @@ from offsetlock import (
     comb_beat,
     comb_line_oscillator,
     count,
-    discriminator_slope,
     lock_points,
     pdc_degenerate,
+    resolve_lock_point,
     run_scenario,
     servo_for_bandwidth,
     sfg,
@@ -125,8 +125,7 @@ def test_criterion_04_discriminator_analytics(capfd):
             delay_s=tau_d, amplitude_v=1.0,
             bandpass_center_hz=1.0 / (4.0 * tau_d),
             bandpass_halfwidth_hz=1.0 / (4.0 * tau_d) + 1.0)
-        f0 = lock_points(d, 0.0, 1.0 / tau_d)[0].f_hz
-        product = abs(discriminator_slope(d, f0)) * capture_halfwidth(d)
+        product = abs(lock_points(d, 0.0, 1.0 / tau_d)[0].slope) * capture_halfwidth(d)
         tradeoff = tradeoff and abs(product / (np.pi * 1.0 / 2.0) - 1.0) <= 1e-12
 
     # noiseless basin of attraction: converges iff |offset| < 1/(4 tau_d)
@@ -134,13 +133,14 @@ def test_criterion_04_discriminator_analytics(capfd):
     basin_disc = DiscriminatorConfig(
         delay_s=CABLE_DELAY_S, amplitude_v=1.0,
         bandpass_center_hz=29_679_453.342, bandpass_halfwidth_hz=half)
-    f0 = lock_points(basin_disc, 25e6, 35e6)[0].f_hz
+    lock = lock_points(basin_disc, 25e6, 35e6)[0]
+    f0 = lock.f_hz
     laser = OscillatorModel(198_000_000_000_000 + int(round(f0)), NoiseSpec())
     ref = OscillatorModel(198_000_000_000_000, NoiseSpec())
-    servo = servo_for_bandwidth(basin_disc, f0, 100.0)
+    servo = servo_for_bandwidth(lock, 100.0)
     basin_ok = True
     for delta in np.linspace(-20e6, 20e6, 21):
-        run = simulate_lock(laser, ref, basin_disc, servo, f0, 3.0, 1e-4,
+        run = simulate_lock(laser, ref, lock, servo, 3.0, 1e-4,
                             seed=1, initial_beat_offset_hz=float(delta))
         final = run.inloop_beat_trace.samples[-1] + run.inloop_beat_trace.nominal_hz
         converged = abs(final - f0) < 1.0
@@ -180,8 +180,8 @@ def test_criterion_07_thermal_drift(capfd):
     thermal = ThermalModel(1.7e-4, linear_ramp(0.1))  # 2 K over the 20 s run
     laser = OscillatorModel(198_000_030_000_000, NoiseSpec())
     ref = OscillatorModel(198_000_000_000_000, NoiseSpec())
-    servo = servo_for_bandwidth(disc, 30e6, 100.0)
-    run = simulate_lock(laser, ref, disc, servo, 30e6, 20.0, 1e-4, seed=1,
+    lock = resolve_lock_point(disc, 30e6)
+    run = simulate_lock(laser, ref, lock, servo_for_bandwidth(lock, 100.0), 20.0, 1e-4, seed=1,
                         thermal=thermal)
     beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
     drift = beat[-1] - beat[0]

@@ -36,6 +36,17 @@ class TestSynth:
         assert trace.nominal_hz == 1000
         assert trace.seed == 7
 
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--nominal-hz", "-5")])
+    def test_negative_option_exits_two(self, runner, tmp_path, option, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"h": {"0": 2.0}}))
+        out = tmp_path / "trace.csv"
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path), "--duration", "8",
+                                      "--dt", "0.5", option, value, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.stderr
+        assert not out.exists()
+
 
 class TestAdev:
     def _series_csv(self, tmp_path):
@@ -292,4 +303,29 @@ def test_malformed_input_exits_two(runner, tmp_path, command, text, options):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("Error: ")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command, text, options", [
+    pytest.param("synth", '{"h": {"0": 2.0}}', ["--duration", "8", "--dt", "0.5"], id="synth"),
+    pytest.param("lock", None, ["--lock-id", "lock1010"], id="lock"),
+    pytest.param("adev", SERIES_CSV, [], id="adev"),
+    pytest.param("chain", _chain_text(lambda d: None), [], id="chain"),
+])
+def test_unwritable_output_exits_two(runner, tmp_path, command, text, options):
+    """An output path that cannot be written is exit 2 with a message, as ``run`` has it."""
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("file in the way")
+    out = str(blocker / "out")
+    if text is None:
+        args = [command, golden_path("fig4_lock_1010_timedomain.json"), *options, "-o", out]
+    else:
+        path = tmp_path / "input"
+        path.write_text(text)
+        source = ["--spec", str(path)] if command == "synth" else [str(path)]
+        args = [command, *source, *options, "-o", out]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ") and "Not a directory" in result.stderr
     assert result.stdout == ""

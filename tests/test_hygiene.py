@@ -161,6 +161,28 @@ def test_spectral_run_loads_no_scipy(tmp_path):
     assert scipy_modules_after("run", golden, "-o", str(tmp_path / "run")) == "[]"
 
 
+def call_lines(source, name):
+    """Lines that call ``name``, by its bare name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id == name
+                       or isinstance(node.func, ast.Attribute) and node.func.attr == name))
+
+
+def test_scanner_finds_calls():
+    source = ("from .lockloop import resolve_lock_point\nimport offsetlock.lockloop as ll\n"
+              "p = resolve_lock_point(d, 1.0)\nq = ll.resolve_lock_point(d, 2.0)\n"
+              "r = resolve_lock_point\ndef f():\n    return [resolve_lock_point(d, x) for x in xs]\n")
+    assert call_lines(source, "resolve_lock_point") == [3, 4, 7]
+
+
+def test_lock_points_are_resolved_in_scenario_only():
+    """validate_config turns each f_lock_hz into a LockPoint; every model takes that LockPoint."""
+    found = {p.name: call_lines(p.read_text(), "resolve_lock_point") for p in SRC.glob("*.py")}
+    assert len(found.pop("scenario.py")) == 1
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_readme_scenario_sketch_validates():
     section = README.split("## Scenario format", 1)[1]
     sketch = section.split("```json\n", 1)[1].split("```", 1)[0]

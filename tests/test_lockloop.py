@@ -11,6 +11,7 @@ from offsetlock import (
     CounterConfig,
     DiscriminatorConfig,
     FrequencyTrace,
+    LockPoint,
     NoiseSpec,
     OscillatorModel,
     ParameterError,
@@ -22,17 +23,17 @@ from offsetlock import (
     closed_loop_components,
     count,
     derive_seed,
-    discriminator_slope,
     error_signal,
     laser_from_linewidth,
     lock_points,
     oscillator_trace,
     out_of_loop_beat,
+    resolve_lock_point,
     servo_for_bandwidth,
     simulate_lock,
 )
 from offsetlock import lockloop
-from offsetlock.lockloop import _one_pole_lowpass, linear_ramp, resolve_lock_point
+from offsetlock.lockloop import _one_pole_lowpass, linear_ramp
 
 from conftest import assert_lockrun_dir
 
@@ -45,6 +46,10 @@ def wide_disc(delay_s=25e-9, amplitude_v=1.0, **kw):
     kw.setdefault("bandpass_center_hz", 40e6)
     kw.setdefault("bandpass_halfwidth_hz", 41e6)
     return DiscriminatorConfig(delay_s=delay_s, amplitude_v=amplitude_v, **kw)
+
+
+#: The 30 MHz lock point of ``wide_disc()``, which the loop and spectral tests servo onto.
+WIDE_LOCK = resolve_lock_point(wide_disc(), 30e6)
 
 
 class TestCableDelay:
@@ -128,26 +133,32 @@ class TestLockPoints:
 
 
 class TestDiscriminatorSlope:
+    """The signed slope d(error)/df that a LockPoint carries."""
+
     def test_magnitude_25ns(self):
-        slope = discriminator_slope(wide_disc(), 30e6)
-        assert abs(slope) == pytest.approx(1.571e-7, rel=1e-3)
+        assert abs(WIDE_LOCK.slope) == pytest.approx(1.571e-7, rel=1e-3)
 
     def test_doubling_delay_doubles_slope(self):
-        s1 = abs(discriminator_slope(wide_disc(delay_s=25e-9), 30e6))
-        s2 = abs(discriminator_slope(wide_disc(delay_s=50e-9), 35e6))
+        s1 = abs(resolve_lock_point(wide_disc(delay_s=25e-9), 30e6).slope)
+        s2 = abs(resolve_lock_point(wide_disc(delay_s=50e-9), 35e6).slope)
         assert s2 == pytest.approx(2.0 * s1, rel=1e-12)
 
     def test_half_amplitude_double_delay_same_magnitude(self):
-        slope = abs(discriminator_slope(wide_disc(delay_s=50e-9, amplitude_v=0.5), 35e6))
+        slope = abs(resolve_lock_point(wide_disc(delay_s=50e-9, amplitude_v=0.5), 35e6).slope)
         assert slope == pytest.approx(1.571e-7, rel=1e-3)
 
     def test_sign_matches_lock_point_annotation(self):
-        for p in lock_points(wide_disc(), 0.0, 60e6):
-            assert np.sign(discriminator_slope(wide_disc(), p.f_hz)) == p.slope_sign
+        # the slope is the error voltage's own: a central difference over +/- 1 Hz
+        for disc in (wide_disc(), wide_disc(sign=-1)):
+            for p in lock_points(disc, 0.0, 60e6):
+                numeric = (error_signal(p.f_hz + 1.0, disc)
+                           - error_signal(p.f_hz - 1.0, disc)) / 2.0
+                assert np.sign(p.slope) == p.slope_sign
+                assert numeric == pytest.approx(p.slope, rel=1e-6)
 
     def test_non_lock_point_rejected(self):
-        with pytest.raises(ParameterError):
-            discriminator_slope(wide_disc(), 31e6)
+        with pytest.raises(ParameterError, match="not a zero crossing"):
+            LockPoint(wide_disc(), 31e6)
 
 
 def reference_lock_point(disc, f_lock_hz):
@@ -194,19 +205,16 @@ def discs_and_frequencies(draw):
 
 class TestResolveLockPoint:
     @settings(max_examples=500, deadline=None)
-    @given(discs_and_frequencies(), st.sampled_from([1e-6, 0.3, 1.0]))
-    def test_matches_reference(self, case, frac):
-        """Same f0 as the oracle, or both reject; a tighter tolerance only rejects more."""
+    @given(discs_and_frequencies())
+    def test_matches_reference(self, case):
+        """Same f0 as the oracle, or both reject."""
         disc, f = case
-        hw = capture_halfwidth(disc)
         try:
             expected = reference_lock_point(disc, f)
         except ParameterError:
             expected = None
-        if expected is not None and not abs(expected - f) < frac * hw:
-            expected = None
         try:
-            got = resolve_lock_point(disc, f, frac * hw)
+            got = resolve_lock_point(disc, f)
         except ParameterError:
             got = None
         assert (None if got is None else got.f_hz) == expected
@@ -214,7 +222,7 @@ class TestResolveLockPoint:
     def test_slope_sign_matches_lock_points(self):
         disc = wide_disc()
         for p in lock_points(disc, 0.0, 80e6):
-            assert resolve_lock_point(disc, p.f_hz, 1.0) == p
+            assert resolve_lock_point(disc, p.f_hz) == p
 
 
 # 1/(4 * 25 ns) = 10 MHz is a zero crossing, but it lies outside the default 30 +/- 15 MHz
@@ -222,20 +230,14 @@ class TestResolveLockPoint:
 OUT_OF_BAND_LOCK_HZ = 1.0 / (4.0 * 25e-9)
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda disc: discriminator_slope(disc, OUT_OF_BAND_LOCK_HZ),
-                 id="discriminator_slope"),
-    pytest.param(lambda disc: servo_for_bandwidth(disc, OUT_OF_BAND_LOCK_HZ, 100.0),
-                 id="servo_for_bandwidth"),
-    pytest.param(lambda disc: simulate_lock(IDEAL, IDEAL_REF, disc, ServoConfig(ki=1.0),
-                                            OUT_OF_BAND_LOCK_HZ, 1.0, 1e-4, seed=1),
-                 id="simulate_lock"),
-])
-def test_lock_point_outside_passband_rejected(call):
+def test_lock_point_outside_passband_rejected():
+    # every model function takes a LockPoint, so no model can run at this crossing
     disc = DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0)
     assert [p.f_hz for p in lock_points(disc, 0.0, 60e6)] == [pytest.approx(30e6)]
-    with pytest.raises(ParameterError, match="passband"):
-        call(disc)
+    with pytest.raises(ParameterError, match="outside the passband"):
+        LockPoint(disc, OUT_OF_BAND_LOCK_HZ)
+    with pytest.raises(ParameterError, match="no passband lock point"):
+        resolve_lock_point(disc, OUT_OF_BAND_LOCK_HZ)
 
 
 class TestCaptureHalfwidth:
@@ -249,8 +251,8 @@ class TestCaptureHalfwidth:
                 disc = wide_disc(delay_s=tau, amplitude_v=v0,
                                  bandpass_center_hz=1.0 / (4 * tau),
                                  bandpass_halfwidth_hz=1.0 / (4 * tau) + 1.0)
-                f0 = lock_points(disc, 0.0, 1.0 / tau)[0].f_hz
-                product = abs(discriminator_slope(disc, f0)) * capture_halfwidth(disc)
+                lock = lock_points(disc, 0.0, 1.0 / tau)[0]
+                product = abs(lock.slope) * capture_halfwidth(disc)
                 assert product == pytest.approx(np.pi * v0 / 2.0, rel=1e-12)
 
 
@@ -301,11 +303,10 @@ class TestThermal:
         # a callable profile cannot be checked up front; the servo loop stops at the first
         # update whose delay is not positive instead of reporting a meaningless lock
         disc = wide_disc()
-        servo = servo_for_bandwidth(disc, 30e6, 100.0, update_dt_s=1e-3)
+        servo = servo_for_bandwidth(WIDE_LOCK, 100.0)
         thermal = ThermalModel(5e-3, linear_ramp(-300.0))
         with pytest.raises(ParameterError, match="not positive"):
-            simulate_lock(IDEAL, IDEAL_REF, disc, servo, 30e6, 2.0, 1e-4, seed=1,
-                          thermal=thermal)
+            simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, servo, 2.0, 1e-4, seed=1, thermal=thermal)
         # the check is delay_at's, so every caller of it gets it
         assert thermal.delay_at(disc, 0.5) > 0.0
         with pytest.raises(ParameterError, match=r"at t=1\.0 s is not positive"):
@@ -337,13 +338,14 @@ class TestConfigValidation:
 
 
 class TestSimulateLock:
-    def _servo(self, disc, f0, bw=100.0):
-        return servo_for_bandwidth(disc, f0, bw, update_dt_s=1e-3)
+    def _run(self, duration_s, disc=None, laser=IDEAL, **kw):
+        """A 100 Hz loop at the 30 MHz lock point of ``disc`` (default ``wide_disc()``)."""
+        lock = WIDE_LOCK if disc is None else resolve_lock_point(disc, 30e6)
+        return simulate_lock(laser, IDEAL_REF, lock, servo_for_bandwidth(lock, 100.0),
+                             duration_s, 1e-4, seed=1, **kw)
 
     def test_fixed_point_all_traces_constant(self):
-        disc = wide_disc()
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 2.0, 1e-4, seed=1)
+        run = self._run(2.0)
         assert np.allclose(run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz,
                            30e6, atol=1e-6)
         assert np.allclose(run.actuator_trace, 0.0, atol=1e-6)
@@ -351,31 +353,24 @@ class TestSimulateLock:
         assert run.status["lock_fraction"] == 1.0
 
     def test_convergence_inside_capture(self):
-        disc = wide_disc()
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 3.0, 1e-4, seed=1, initial_beat_offset_hz=5e6)
+        run = self._run(3.0, initial_beat_offset_hz=5e6)
         final = run.inloop_beat_trace.samples[-1] + run.inloop_beat_trace.nominal_hz
         assert final == pytest.approx(30e6, abs=1.0)
         assert run.lock_flag[-1]
 
     def test_no_convergence_outside_capture(self):
         disc = wide_disc(bandpass_center_hz=30e6, bandpass_halfwidth_hz=10e6)
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 3.0, 1e-4, seed=1, initial_beat_offset_hz=15e6)
+        run = self._run(3.0, disc, initial_beat_offset_hz=15e6)
         assert not np.any(run.lock_flag)
 
     def test_negative_sign_convention_still_locks(self):
-        disc = wide_disc(sign=-1)
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 3.0, 1e-4, seed=1, initial_beat_offset_hz=2e6)
+        run = self._run(3.0, wide_disc(sign=-1), initial_beat_offset_hz=2e6)
         final = run.inloop_beat_trace.samples[-1] + run.inloop_beat_trace.nominal_hz
         assert final == pytest.approx(30e6, abs=1.0)
 
     def test_thermal_tracking(self):
-        disc = wide_disc()
         thermal = ThermalModel(1.7e-4, linear_ramp(0.1))  # 2 K over 20 s
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 20.0, 1e-4, seed=1, thermal=thermal)
+        run = self._run(20.0, thermal=thermal)
         beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
         lockpoint = np.repeat(run.thermal_lockpoint_trace, run.update_stride)[:beat.size]
         assert np.max(np.abs(beat - lockpoint)) < 5.0
@@ -383,36 +378,32 @@ class TestSimulateLock:
         assert drift == pytest.approx(-10.2e3, rel=0.05)
 
     def test_unstable_gains_guard(self):
-        disc = wide_disc()
         hot = ServoConfig(kp=0.0, ki=1e13, update_dt_s=1e-3)
         with pytest.raises(ParameterError):
-            simulate_lock(IDEAL, IDEAL_REF, disc, hot, 30e6, 1.0, 1e-4, seed=1)
+            simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, hot, 1.0, 1e-4, seed=1)
 
     def test_railed_actuator_reported_not_raised(self):
-        disc = wide_disc()
         servo = ServoConfig(kp=0.0, ki=2.0 * np.pi * 100.0 / 1.571e-7,
                             actuator_limit_hz=1e5, update_dt_s=1e-3)
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, servo, 30e6, 2.0, 1e-4,
+        run = simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, servo, 2.0, 1e-4,
                             seed=1, initial_beat_offset_hz=5e6)
         assert run.status["unstable"]
         assert run.status["actuator_rail_fraction"] > 0.5
 
     def test_dt_exceeding_update_rejected(self):
-        disc = wide_disc()
         with pytest.raises(ParameterError):
-            simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                          30e6, 1.0, 0.01, seed=1)
+            simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, servo_for_bandwidth(WIDE_LOCK, 100.0),
+                          1.0, 0.01, seed=1)
 
     def test_f_lock_must_be_lock_point(self):
-        disc = wide_disc()
-        with pytest.raises(ParameterError):
-            simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                          33e6, 1.0, 1e-4, seed=1)
+        # 33 MHz lies in the capture half-range of the 30 MHz crossing, so it resolves to it;
+        # a LockPoint, which every model function takes, is the crossing itself
+        assert resolve_lock_point(wide_disc(), 33e6) == WIDE_LOCK
+        with pytest.raises(ParameterError, match="not a zero crossing"):
+            LockPoint(wide_disc(), 33e6)
 
     def test_traces_share_dt_and_length(self):
-        disc = wide_disc()
-        run = simulate_lock(IDEAL, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 1.0, 1e-4, seed=1)
+        run = self._run(1.0)
         n = len(run.laser_offset_trace)
         assert len(run.inloop_beat_trace) == n
         assert run.lock_flag.size == n
@@ -426,14 +417,13 @@ class TestSimulateLock:
         # Noiseless oscillators make synthesis np.zeros, so the peak is the loop's own arrays.
         # Expanding the servo's traces to full rate peaked at 10.5 x 8n bytes; now about 4.6,
         # of which 4.1 are the three full-rate outputs, the lock-point deviation and one repeat.
-        disc = DiscriminatorConfig(delay_s=cable_delay(5.0))
-        f0 = lock_points(disc, 15e6, 45e6)[0].f_hz
-        laser = OscillatorModel(IDEAL_REF.nominal_hz + round(f0), NoiseSpec())
+        lock = lock_points(DiscriminatorConfig(delay_s=cable_delay(5.0)), 15e6, 45e6)[0]
+        laser = OscillatorModel(IDEAL_REF.nominal_hz + round(lock.f_hz), NoiseSpec())
         n = 200_000
         tracemalloc.start()
         try:
-            run = simulate_lock(laser, IDEAL_REF, disc, servo_for_bandwidth(disc, f0, 100.0),
-                                f0, n * 1e-4, 1e-4, seed=1)
+            run = simulate_lock(laser, IDEAL_REF, lock, servo_for_bandwidth(lock, 100.0),
+                                n * 1e-4, 1e-4, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -441,10 +431,7 @@ class TestSimulateLock:
         assert peak < 5.5 * 8 * n
 
     def test_export_writes_manifest(self, tmp_path):
-        disc = wide_disc()
-        laser = laser_from_linewidth(198_000_019_000_000, 1e3)
-        run = simulate_lock(laser, IDEAL_REF, disc, self._servo(disc, 30e6),
-                            30e6, 1.0, 1e-4, seed=1)
+        run = self._run(1.0, laser=laser_from_linewidth(198_000_019_000_000, 1e3))
         assert run.error_trace.size == 1_000
         out = tmp_path / "run"
         assert_lockrun_dir(run, run.export(out), out)
@@ -459,7 +446,7 @@ def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s
     """
     stride = int(round(servo.update_dt_s / dt_s))
     f0 = lock_points(disc, f_lock_hz - 1.0, f_lock_hz + 1.0)[0].f_hz
-    fb = 1.0 if discriminator_slope(disc, f0) > 0 else -1.0
+    fb = 1.0 if error_signal(f0 + 1.0, disc) > error_signal(f0 - 1.0, disc) else -1.0
     n = int(round(duration_s / dt_s))
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
     ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
@@ -548,13 +535,14 @@ class TestScalarLoopMatchesReference:
     ], ids=lambda case: case["id"])
     def test_bitwise_equal(self, case):
         disc = case.get("disc", wide_disc())
-        servo = case.get("servo", servo_for_bandwidth(disc, 30e6, 100.0))
-        args = (case.get("laser", NOISY_LASER), NOISY_REF, disc, servo, 30e6,
-                case.get("duration_s", 2.0), 1e-4, 7)
+        lock = resolve_lock_point(disc, 30e6)
+        servo = case.get("servo", servo_for_bandwidth(lock, 100.0))
+        laser, timing = case.get("laser", NOISY_LASER), (case.get("duration_s", 2.0), 1e-4, 7)
         kwargs = dict(thermal=case.get("thermal"),
                       initial_beat_offset_hz=case.get("initial_beat_offset_hz", 0.0))
-        run = simulate_lock(*args, **kwargs)
-        expected, status = reference_simulate_lock(*args, **kwargs)
+        run = simulate_lock(laser, NOISY_REF, lock, servo, *timing, **kwargs)
+        expected, status = reference_simulate_lock(laser, NOISY_REF, disc, servo, 30e6, *timing,
+                                                   **kwargs)
         n, stride = len(run.laser_offset_trace), run.update_stride
         assert stride == round(servo.update_dt_s / 1e-4)
         servo_rate = (run.error_trace, run.actuator_trace, run.thermal_lockpoint_trace)
@@ -575,13 +563,14 @@ class TestScalarLoopMatchesReference:
 
 class TestSpectralLock:
     def test_noiseless_all_zero(self):
-        locked, _ = closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-3, seed=1)
+        locked, _ = closed_loop_components(IDEAL, IDEAL_REF, WIDE_LOCK, 100.0, 10.0, 1e-3, seed=1)
         assert np.allclose(locked, 0.0)
 
     def test_white_laser_suppressed_at_long_tau(self):
         laser = laser_from_linewidth(198_000_019_000_000, 300e3)
         free = oscillator_trace(laser, 256.0, 2e-3, seed=2)
-        locked_off, _ = closed_loop_components(laser, IDEAL_REF, 100.0, 256.0, 2e-3, seed=2)
+        locked_off, _ = closed_loop_components(laser, IDEAL_REF, WIDE_LOCK, 100.0, 256.0, 2e-3,
+                                               seed=2)
         locked = FrequencyTrace(laser.nominal_hz, 2e-3, locked_off)
         taus = [1.0, 8.0]
         s_free = adev_overlapping(count(free, CounterConfig(1.0)), taus).sigmas
@@ -591,12 +580,12 @@ class TestSpectralLock:
     def test_bandwidth_above_nyquist_rejected(self):
         with pytest.raises(ParameterError,
                            match=r"loop_bandwidth_hz 100\.0 must lie in \(0, Nyquist"):
-            closed_loop_components(IDEAL, IDEAL_REF, 100.0, 10.0, 1e-1, seed=1)
+            closed_loop_components(IDEAL, IDEAL_REF, WIDE_LOCK, 100.0, 10.0, 1e-1, seed=1)
 
     def test_reference_passes_through_below_bandwidth(self):
         # A drifting reference within the loop bandwidth is followed 1:1.
         ref = OscillatorModel(197_999_989_000_000, NoiseSpec(drift_rate=100.0))
-        locked, _ = closed_loop_components(IDEAL, ref, 50.0, 20.0, 1e-3, seed=3)
+        locked, _ = closed_loop_components(IDEAL, ref, WIDE_LOCK, 50.0, 20.0, 1e-3, seed=3)
         expected_drift = 100.0 * 20.0
         assert locked[-1] - locked[0] == pytest.approx(expected_drift, rel=0.05)
 
@@ -605,7 +594,7 @@ class TestSpectralLock:
         # Its pole is 1.0, so the low-pass holds the first sample.
         laser = laser_from_linewidth(198_000_019_000_000, 300e3)
         ref = OscillatorModel(197_999_989_000_000, NoiseSpec(h_coeffs={0: 1e4}))
-        locked, ref_free = closed_loop_components(laser, ref, 1e-300, 2.0, 1e-3, seed=4)
+        locked, ref_free = closed_loop_components(laser, ref, WIDE_LOCK, 1e-300, 2.0, 1e-3, seed=4)
         laser_free = oscillator_trace(laser, 2.0, 1e-3, derive_seed(4, "laser")).samples
         assert locked.tobytes() == (ref_free[0] + (laser_free - laser_free[0])).tobytes()
 

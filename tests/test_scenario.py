@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from offsetlock import (
     run_scenario,
     validate_config,
 )
-from offsetlock import scenario
+from offsetlock import lockloop, scenario
 from offsetlock.lockloop import closed_loop_components
 from offsetlock.noisegen import OscillatorModel, noise_spec_from_profile
 from offsetlock.scenario import expand_seeds
@@ -133,11 +134,13 @@ class TestValidateConfig:
     def test_spectral_bandwidth_below_nyquist(self):
         doc = json.loads(golden_text("fig3_lock_1514.json"))
         ideal = OscillatorModel(10**14)
+        (block,) = validate_config(doc)[0].locks.values()
         for bw in (256.0, 1000.0):  # Nyquist of the 1/512 s grid is 256 Hz
             doc["locks"][0]["loop_bandwidth_hz"] = bw
             cfg, errors = validate_config(doc)
             with pytest.raises(ParameterError, match="Nyquist") as exc:
-                closed_loop_components(ideal, ideal, bw, doc["duration_s"], doc["dt_s"], seed=1)
+                closed_loop_components(ideal, ideal, block.lock, bw, doc["duration_s"], doc["dt_s"],
+                                       seed=1)
             assert errors == [f"locks[0]: {exc.value}"]
 
     @pytest.mark.parametrize("bw", [100.0, 1e9, "abc"])
@@ -501,6 +504,25 @@ class TestValidateConfig:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("name", ["fig3_lock_1514.json", "fig4_lock_1010_timedomain.json"])
+    def test_each_lock_point_is_resolved_once(self, monkeypatch, name):
+        # validate_config turns f_lock_hz into a LockPoint once; the lock models take it as is
+        calls = []
+        real = lockloop.resolve_lock_point
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(lockloop, "resolve_lock_point", counted)
+        monkeypatch.setattr(scenario, "resolve_lock_point", counted)
+        cfg, errors = validate_config(golden_text(name))
+        assert errors == [] and calls == [30e6]
+        short = dataclasses.replace(cfg, duration_s=2.0)  # the same blocks, a shorter run
+        for block in cfg.locks.values():
+            scenario.execute_lock(short, block)
+        assert calls == [30e6]
+
     def test_exact_drift_statistic_and_closed_interval(self, tmp_path):
         cfg, errors = validate_config(small_doc())
         assert not errors
