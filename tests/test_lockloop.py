@@ -230,14 +230,22 @@ class TestResolveLockPoint:
 OUT_OF_BAND_LOCK_HZ = 1.0 / (4.0 * 25e-9)
 
 
-def test_lock_point_outside_passband_rejected():
-    # every model function takes a LockPoint, so no model can run at this crossing
+# Every model function takes a LockPoint, so each case fails where its LockPoint is made.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda disc: LockPoint(disc, OUT_OF_BAND_LOCK_HZ).slope,
+                 "outside the passband", id="discriminator_slope"),
+    pytest.param(lambda disc: servo_for_bandwidth(LockPoint(disc, OUT_OF_BAND_LOCK_HZ), 100.0),
+                 "outside the passband", id="servo_for_bandwidth"),
+    pytest.param(lambda disc: simulate_lock(IDEAL, IDEAL_REF,
+                                            resolve_lock_point(disc, OUT_OF_BAND_LOCK_HZ),
+                                            ServoConfig(ki=1.0), 1.0, 1e-4, seed=1),
+                 "no passband lock point", id="simulate_lock"),
+])
+def test_lock_point_outside_passband_rejected(call, message):
     disc = DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0)
     assert [p.f_hz for p in lock_points(disc, 0.0, 60e6)] == [pytest.approx(30e6)]
-    with pytest.raises(ParameterError, match="outside the passband"):
-        LockPoint(disc, OUT_OF_BAND_LOCK_HZ)
-    with pytest.raises(ParameterError, match="no passband lock point"):
-        resolve_lock_point(disc, OUT_OF_BAND_LOCK_HZ)
+    with pytest.raises(ParameterError, match=message):
+        call(disc)
 
 
 class TestCaptureHalfwidth:
