@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import MALFORMED, ParameterError
 from .noisegen import CombModel, exact_int, json_fields
 
 
@@ -156,7 +156,9 @@ def evaluate_chain(doc: dict) -> dict:
         nodes = {}
         for name, src in doc.get("sources", {}).items():
             node = json_fields(src, f"sources.{name}", ChainNode)
-            node.setdefault("provenance", [name])
+            names = node.setdefault("provenance", [name])
+            if not (isinstance(names, list) and all(isinstance(p, str) for p in names)):
+                raise ParameterError(f"sources.{name}: provenance must be a list of names")
             try:
                 nodes[name] = ChainNode(**node)
             except ParameterError as exc:
@@ -195,5 +197,5 @@ def evaluate_chain(doc: dict) -> dict:
         return result
     except ParameterError:
         raise
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ParameterError(f"malformed chain description ({type(exc).__name__}: {exc})") from None

@@ -10,7 +10,7 @@ from dataclasses import replace
 import click
 
 from . import chain as chainmod
-from .errors import ParameterError
+from .errors import MALFORMED, ParameterError
 from .lockloop import simulate_lock
 from .metrology import (
     adev_nonoverlapping,
@@ -33,13 +33,15 @@ from .scenario import (
 
 
 class _Group(click.Group):
-    """Exit status 2 with the message on stderr for a ParameterError or an unwritable path
-    (OSError) from any command; status 1 stays reserved for failed envelopes and budgets."""
+    """Exit status 2 with one ``Error:`` line on stderr for any error click does not report
+    itself (a bad input, an unwritable path, a run too large to allocate); 1 is a failed check."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ParameterError, OSError) as exc:
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
             click.echo(f"Error: {exc}", err=True)
             sys.exit(2)
 
@@ -49,7 +51,7 @@ def _malformed(param: str):
     """Report an input that does not parse as a ParameterError naming ``param`` (exit status 2)."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ParameterError(f"{param}: {exc}") from None
 
 
@@ -172,7 +174,9 @@ def run(config, out_dir, seeds):
 def compare(report_json):
     """Re-check a report's envelopes; exit zero iff all pass."""
     with open(report_json) as fh, _malformed("REPORT_JSON"):
-        code, verdict = compare_expected(RunReport(**json.load(fh)))
+        doc = json.load(fh)
+        doc.pop("wall_time_s", None)  # a report written before runs dropped their wall clock
+        code, verdict = compare_expected(RunReport(**doc))
     click.echo(json.dumps(verdict, indent=2, sort_keys=True))
     sys.exit(code)
 

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
-from .noisegen import FrequencyTrace, grid_steps, read_column, write_column
+from .noisegen import FrequencyTrace, grid_steps, write_column
 
 UNITS_HZ = "hz"
 UNITS_FRACTIONAL = "fractional"
@@ -59,7 +59,6 @@ class AllanResult:
     sigmas: np.ndarray
     n_pairs: np.ndarray
     units: str
-    estimator: str
     omitted_taus_s: Tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -85,7 +84,10 @@ def read_series_csv(path) -> CounterSeries:
         m = _SERIES_HEADER.match(fh.readline())
         if not m:
             raise ParameterError(f"{path}: not a CounterSeries CSV")
-        readings = read_column(fh, path)
+        try:
+            readings = np.loadtxt(fh, dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: {exc}") from None
     return CounterSeries(nominal_hz=int(m.group(1)), gate_s=float(m.group(2)), readings=readings)
 
 
@@ -152,7 +154,7 @@ def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
     return CounterSeries(nominal_hz=trace.nominal_hz, gate_s=cfg.gate_s, readings=readings)
 
 
-def _allan(series: CounterSeries, taus: Sequence[float], estimator: str,
+def _allan(series: CounterSeries, taus: Sequence[float],
            differences: Callable[[int], np.ndarray]) -> AllanResult:
     """sigma(tau) = sqrt(0.5 * <d^2>) over the ``differences(m)`` of m-gate averages."""
     steps, omitted = tau_steps(taus, series.gate_s, series.readings.size)
@@ -162,10 +164,8 @@ def _allan(series: CounterSeries, taus: Sequence[float], estimator: str,
         out_t.append(m * series.gate_s)
         out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
         out_n.append(d.size)
-    return AllanResult(
-        taus_s=np.array(out_t), sigmas=np.array(out_s), n_pairs=np.array(out_n),
-        units=UNITS_HZ, estimator=estimator, omitted_taus_s=tuple(omitted),
-    )
+    return AllanResult(taus_s=np.array(out_t), sigmas=np.array(out_s), n_pairs=np.array(out_n),
+                       units=UNITS_HZ, omitted_taus_s=tuple(omitted))
 
 
 def adev_overlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResult:
@@ -180,7 +180,7 @@ def adev_overlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResul
     def differences(m: int) -> np.ndarray:
         avg = (c[m:] - c[:-m]) / m
         return avg[m:] - avg[:-m]
-    return _allan(series, taus, "overlapping", differences)
+    return _allan(series, taus, differences)
 
 
 def adev_nonoverlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResult:
@@ -190,7 +190,7 @@ def adev_nonoverlapping(series: CounterSeries, taus: Sequence[float]) -> AllanRe
     def differences(m: int) -> np.ndarray:
         blocks = y[: y.size // m * m].reshape(-1, m).mean(axis=1)
         return blocks[1:] - blocks[:-1]
-    return _allan(series, taus, "non-overlapping", differences)
+    return _allan(series, taus, differences)
 
 
 def to_fractional(result: AllanResult, nominal_hz: int) -> AllanResult:

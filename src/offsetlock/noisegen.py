@@ -105,7 +105,10 @@ class NoiseSpec:
         # Every bin is evaluated and f <= 0 zeroed after: gathering the f > 0 bins costs more.
         with np.errstate(divide="ignore", invalid="ignore"):
             for alpha, h in self.effective_h().items():
-                out += h * freqs**alpha
+                term = freqs**alpha
+                term *= h  # in place: numpy's first elision check allocates 46 kB amid these arrays
+                out += term
+                del term  # before the next term is made: one at a time
         out[~(freqs > 0.0)] = 0.0
         return out
 
@@ -307,14 +310,6 @@ def write_trace_csv(trace: FrequencyTrace, path) -> None:
     with open(path, "w") as fh:
         write_column(fh, f"# nominal_hz={trace.nominal_hz} dt={trace.dt_s:.17g} seed={trace.seed}",
                      trace.samples)
-
-
-def read_column(fh, path) -> np.ndarray:
-    """The values ``write_column`` wrote after its header; a malformed row raises ParameterError."""
-    try:
-        return np.loadtxt(fh, dtype=float, ndmin=1)
-    except ValueError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _fast_len(n: int) -> int:

@@ -3,18 +3,17 @@
 A scenario JSON names oscillators/combs, lock blocks, measurements and
 expectation envelopes; running it emits counter-series and Allan CSVs plus
 a report JSON with one verdict per expectation.  Runs are deterministic
-per seed: re-running a config produces byte-identical CSV artifacts.
+per seed: re-running a config produces byte-identical artifacts, report included.
 """
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import chain as chainmod
-from .errors import ConfigKeyError, ParameterError
+from .errors import MALFORMED, ConfigKeyError, ParameterError
 from .lockloop import (
     DEFAULT_VELOCITY_FACTOR,
     DiscriminatorConfig,
@@ -67,8 +66,6 @@ from .noisegen import (
 OUT_DIR_ENV = "OLS_OUT_DIR"
 #: Longest duration the time-domain servo model runs, s.
 TIME_DOMAIN_CAP_S = 60.0
-#: What the model constructors raise on a malformed config value.
-_BAD_VALUE = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     if isinstance(raw, (str, bytes)):
         try:
             doc = json.loads(raw)
-        except ValueError as exc:
+        except MALFORMED as exc:
             return None, [f"$: invalid JSON ({exc})"]
     else:
         doc = raw
@@ -239,7 +236,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             return build(value, path, *spec, **options)
         except ConfigKeyError as exc:
             errors.append(str(exc))
-        except _BAD_VALUE as exc:
+        except MALFORMED as exc:
             errors.append(f"{path}: {exc}")
         return None
 
@@ -328,7 +325,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 servo_stride(lock, servo, dt)
                 if thermal is not None:
                     thermal.delay_at(disc, duration)  # a ramp's delay is monotonic in time
-        except _BAD_VALUE as exc:
+        except MALFORMED as exc:
             errors.append(f"{path}: {exc}")
             continue
         locks[lid] = LockBlock(id=lid, laser=laser, line=line, line_index=n, lock=lock,
@@ -352,7 +349,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             if ref in combs and source in locks:
                 try:
                     n, line = _comb_line(locks[source].laser, combs[ref])
-                except _BAD_VALUE as exc:
+                except MALFORMED as exc:
                     errors.append(f"{path}: {exc}")
                     return None
                 ref = f"{ref}:line{n}"
@@ -493,7 +490,6 @@ class RunReport:
     unchecked: bool
     manifest: List[str]
     config_echo: dict
-    wall_time_s: float
 
 
 def execute_lock(cfg: ScenarioConfig,
@@ -520,7 +516,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     Every statistic is computed before the first artifact is written, so a
     run that fails leaves no partial output behind.
     """
-    t_start = time.monotonic()
     if out_dir is None:
         root = os.environ.get(OUT_DIR_ENV, "runs")
         out_dir = os.path.join(root, cfg.name)
@@ -607,7 +602,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         unchecked=not verdicts,
         manifest=manifest,
         config_echo=cfg.raw,
-        wall_time_s=time.monotonic() - t_start,
     )
     write_json(asdict(report), os.path.join(out_dir, "report.json"))
     report.manifest.append("report.json")

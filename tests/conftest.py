@@ -116,6 +116,13 @@ def assert_lockrun_dir(run, written, out_dir):
         assert arrays[name].tobytes() == arr.tobytes()
 
 
+def nested(value, depth):
+    """``value`` inside ``depth`` JSON arrays, one in the other."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def run_python(*args):
     """``python *args`` in a fresh process that imports this checkout's offsetlock."""
     src = str(Path(offsetlock.__file__).resolve().parents[1])

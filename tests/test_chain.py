@@ -17,6 +17,8 @@ from offsetlock import (
 )
 from offsetlock.chain import evaluate_chain
 
+from conftest import nested
+
 L1514 = ChainNode(198_000_000_000_000, sigma_abs_hz=710.0, provenance=("L1514",))
 L1010 = ChainNode(297_000_000_000_000, sigma_abs_hz=1000.0, provenance=("L1010",))
 
@@ -275,6 +277,32 @@ class TestEvaluateChain:
         doc = {key: value for key, value in self.DOC.items() if key != "afc"}
         with pytest.raises(ParameterError, match="'budget_node' is valid only with 'afc'"):
             evaluate_chain(doc)
+
+    @staticmethod
+    def _sfg_doc(provenance_a, provenance_b):
+        return {"sources": {"a": {"nominal_hz": 10**14, "sigma_abs_hz": 3.0,
+                                  "provenance": provenance_a},
+                            "b": {"nominal_hz": 10**14, "sigma_abs_hz": 4.0,
+                                  "provenance": provenance_b}},
+                "operations": [{"op": "sfg", "in": ["a", "b"], "out": "c"}]}
+
+    def test_disjoint_provenance_adds_in_quadrature(self):
+        result = evaluate_chain(self._sfg_doc(["l1514"], ["l1010"]))
+        assert result["nodes"]["c"]["sigma_abs_hz"] == 5.0
+
+    # a string used to become a tuple of its characters: "l1514" and "l1010" shared '1' and
+    # 'l', so their sigmas added linearly (7 Hz) instead of in quadrature (5 Hz)
+    @pytest.mark.parametrize("provenance", [
+        pytest.param("l1514", id="string"),
+        pytest.param(nested("l1514", 500), id="nested-500"),
+        pytest.param([1514], id="list-of-numbers"),
+        pytest.param({"l1514": 1}, id="object"),
+        pytest.param(None, id="null"),
+    ])
+    def test_provenance_must_be_a_list_of_names(self, provenance):
+        with pytest.raises(ParameterError) as info:
+            evaluate_chain(self._sfg_doc(provenance, "l1010"))
+        assert str(info.value) == "sources.a: provenance must be a list of names"
 
     def test_fractional_aom_frequency_rejected(self):
         doc = {

@@ -1,4 +1,5 @@
 import json
+import textwrap
 from importlib import resources
 
 import numpy as np
@@ -267,6 +268,17 @@ class TestCompareCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["overall_pass"]
 
+    def test_report_with_wall_time_still_compares(self, runner, tmp_path):
+        """A report written while runs still recorded ``wall_time_s`` compares as before."""
+        run = runner.invoke(main, ["run", golden_path("chain_afc_606.json"),
+                                   "-o", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "wall_time_s" not in report
+        old = tmp_path / "old_report.json"
+        old.write_text(json.dumps(dict(report, wall_time_s=0.0123)))
+        result = runner.invoke(main, ["compare", str(old)])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, run.stdout, "")
+
 
 def _chain_text(edit):
     doc = json.loads((resources.files("offsetlock") / "scenarios"
@@ -329,3 +341,60 @@ def test_unwritable_output_exits_two(runner, tmp_path, command, text, options):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("Error: ") and "Not a directory" in result.stderr
     assert result.stdout == ""
+
+
+def test_unindexable_run_exits_two(runner, tmp_path):
+    """A run too long for numpy to index is a runtime error: exit 2, not a traceback."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"h": {"0": 2.0}}')
+    result = runner.invoke(main, ["synth", "--spec", str(spec), "--duration", "1e300",
+                                  "--dt", "1", "-o", str(tmp_path / "out.csv")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "Error: Maximum allowed size exceeded\n"
+    assert result.stdout == ""
+
+
+# The CLI in a fresh process whose address space is capped at 4 GiB, so that a request for
+# tens of TiB fails at once on any machine instead of being granted and filling its memory.
+CAPPED_CLI = textwrap.dedent("""
+    import os
+    import resource
+    import sys
+
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # numpy's import then maps one BLAS buffer
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+    from offsetlock.cli import main
+
+    main(sys.argv[1:], prog_name="offsetlock")
+""")
+
+
+def _huge_spectral_run(tmp_path):
+    """fig3 over 1e13 s at dt 1 s: it validates, and its first trace would take 73 TiB."""
+    doc = json.loads((resources.files("offsetlock") / "scenarios"
+                      / "fig3_lock_1514.json").read_text())
+    doc.update(duration_s=1e13, dt_s=1.0)
+    doc["locks"][0]["loop_bandwidth_hz"] = 0.1
+    for m in doc["measurements"]:
+        m["gate_s"] = 2.0
+    doc["measurements"][2]["pick_tau_s"] = 2.0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return ["run", str(path)]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(lambda tmp_path: ["synth", "--spec", str(tmp_path / "spec.json"),
+                                   "--duration", "1e13", "--dt", "1"], id="synth"),
+    pytest.param(_huge_spectral_run, id="run"),
+])
+def test_unallocatable_run_exits_two(tmp_path, args):
+    """A run too large to allocate is a runtime error: exit 2 with one line, no artifact."""
+    (tmp_path / "spec.json").write_text('{"h": {"0": 2.0}}')
+    out = tmp_path / "out"
+    proc = run_python("-c", CAPPED_CLI, *args(tmp_path), "-o", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("Error: Unable to allocate") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not out.exists() or not any(out.iterdir())

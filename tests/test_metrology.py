@@ -93,8 +93,7 @@ class TestAdevOverlapping:
 
     def test_sigma_at_matches_to_1e9_relative(self):
         # np.isclose's default atol of 1e-8 matched 2 ns to the 1 ns point before it
-        result = AllanResult(taus_s=[1e-9, 2e-9], sigmas=[1.0, 2.0], n_pairs=[3, 1],
-                             units="hz", estimator="overlapping")
+        result = AllanResult(taus_s=[1e-9, 2e-9], sigmas=[1.0, 2.0], n_pairs=[3, 1], units="hz")
         assert result.sigma_at(2e-9) == 2.0
         with pytest.raises(ParameterError, match="no ADEV point at tau=0.0"):
             result.sigma_at(0.0)
@@ -167,7 +166,7 @@ class TestUnitConversion:
     def _result(self, sigmas, units="hz"):
         n = len(sigmas)
         return AllanResult(np.arange(1, n + 1, dtype=float), np.array(sigmas),
-                           np.full(n, 10), units, "overlapping")
+                           np.full(n, 10), units)
 
     def test_absolute_to_fractional_198_thz(self):
         result = to_fractional(self._result([710.0]), 198_000_000_000_000)
@@ -239,7 +238,7 @@ class TestFitNoiseSlope:
             series = count(trace, CounterConfig(gate_s=1.0))
             per_seed.append(adev_overlapping(series, taus).sigmas)
         mean = AllanResult(np.array(taus), np.mean(per_seed, axis=0),
-                           np.full(len(taus), 10), "hz", "overlapping")
+                           np.full(len(taus), 10), "hz")
         assert log_log_slope(mean) == pytest.approx(-0.5, abs=0.05)
 
     def test_drift_slope_exact(self, make_series):
@@ -255,7 +254,7 @@ class TestFitNoiseSlope:
             series = count(trace, CounterConfig(gate_s=1.0))
             per_seed.append(adev_overlapping(series, taus).sigmas)
         mean = AllanResult(np.array(taus), np.mean(per_seed, axis=0),
-                           np.full(len(taus), 10), "hz", "overlapping")
+                           np.full(len(taus), 10), "hz")
         assert log_log_slope(mean) == pytest.approx(0.0, abs=0.1)
 
 
@@ -293,7 +292,7 @@ class TestCsvFormats:
 
     def test_allan_round_trip(self, tmp_path):
         result = AllanResult(np.array([1.0, 2.0]), np.array([0.5, 1.0 / 3.0]),
-                             np.array([9, 4]), "fractional", "overlapping")
+                             np.array([9, 4]), "fractional")
         path = tmp_path / "adev.csv"
         write_allan_csv(result, path)
         taus, sigmas, units, n_pairs = read_allan_csv(path)

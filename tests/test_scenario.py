@@ -7,7 +7,7 @@ import tempfile
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from offsetlock import (
@@ -23,6 +23,8 @@ from offsetlock.lockloop import closed_loop_components
 from offsetlock.noisegen import OscillatorModel, noise_spec_from_profile
 from offsetlock.scenario import expand_seeds
 
+from conftest import nested
+
 GOLDEN_NAMES = [
     "fig3_lock_1514.json",
     "fig4_inloop_1010.json",
@@ -33,6 +35,17 @@ GOLDEN_NAMES = [
 
 def golden_text(name):
     return (resources.files("offsetlock") / "scenarios" / name).read_text()
+
+
+def golden_with(name, path, value):
+    """The golden scenario ``name`` with ``value`` put at ``path``, its keys and indices."""
+    doc = json.loads(golden_text(name))
+    *parents, key = path
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    return doc
 
 
 def small_doc():
@@ -457,14 +470,9 @@ class TestValidateConfig:
                      "measurements[0]: 'window_s' must be a number", id="null-window-s"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
-        doc = json.loads(golden_text(name))
-        *parents, key = path
-        target = doc
-        for k in parents:
-            target = target[k]
-        target[key] = value
-        if key == "servo" and target.get("fidelity") == "time-domain":
-            del target["loop_bandwidth_hz"]  # the gains are given instead of a bandwidth
+        doc = golden_with(name, path, value)
+        if path[-1] == "servo" and doc["locks"][0].get("fidelity") == "time-domain":
+            del doc["locks"][0]["loop_bandwidth_hz"]  # the gains are given instead of a bandwidth
         cfg, errors = validate_config(doc)
         assert cfg is None
         assert any(message in e for e in errors), errors
@@ -556,11 +564,13 @@ class TestRunScenario:
 
     def test_deterministic_artifacts(self, tmp_path):
         cfg, _ = validate_config(small_doc())
-        run_scenario(cfg, tmp_path / "a")
-        run_scenario(cfg, tmp_path / "b")
-        for p in sorted((tmp_path / "a").iterdir()):
-            if p.suffix == ".csv":
-                assert p.read_bytes() == (tmp_path / "b" / p.name).read_bytes()
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_scenario(cfg, a)
+        run_scenario(cfg, b)
+        files = sorted(p.name for p in a.iterdir())
+        assert "report.json" in files and sorted(p.name for p in b.iterdir()) == files
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
@@ -699,6 +709,16 @@ def mutated_goldens(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(JSON_VALUES, mutated_goldens()))
+# Deep nesting used to raise: json.loads's RecursionError, numpy's 32-dimension RuntimeError,
+# and asdict's RecursionError on a deep chain provenance.  That one is given as text, which
+# hypothesis prints without recursing; it runs a test with about 2000 free stack frames,
+# enough for json.loads (one a level) to parse 1500 levels but not for asdict (two a level).
+@example("[" * 100_000)
+@example(golden_with("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
+                     {"tempco_per_K": 1e-5, "times_s": nested(0.0, 40), "temps_K": [0.0]}))
+@example(json.dumps(golden_with("chain_afc_606.json", ("chain", "sources", "extra"),
+                                {"nominal_hz": 1, "provenance": 0}))
+         .replace('"provenance": 0', '"provenance": ' + "[" * 1500 + "]" * 1500))
 def test_validate_config_never_raises(doc):
     cfg, errors = validate_config(doc)
     if cfg is None:
