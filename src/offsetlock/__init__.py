@@ -16,7 +16,6 @@ from .noisegen import (
 from .metrology import (
     AllanResult,
     CounterConfig,
-    CounterSeries,
     adev_nonoverlapping,
     adev_overlapping,
     count,

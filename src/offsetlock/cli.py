@@ -112,11 +112,11 @@ def lock(config, lock_id, out_dir):
 @click.option("--out", "-o", type=click.Path(), default=None,
               help="Output CSV (default: stdout).")
 def adev(series_csv, taus, overlapping, fractional_hz, out):
-    """Allan standard deviation of a CounterSeries CSV."""
+    """Allan standard deviation of a counter series CSV (one reading per gate, as run writes)."""
     with _malformed("SERIES_CSV"):
         series = read_series_csv(series_csv)
     if taus == "octave":
-        tau_list = octave_taus(series.gate_s, series.span_s)
+        tau_list = octave_taus(series.dt_s, series.dt_s * len(series))
     else:
         with _malformed("--taus"):
             tau_list = [float(t) for t in taus.split(",")]

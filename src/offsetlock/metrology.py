@@ -1,7 +1,8 @@
 """Gated-counter emulation and frequency-stability statistics.
 
-Counter readings are plain (Pi-type) means over each gate; stability is
-summarized with the two-sample (Allan) standard deviation, either
+Counter readings are plain (Pi-type) means over each gate, and a counter
+series is a ``FrequencyTrace`` whose spacing ``dt_s`` is the gate.  Stability
+is summarized with the two-sample (Allan) standard deviation, either
 overlapping or non-overlapping, in absolute Hz or fractional form.
 """
 from __future__ import annotations
@@ -32,26 +33,6 @@ class CounterConfig:
 
 
 @dataclass(frozen=True)
-class CounterSeries:
-    nominal_hz: int
-    gate_s: float
-    readings: np.ndarray
-
-    def __post_init__(self):
-        readings = np.asarray(self.readings, dtype=float)
-        if readings.ndim != 1 or readings.size < 1:
-            raise ParameterError("readings must be a nonempty 1-d sequence")
-        if self.gate_s <= 0.0:
-            raise ParameterError("gate_s must be > 0")
-        object.__setattr__(self, "nominal_hz", int(self.nominal_hz))
-        object.__setattr__(self, "readings", readings)
-
-    @property
-    def span_s(self) -> float:
-        return self.gate_s * self.readings.size
-
-
-@dataclass(frozen=True)
 class AllanResult:
     """(tau, sigma, n_pairs) triples from a two-sample deviation estimate."""
 
@@ -70,25 +51,25 @@ class AllanResult:
         return float(self.sigmas[tau_index(self.taus_s, tau_s)])
 
 
-def write_series_csv(series: CounterSeries, path) -> None:
+def write_series_csv(series: FrequencyTrace, path) -> None:
     with open(path, "w") as fh:
-        write_column(fh, f"# nominal_hz={series.nominal_hz} gate_s={series.gate_s:.17g}",
-                     series.readings)
+        write_column(fh, f"# nominal_hz={series.nominal_hz} gate_s={series.dt_s:.17g}",
+                     series.samples)
 
 
 _SERIES_HEADER = re.compile(r"#\s*nominal_hz=(-?\d+)\s+gate_s=(\S+)")
 
 
-def read_series_csv(path) -> CounterSeries:
+def read_series_csv(path) -> FrequencyTrace:
     with open(path) as fh:
         m = _SERIES_HEADER.match(fh.readline())
         if not m:
-            raise ParameterError(f"{path}: not a CounterSeries CSV")
+            raise ParameterError(f"{path}: not a counter series CSV")
         try:
             readings = np.loadtxt(fh, dtype=float, ndmin=1)
         except ValueError as exc:
             raise ParameterError(f"{path}: {exc}") from None
-    return CounterSeries(nominal_hz=int(m.group(1)), gate_s=float(m.group(2)), readings=readings)
+    return FrequencyTrace(int(m.group(1)), float(m.group(2)), readings)
 
 
 def allan_csv(result: AllanResult) -> str:
@@ -147,35 +128,35 @@ def tau_index(taus_s: Sequence[float], tau_s: float) -> int:
     return int(idx[0])
 
 
-def count(trace: FrequencyTrace, cfg: CounterConfig) -> CounterSeries:
+def count(trace: FrequencyTrace, cfg: CounterConfig) -> FrequencyTrace:
     """Apply a gated Pi counter to a trace; trailing partial gate discarded."""
     m = gate_steps(cfg.gate_s, trace.dt_s, trace.samples.size)
     readings = sliding_window_view(trace.samples, m)[::m].mean(axis=1)
-    return CounterSeries(nominal_hz=trace.nominal_hz, gate_s=cfg.gate_s, readings=readings)
+    return FrequencyTrace(trace.nominal_hz, cfg.gate_s, readings)
 
 
-def _allan(series: CounterSeries, taus: Sequence[float],
+def _allan(series: FrequencyTrace, taus: Sequence[float],
            differences: Callable[[int], np.ndarray]) -> AllanResult:
     """sigma(tau) = sqrt(0.5 * <d^2>) over the ``differences(m)`` of m-gate averages."""
-    steps, omitted = tau_steps(taus, series.gate_s, series.readings.size)
+    steps, omitted = tau_steps(taus, series.dt_s, len(series))
     out_t, out_s, out_n = [], [], []
     for m in steps:
         d = differences(m)
-        out_t.append(m * series.gate_s)
+        out_t.append(m * series.dt_s)
         out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
         out_n.append(d.size)
     return AllanResult(taus_s=np.array(out_t), sigmas=np.array(out_s), n_pairs=np.array(out_n),
                        units=UNITS_HZ, omitted_taus_s=tuple(omitted))
 
 
-def adev_overlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResult:
+def adev_overlapping(series: FrequencyTrace, taus: Sequence[float]) -> AllanResult:
     """Overlapping Allan standard deviation.
 
     sigma^2(tau) = 0.5 * <(ybar_{k+m} - ybar_k)^2> over all overlapping
     starts k, with ybar_k the m-gate average beginning at reading k.
     Taus too large for the series are omitted and flagged, not raised.
     """
-    c = np.concatenate([[0.0], np.cumsum(series.readings)])
+    c = np.concatenate([[0.0], np.cumsum(series.samples)])
 
     def differences(m: int) -> np.ndarray:
         avg = (c[m:] - c[:-m]) / m
@@ -183,9 +164,9 @@ def adev_overlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResul
     return _allan(series, taus, differences)
 
 
-def adev_nonoverlapping(series: CounterSeries, taus: Sequence[float]) -> AllanResult:
+def adev_nonoverlapping(series: FrequencyTrace, taus: Sequence[float]) -> AllanResult:
     """Non-overlapping (strided) Allan standard deviation over disjoint intervals."""
-    y = series.readings
+    y = series.samples
 
     def differences(m: int) -> np.ndarray:
         blocks = y[: y.size // m * m].reshape(-1, m).mean(axis=1)
@@ -202,11 +183,11 @@ def to_fractional(result: AllanResult, nominal_hz: int) -> AllanResult:
     return replace(result, sigmas=result.sigmas / float(nominal_hz), units=UNITS_FRACTIONAL)
 
 
-def peak_to_peak(series: CounterSeries, window_s: Optional[float] = None) -> float:
+def peak_to_peak(series: FrequencyTrace, window_s: Optional[float] = None) -> float:
     """Max minus min reading over the leading window (full series if omitted)."""
-    y = series.readings
+    y = series.samples
     if window_s is not None:
-        y = y[:window_steps(window_s, series.gate_s, y.size)]
+        y = y[:window_steps(window_s, series.dt_s, y.size)]
     return float(y.max() - y.min())
 
 

@@ -267,7 +267,7 @@ class FrequencyTrace:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt_s <= 0.0:
+        if not self.dt_s > 0.0:  # NaN too, which a series CSV header may hold
             raise ParameterError("dt must be > 0")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:

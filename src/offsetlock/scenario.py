@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import chain as chainmod
@@ -155,11 +155,16 @@ class LockBlock:
 
 @dataclass(frozen=True)
 class Signal:
-    """A parsed ``kind:source[:ref]`` signal reference."""
+    """A parsed ``kind:source[:ref]`` signal reference; equal signals share one trace."""
 
     kind: str  # "freerun" | "locked" | "inloop" | "outofloop"
     source: str  # oscillator name (freerun) or lock id
-    ref: Optional[str]  # outofloop: key of ScenarioConfig.references
+    #: outofloop: the reference's seed label, an oscillator name or ``<comb>:line<n>`` for the
+    #: comb line nearest the lock's laser
+    ref: Optional[str]
+    #: What a freerun signal (its source) or an outofloop one (its reference) draws; the
+    #: name it is drawn under, ref or else source, labels its seed.  Not part of equality.
+    oscillator: Optional[OscillatorModel] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -185,12 +190,10 @@ class ScenarioConfig:
     duration_s: float
     dt_s: float
     oscillators: Dict[str, OscillatorModel]
-    #: Out-of-loop references by free-run seed label: an oscillator name, or
-    #: ``<comb>:line<n>`` for the comb line nearest the lock's laser.
-    references: Dict[str, OscillatorModel]
     locks: Dict[str, LockBlock]
     measurements: List[Measurement]
     chain: Optional[dict]  # evaluated chain: nodes and budget report
+    chain_statistics: Dict[str, float]  # the budget's four statistics; empty without an afc
     expectations: Dict[str, Tuple[float, float]]
     raw: dict
 
@@ -209,8 +212,6 @@ _MEASUREMENT_KEYS = {
 }
 _SIGNAL_ARITY = {"freerun": 1, "locked": 1, "inloop": 1, "outofloop": 2}  # names after the kind
 _ESTIMATORS = ("overlapping", "non-overlapping")
-_CHAIN_STATISTICS = ("chain_nominal_hz", "chain_sigma_abs_hz",
-                     "chain_stability_pass", "chain_offset_pass")
 
 
 def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
@@ -332,33 +333,49 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                                fidelity=fidelity, loop_bandwidth_hz=bw, servo=servo,
                                thermal=thermal)
 
-    references: Dict[str, OscillatorModel] = {}
-
     def parse_signal(text, path) -> Optional[Signal]:
         kind, *names = text.split(":") if isinstance(text, str) else [""]
         if len(names) != _SIGNAL_ARITY.get(kind):
             errors.append(f"{path}: malformed signal {text!r}")
             return None
         source, ref = names[0], None
-        if kind == "freerun" and source not in oscillators:
+        osc = oscillators.get(source) if kind == "freerun" else None
+        if kind == "freerun" and osc is None:
             errors.append(f"{path}: unknown oscillator {source!r}")
         elif kind != "freerun" and source not in lock_ids:
             errors.append(f"{path}: unknown lock id {source!r}")
         if kind == "outofloop":
             ref = names[1]
-            if ref in combs and source in locks:
+            if ref in combs and ref in oscillators:
+                errors.append(f"{path}: out-of-loop reference {ref!r} names both an "
+                              f"oscillator and a comb")
+            elif ref in combs and source in locks:
                 try:
-                    n, line = _comb_line(locks[source].laser, combs[ref])
+                    n, osc = _comb_line(locks[source].laser, combs[ref])
                 except MALFORMED as exc:
                     errors.append(f"{path}: {exc}")
                     return None
                 ref = f"{ref}:line{n}"
-                references[ref] = line
             elif ref in oscillators:
-                references[ref] = oscillators[ref]
+                osc = oscillators[ref]
             elif ref not in combs:
                 errors.append(f"{path}: unknown out-of-loop reference {ref!r}")
-        return Signal(kind, source, ref)
+        return Signal(kind, source, ref, osc)
+
+    chain, chain_statistics = None, {}
+    if doc.get("chain") is not None:
+        try:
+            chain = chainmod.evaluate_chain(doc["chain"])
+        except ParameterError as exc:
+            errors.append(f"chain: {exc}")
+        else:
+            budget = chain.get("budget")
+            if budget is not None:
+                chain_statistics = {
+                    "chain_nominal_hz": float(budget["node"]["nominal_hz"]),
+                    "chain_sigma_abs_hz": float(budget["node"]["sigma_abs_hz"]),
+                    "chain_stability_pass": float(budget["stability_pass"]),
+                    "chain_offset_pass": float(budget["offset_pass"])}
 
     measurements: List[Measurement] = []
     measurement_ids, stat_ids = set(), set()
@@ -382,12 +399,14 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             continue
         kw = parsed(json_fields, md, path, ("id", "kind", "signal"), {"gate_s": float}, kind_keys)
         if kind != "adev" or md.get("pick_tau_s") is not None:
+            if mid in chain_statistics:
+                errors.append(f"{path}.id: the chain produces statistic {mid!r} too")
             stat_ids.add(mid)
         signal = parse_signal(md.get("signal"), f"{path}.signal")
         baseline = None
         if kind == "adev_ratio_max":
             baseline = parse_signal(md.get("baseline"), f"{path}.baseline")
-            osc = baseline and baseline.kind == "freerun" and oscillators.get(baseline.source)
+            osc = baseline and baseline.kind == "freerun" and baseline.oscillator
             if osc and osc.noise.is_zero:
                 errors.append(f"{path}.baseline: oscillator {baseline.source!r} has no noise, "
                               f"drift or adev_profile, so its ADEV is zero at every tau")
@@ -440,16 +459,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 estimator=kw.get("estimator", "overlapping"), fractional_hz=fractional_hz,
                 pick_tau_s=kw.get("pick_tau_s"), window_s=kw.get("window_s")))
 
-    chain = None
-    if doc.get("chain") is not None:
-        try:
-            chain = chainmod.evaluate_chain(doc["chain"])
-        except ParameterError as exc:
-            errors.append(f"chain: {exc}")
-        else:
-            if "budget" in chain:
-                stat_ids.update(_CHAIN_STATISTICS)
-
+    stat_ids.update(chain_statistics)
     expectations: Dict[str, Tuple[float, float]] = {}
     for sid, env in section("expectations", dict).items():
         path = f"expectations.{sid}"
@@ -468,8 +478,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         return None, errors
     return ScenarioConfig(
         name=name, seed=seed, duration_s=duration, dt_s=dt,
-        oscillators=oscillators, references=references, locks=locks,
-        measurements=measurements, chain=chain, expectations=expectations, raw=doc,
+        oscillators=oscillators, locks=locks, measurements=measurements, chain=chain,
+        chain_statistics=chain_statistics, expectations=expectations, raw=doc,
     ), []
 
 
@@ -537,17 +547,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         lockruns.append((f"{lid}_lockrun.json", write_json, {
             "f_lock_hz": block.lock.f_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
 
-    def freerun(name: str, osc: OscillatorModel) -> FrequencyTrace:
-        return oscillator_trace(osc, cfg.duration_s, cfg.dt_s,
-                                derive_seed(cfg.seed, f"freerun:{name}"))
-
     def counted(sig: Signal, gate_s: float):
-        if sig not in traces:
-            if sig.kind == "freerun":
-                traces[sig] = freerun(sig.source, cfg.oscillators[sig.source])
-            else:  # outofloop; the reference trace is used once, so it is not kept
-                traces[sig] = out_of_loop_beat(traces[Signal("locked", sig.source, None)],
-                                               freerun(sig.ref, cfg.references[sig.ref]))
+        if sig not in traces:  # a freerun or outofloop signal draws its oscillator
+            trace = oscillator_trace(sig.oscillator, cfg.duration_s, cfg.dt_s,
+                                     derive_seed(cfg.seed, f"freerun:{sig.ref or sig.source}"))
+            if sig.kind == "outofloop":  # the reference trace is used once, so it is not kept
+                trace = out_of_loop_beat(traces[Signal("locked", sig.source, None)], trace)
+            traces[sig] = trace
         return count(traces[sig], CounterConfig(gate_s=gate_s))
 
     def allan(m: Measurement, series):
@@ -577,14 +583,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
                 raise ParameterError(f"measurement {m.id}: baseline ADEV is zero at every tau")
             statistics[m.id] = float(max(ratios))
 
+    statistics.update(cfg.chain_statistics)
     if cfg.chain is not None:
         artifacts.append(("chain_budget.json", write_json, cfg.chain))
-        budget = cfg.chain.get("budget")
-        if budget is not None:
-            statistics["chain_nominal_hz"] = float(budget["node"]["nominal_hz"])
-            statistics["chain_sigma_abs_hz"] = float(budget["node"]["sigma_abs_hz"])
-            statistics["chain_stability_pass"] = 1.0 if budget["stability_pass"] else 0.0
-            statistics["chain_offset_pass"] = 1.0 if budget["offset_pass"] else 0.0
     artifacts += lockruns
 
     verdicts = {sid: bool(lo <= statistics[sid] <= hi)  # closed interval: endpoints pass

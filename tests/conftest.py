@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import offsetlock
-from offsetlock import CounterSeries, FrequencyTrace
+from offsetlock import FrequencyTrace
 
 #: What ``LockRun.export`` writes, in the order it returns the paths.
 LOCKRUN_FILES = ["laser_offset.npy", "inloop_beat.npy", "error_v.npy", "actuator_hz.npy",
@@ -87,8 +87,8 @@ def read_allan_csv(path):
 @pytest.fixture
 def make_series():
     def _make(readings, gate_s=1.0, nominal_hz=0):
-        return CounterSeries(nominal_hz=nominal_hz, gate_s=gate_s,
-                             readings=np.asarray(readings, dtype=float))
+        return FrequencyTrace(nominal_hz=nominal_hz, dt_s=gate_s,
+                              samples=np.asarray(readings, dtype=float))
     return _make
 
 

@@ -16,8 +16,8 @@ from offsetlock import (
     ChainNode,
     CombModel,
     CounterConfig,
-    CounterSeries,
     DiscriminatorConfig,
+    FrequencyTrace,
     NoiseSpec,
     OscillatorModel,
     ThermalModel,
@@ -71,7 +71,7 @@ def test_criterion_01_adev_oracle_equivalence(capfd):
     for _ in range(200):
         n = int(rng.integers(8, 65))
         readings = rng.integers(-1000, 1001, size=n).astype(float)
-        series = CounterSeries(nominal_hz=30_000_000, gate_s=1.0, readings=readings)
+        series = FrequencyTrace(nominal_hz=30_000_000, dt_s=1.0, samples=readings)
         for m in (1, 2, 4, 8):
             if 2 * m > n:
                 continue

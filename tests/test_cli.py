@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from offsetlock import CounterSeries
+from offsetlock import FrequencyTrace
 from offsetlock.cli import main
 from offsetlock.metrology import write_series_csv
 
@@ -52,8 +52,8 @@ class TestSynth:
 class TestAdev:
     def _series_csv(self, tmp_path):
         rng = np.random.default_rng(1)
-        series = CounterSeries(nominal_hz=30_000_000, gate_s=1.0,
-                               readings=rng.normal(size=64))
+        series = FrequencyTrace(nominal_hz=30_000_000, dt_s=1.0,
+                                samples=rng.normal(size=64))
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
         return path

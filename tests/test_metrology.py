@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from offsetlock import (
     AllanResult,
     CounterConfig,
-    CounterSeries,
     FrequencyTrace,
     NoiseSpec,
     ParameterError,
@@ -32,18 +31,18 @@ class TestCount:
     def test_constant_trace(self):
         trace = FrequencyTrace(0, 0.5, np.full(20, 5.0))
         series = count(trace, CounterConfig(gate_s=1.0))
-        assert np.all(series.readings == 5.0)
-        assert series.gate_s == 1.0
+        assert np.all(series.samples == 5.0)
+        assert series.dt_s == 1.0
 
     def test_ramp_gate_means(self):
         trace = FrequencyTrace(0, 1.0, np.arange(10.0))
         series = count(trace, CounterConfig(gate_s=2.0))
-        assert np.array_equal(series.readings, [0.5, 2.5, 4.5, 6.5, 8.5])
+        assert np.array_equal(series.samples, [0.5, 2.5, 4.5, 6.5, 8.5])
 
     def test_trailing_partial_gate_discarded(self):
         trace = FrequencyTrace(0, 1.0, np.arange(11.0))
         series = count(trace, CounterConfig(gate_s=2.0))
-        assert series.readings.size == 5
+        assert series.samples.size == 5
 
     def test_gate_not_multiple_rejected(self):
         trace = FrequencyTrace(0, 0.3, np.zeros(10))
@@ -62,7 +61,7 @@ class TestCount:
             for seed in range(12):
                 trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0}), 512.0, 0.5, seed=seed)
                 series = count(trace, CounterConfig(gate_s=gate))
-                v.append(np.var(series.readings))
+                v.append(np.var(series.samples))
             vars_by_gate[gate] = np.mean(v)
         assert vars_by_gate[1.0] / vars_by_gate[4.0] == pytest.approx(4.0, rel=0.3)
 
@@ -140,7 +139,7 @@ class TestAdevNonoverlapping:
 def test_overlapping_matches_brute_force_property(readings, m):
     if len(readings) < 2 * m:
         m = 1
-    series = CounterSeries(0, 1.0, np.array(readings))
+    series = FrequencyTrace(0, 1.0, np.array(readings))
     result = adev_overlapping(series, [float(m)])
     oracle = brute_force_adev_overlapping(readings, m)
     assert result.sigmas[0] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
@@ -155,8 +154,8 @@ def test_overlapping_matches_brute_force_property(readings, m):
     offset=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
 )
 def test_scale_equivariance_offset_invariance(readings, scale, offset):
-    base = CounterSeries(0, 1.0, np.array(readings))
-    moved = CounterSeries(0, 1.0, np.array(readings) * scale + offset)
+    base = FrequencyTrace(0, 1.0, np.array(readings))
+    moved = FrequencyTrace(0, 1.0, np.array(readings) * scale + offset)
     a = adev_overlapping(base, [1.0, 2.0])
     b = adev_overlapping(moved, [1.0, 2.0])
     np.testing.assert_allclose(b.sigmas, a.sigmas * scale, rtol=1e-9, atol=1e-9)
@@ -287,8 +286,8 @@ class TestCsvFormats:
         write_series_csv(series, path)
         back = read_series_csv(path)
         assert back.nominal_hz == series.nominal_hz
-        assert back.gate_s == series.gate_s
-        assert np.array_equal(back.readings, series.readings)
+        assert back.dt_s == series.dt_s
+        assert np.array_equal(back.samples, series.samples)
 
     def test_allan_round_trip(self, tmp_path):
         result = AllanResult(np.array([1.0, 2.0]), np.array([0.5, 1.0 / 3.0]),
@@ -305,6 +304,14 @@ class TestCsvFormats:
         path = tmp_path / "x.csv"
         path.write_text("nope\n")
         with pytest.raises(ParameterError):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("gate", ["0", "-1", "nan"])
+    def test_gate_must_be_positive(self, tmp_path, gate):
+        # a NaN gate used to pass, and adev printed an empty table with exit status 0
+        path = tmp_path / "series.csv"
+        path.write_text(f"# nominal_hz=30000000 gate_s={gate}\n1.5\n2.5\n")
+        with pytest.raises(ParameterError, match="dt must be > 0"):
             read_series_csv(path)
 
     def test_malformed_row_names_the_file(self, tmp_path):

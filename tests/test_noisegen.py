@@ -28,7 +28,7 @@ from offsetlock import (
     write_trace_csv,
 )
 from offsetlock.lockloop import LockRun
-from offsetlock.metrology import CounterSeries, write_series_csv
+from offsetlock.metrology import write_series_csv
 from offsetlock.noisegen import (
     _COLUMN_CHUNK,
     POWER_LAW_EXPONENTS,
@@ -526,10 +526,10 @@ class TestWriteColumn:
 
     @pytest.mark.parametrize("n", COLUMN_LENGTHS)
     def test_series_csv_bytes(self, tmp_path, n):
-        series = CounterSeries(nominal_hz=30_000_000, gate_s=0.1, readings=column_values(n))
+        series = FrequencyTrace(nominal_hz=30_000_000, dt_s=0.1, samples=column_values(n))
         write_series_csv(series, tmp_path / "s.csv")
         expected = per_value_column("# nominal_hz=30000000 gate_s=0.10000000000000001",
-                                    series.readings)
+                                    series.samples)
         assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("n", COLUMN_LENGTHS)

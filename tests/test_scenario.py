@@ -468,6 +468,11 @@ class TestValidateConfig:
         # null is not a number; it used to read as an absent window (the whole series)
         pytest.param("fig3_lock_1514.json", ("measurements", 0, "window_s"), None,
                      "measurements[0]: 'window_s' must be a number", id="null-window-s"),
+        # the comb used to win and the oscillator of the same name went unread
+        pytest.param("fig3_lock_1514.json", ("oscillators", "comb_narrow"),
+                     {"nominal_hz": 198000019000000},
+                     "measurements[2].signal: out-of-loop reference 'comb_narrow' names both "
+                     "an oscillator and a comb", id="outofloop-ref-oscillator-and-comb"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = golden_with(name, path, value)
@@ -502,6 +507,17 @@ class TestValidateConfig:
         cfg, errors = validate_config(doc)
         assert cfg is None
         assert any(e.startswith("measurements[1].baseline:") and "'ideal'" in e for e in errors)
+
+    def test_measurement_named_like_a_chain_statistic_rejected(self):
+        # the chain's statistic used to overwrite the measurement's in the report
+        doc = json.loads(golden_text("chain_afc_606.json"))
+        doc["oscillators"] = {"osc": {"nominal_hz": 10**14, "noise": {"drift_rate_hz_per_s": 1.0}}}
+        doc["measurements"] = [{"id": "chain_nominal_hz", "kind": "peak_to_peak",
+                                "signal": "freerun:osc"}]
+        cfg, errors = validate_config(doc)
+        assert cfg is None
+        assert errors == ["measurements[0].id: the chain produces statistic "
+                          "'chain_nominal_hz' too"]
 
     def test_all_errors_reported_at_once(self):
         doc = small_doc()
