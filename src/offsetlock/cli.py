@@ -62,7 +62,7 @@ def main():
 
 @main.command()
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True,
-              help="NoiseSpec JSON: {\"h\": {\"0\": 2.0}, \"drift_rate_hz_per_s\": 0, ...}")
+              help="NoiseSpec JSON: {\"h\": {\"0\": 2.0, \"-2\": 0.1}, \"drift_rate_hz_per_s\": 0}")
 @click.option("--duration", type=float, required=True, help="Trace duration, s.")
 @click.option("--dt", type=float, required=True, help="Sample spacing, s.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)

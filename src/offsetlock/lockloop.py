@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,48 +85,36 @@ class DiscriminatorConfig:
         return np.abs(np.asarray(f_hz, float) - self.bandpass_center_hz) < self.bandpass_halfwidth_hz
 
 
-ThermalProfile = Union[Callable[[float], float], Tuple[Sequence[float], Sequence[float]]]
-
-
 @dataclass(frozen=True)
 class ThermalModel:
-    """Fractional delay change per kelvin plus a temperature history (K vs start)."""
+    """Fractional delay change per kelvin plus a table ``(times_s, temps_K)`` of K against the
+    run's start, interpolated linearly; checked whole when it is built, since a delay that is
+    positive at two points is positive between them.  A linear ramp is the table of its ends."""
 
     tempco_per_K: float
-    temperature_profile: ThermalProfile
+    temperature_profile: Tuple[Sequence[float], Sequence[float]]
 
     def __post_init__(self):
         if abs(self.tempco_per_K) >= 1e-2:
             raise ParameterError("|tempco_per_K| must be < 1e-2")
-        if not callable(self.temperature_profile):
-            times, temps = (np.asarray(v, dtype=object) for v in self.temperature_profile)
-            if not all(map(finite, (*times.flat, *temps.flat))):
-                raise ParameterError("times_s and temps_K must hold finite numbers only")
-            times, temps = times.astype(float), temps.astype(float)
-            object.__setattr__(self, "temperature_profile", (times, temps))
-            if not times.ndim == temps.ndim == 1 or not 0 < times.size == temps.size:
-                raise ParameterError("times_s and temps_K must be non-empty and of equal length")
-            if np.any(np.diff(times) <= 0):
-                raise ParameterError("times_s must be strictly increasing")
-            if not np.all(1.0 + self.tempco_per_K * temps > 0.0):
-                raise ParameterError("temperature excursion drives the delay to zero or below")
+        times, temps = (np.asarray(v, dtype=object) for v in self.temperature_profile)
+        if not all(map(finite, (*times.flat, *temps.flat))):
+            raise ParameterError("times_s and temps_K must hold finite numbers only")
+        times, temps = times.astype(float), temps.astype(float)
+        object.__setattr__(self, "temperature_profile", (times, temps))
+        if not times.ndim == temps.ndim == 1 or not 0 < times.size == temps.size:
+            raise ParameterError("times_s and temps_K must be non-empty and of equal length")
+        if np.any(np.diff(times) <= 0):
+            raise ParameterError("times_s must be strictly increasing")
+        if not np.all(1.0 + self.tempco_per_K * temps > 0.0):
+            raise ParameterError("temperature excursion drives the delay to zero or below")
 
     def delta_t(self, t_s: float) -> float:
-        if callable(self.temperature_profile):
-            return float(self.temperature_profile(t_s))
         times, temps = self.temperature_profile
         return float(np.interp(t_s, times, temps))
 
     def delay_at(self, disc: DiscriminatorConfig, t_s: float) -> float:
-        """The delay at ``t_s``; raises unless it is positive (a callable profile may break that)."""
-        tau_d = disc.delay_s * (1.0 + self.tempco_per_K * self.delta_t(t_s))
-        if not tau_d > 0.0:
-            raise ParameterError(f"thermal delay {tau_d} s at t={t_s} s is not positive")
-        return tau_d
-
-
-def linear_ramp(rate_K_per_s: float) -> Callable[[float], float]:
-    return lambda t: rate_K_per_s * t
+        return disc.delay_s * (1.0 + self.tempco_per_K * self.delta_t(t_s))
 
 
 @dataclass(frozen=True)
@@ -224,7 +212,9 @@ def capture_halfwidth(disc: DiscriminatorConfig) -> float:
 
 
 def servo_for_bandwidth(lock: LockPoint, bandwidth_hz: float) -> ServoConfig:
-    """Pure-integral gains giving a first-order closed loop of the given bandwidth at ``lock``."""
+    """Pure-integral gain ki = 2 pi bw / |slope| at ``lock``: a discrete integrator that acts
+    one update T_u late, with loop gain k = 2 pi bw T_u, is first-order-like of bandwidth bw
+    only for k << 1 and stable only for k < 2 (``servo_stride`` checks it)."""
     if not bandwidth_hz > 0.0:
         raise ParameterError(f"loop_bandwidth_hz {bandwidth_hz!r} must be > 0")
     return ServoConfig(kp=0.0, ki=2.0 * np.pi * bandwidth_hz / abs(lock.slope))
@@ -233,13 +223,12 @@ def servo_for_bandwidth(lock: LockPoint, bandwidth_hz: float) -> ServoConfig:
 @dataclass(frozen=True)
 class LockRun:
     """One closed-loop run, each array at the rate README.md's "LockRun directory" gives it;
-    ``lock_flag`` is per sample like the traces, ``thermal_lockpoint_trace`` per servo update."""
+    ``thermal_lockpoint_trace`` is per servo update like the error and actuator traces."""
 
     laser_offset_trace: FrequencyTrace
     inloop_beat_trace: FrequencyTrace
     error_trace: np.ndarray
     actuator_trace: np.ndarray
-    lock_flag: np.ndarray
     thermal_lockpoint_trace: np.ndarray
     update_stride: int
     f_lock_hz: float
@@ -263,7 +252,10 @@ class LockRun:
 
 
 def servo_stride(lock: LockPoint, servo: ServoConfig, dt_s: float) -> int:
-    """Samples per servo update at ``lock``; raises on unrunnable timing or gains."""
+    """Samples per servo update at ``lock``; raises on unrunnable timing or gains.  With g_p =
+    kp |slope| and g_i = ki |slope| T_u the linearised update a_j = (1 - g_p - g_i) a_{j-1} +
+    g_p a_{j-2} is stable (Jury's test) when |g_p| < 1, g_i > 0 and 2 - 2 g_p - g_i > 0, or
+    without ki when |g_p| < 1."""
     stride = grid_steps(servo.update_dt_s, dt_s, 1e-6)
     if not stride:
         raise ParameterError("servo.update_dt_s must be an integer multiple of dt (dt must not exceed it)")
@@ -271,6 +263,11 @@ def servo_stride(lock: LockPoint, servo: ServoConfig, dt_s: float) -> int:
         abs(servo.ki) / (2.0 * np.pi) + abs(servo.kp) / (2.0 * np.pi * servo.update_dt_s))
     if not implied_bw < 1.0 / (10.0 * dt_s):  # NaN gains fail too
         raise ParameterError("servo gains imply a loop bandwidth above the 1/(10 dt) guard")
+    g_p, g_i = servo.kp * abs(lock.slope), servo.ki * abs(lock.slope) * servo.update_dt_s
+    if not (abs(g_p) < 1.0 and (servo.ki == 0.0 or g_i > 0.0 and 2.0 - 2.0 * g_p - g_i > 0.0)):
+        raise ParameterError(f"servo gains make an unstable loop (g_p = kp*|slope| = {g_p:.4g}, "
+                             f"g_i = ki*|slope|*update_dt_s = {g_i:.4g}): stability needs "
+                             f"|g_p| < 1 and, with ki, g_i > 0 and 2 - 2 g_p - g_i > 0")
     return stride
 
 
@@ -299,9 +296,9 @@ def simulate_lock(
     magnitude at the discriminator.  The servo consumes the error voltage
     averaged over the preceding update interval (integrate-and-dump, the
     anti-aliasing a real mixer low-pass provides); the actuator is held
-    between updates.  An unstable run (actuator railed more than half the
-    time) is reported in the status block, not raised.  The error, actuator and
-    lock-point traces are returned at the update rate (see :class:`LockRun`).
+    between updates.  An unstable run (actuator railed in more than half the updates, or
+    locked in less than half the samples) is reported in the status block, not raised.  The
+    error, actuator and lock-point traces are returned at the update rate (see :class:`LockRun`).
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
@@ -370,15 +367,15 @@ def simulate_lock(
     lockpoint_upd = f0 * disc.delay_s / tau_upd
     dev = np.repeat(lockpoint_upd, stride)[:n]
     np.abs(np.subtract(f_abs, dev, out=dev), out=dev)
-    lock_flag = dev <= np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]
+    lock_fraction = np.count_nonzero(dev <= np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]) / n
     rail_fraction = railed_updates / n_upd
     beat_nominal = int(round(f0))
 
     status = {
-        "lock_fraction": float(np.mean(lock_flag)),
+        "lock_fraction": lock_fraction,
         "mean_beat_hz": float(np.mean(f_abs)),
         "actuator_rail_fraction": float(rail_fraction),
-        "unstable": bool(rail_fraction > 0.5),
+        "unstable": bool(rail_fraction > 0.5 or lock_fraction < 0.5),
     }
     f_abs -= beat_nominal  # now the in-loop beat samples
     config = {
@@ -396,7 +393,6 @@ def simulate_lock(
             nominal_hz=beat_nominal, dt_s=dt_s, samples=f_abs, seed=int(seed)),
         error_trace=err_upd,
         actuator_trace=act_upd,
-        lock_flag=lock_flag,
         thermal_lockpoint_trace=lockpoint_upd,
         update_stride=stride,
         f_lock_hz=f0,

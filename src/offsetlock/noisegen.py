@@ -48,16 +48,13 @@ class NoiseSpec:
     h_coeffs : mapping
         Exponent alpha -> coefficient h_alpha of the one-sided PSD
         ``S_nu(f) = sum h_alpha f**alpha`` (Hz^2/Hz).
+        Random-walk FM is h_{-2} (NIST SP 1065), and has no other spelling.
     drift_rate : float
         Deterministic linear drift, Hz/s.
-    drift_random_walk : float
-        Random-walk FM intensity; acts as an additional contribution to
-        h_{-2}, kept separate as a calibration knob.
     """
 
     h_coeffs: Mapping[int, float] = field(default_factory=dict)
     drift_rate: float = 0.0
-    drift_random_walk: float = 0.0
 
     #: Config key of each field whose key is not the field's name (see :func:`json_fields`).
     JSON_KEYS: ClassVar[Dict[str, str]] = {"h": "h_coeffs", "drift_rate_hz_per_s": "drift_rate"}
@@ -78,25 +75,12 @@ class NoiseSpec:
             h = float(h)
             if h != 0.0:
                 coeffs[alpha] = h
-        if self.drift_random_walk < 0.0:
-            raise ParameterError("drift_random_walk must be >= 0")
         object.__setattr__(self, "h_coeffs", coeffs)
 
     @property
     def is_zero(self) -> bool:
         """True for the ideal oscillator (no stochastic or drift content)."""
-        return not self.h_coeffs and self.drift_rate == 0.0 and self.drift_random_walk == 0.0
-
-    @property
-    def has_stochastic(self) -> bool:
-        return bool(self.h_coeffs) or self.drift_random_walk > 0.0
-
-    def effective_h(self) -> dict:
-        """h_coeffs with the random-walk knob folded into h_{-2}."""
-        h = dict(self.h_coeffs)
-        if self.drift_random_walk > 0.0:
-            h[-2] = h.get(-2, 0.0) + self.drift_random_walk
-        return h
+        return not self.h_coeffs and self.drift_rate == 0.0
 
     def psd(self, freqs: np.ndarray) -> np.ndarray:
         """One-sided PSD evaluated on ``freqs`` (0 at f <= 0)."""
@@ -104,7 +88,7 @@ class NoiseSpec:
         out = np.zeros_like(freqs)
         # Every bin is evaluated and f <= 0 zeroed after: gathering the f > 0 bins costs more.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for alpha, h in self.effective_h().items():
+            for alpha, h in self.h_coeffs.items():
                 term = freqs**alpha
                 term *= h  # in place: numpy's first elision check allocates 46 kB amid these arrays
                 out += term
@@ -114,11 +98,7 @@ class NoiseSpec:
 
     def scaled(self, factor: float) -> "NoiseSpec":
         """PSD scaled by ``factor**2`` (drift rate scales by ``factor``)."""
-        return NoiseSpec(
-            h_coeffs={a: h * factor**2 for a, h in self.h_coeffs.items()},
-            drift_rate=self.drift_rate * factor,
-            drift_random_walk=self.drift_random_walk * factor**2,
-        )
+        return NoiseSpec({a: h * factor**2 for a, h in self.h_coeffs.items()}, self.drift_rate * factor)
 
 
 def _validate_profile(profile) -> Tuple[Tuple[float, float], ...]:
@@ -363,7 +343,7 @@ def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) 
     n = grid_steps(duration_s, dt_s, 1e-6)
     if n < 2:
         raise ParameterError("duration must be a multiple of dt, at least 2*dt")
-    if spec.has_stochastic:
+    if spec.h_coeffs:
         m = _fast_len(2 * n)
         # The copy frees the 2n-sample irfft buffer once the trace is sliced out of it.
         samples = np.fft.irfft(_shaped_spectrum(spec, m, dt_s, seed), n=m)[:n].copy()
@@ -382,16 +362,13 @@ def laser_from_linewidth(
 ) -> OscillatorModel:
     """Build a laser model from its Lorentzian FWHM linewidth.
 
-    Uses the white-FM relation ``FWHM = pi * h0``; flicker/random-walk
-    content is attached through the explicit drift arguments.
+    Uses the white-FM relation ``FWHM = pi * h0``; ``random_walk`` is h_{-2}, Hz^2/Hz at
+    1 Hz, and ``drift_rate`` a deterministic drift, Hz/s.
     """
     if fwhm_linewidth_hz <= 0.0:
         raise ParameterError("fwhm_linewidth_hz must be > 0")
-    spec = NoiseSpec(
-        h_coeffs={0: fwhm_linewidth_hz / np.pi},
-        drift_rate=drift_rate,
-        drift_random_walk=random_walk,
-    )
+    # psd adds its terms in this order, so h0 comes first; a zero coefficient is dropped
+    spec = NoiseSpec({0: fwhm_linewidth_hz / np.pi, -2: random_walk}, drift_rate)
     return OscillatorModel(nominal_hz=nominal_hz, noise=spec)
 
 

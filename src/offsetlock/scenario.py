@@ -23,7 +23,6 @@ from .lockloop import (
     cable_delay,
     check_spectral_bandwidth,
     closed_loop_components,
-    linear_ramp,
     out_of_loop_beat,
     resolve_lock_point,
     servo_for_bandwidth,
@@ -109,14 +108,14 @@ def _discriminator(d, path: str) -> DiscriminatorConfig:
     return DiscriminatorConfig(**kw)
 
 
-def _thermal(d, path: str) -> ThermalModel:
+def _thermal(d, path: str, duration_s: float) -> ThermalModel:
     kw = json_fields(d, path, {"tempco_per_K": float, "ramp_K_per_s": float,
                                "times_s": None, "temps_K": None},
                      required=("tempco_per_K", "ramp_K_per_s"),
                      either=[("ramp_K_per_s", "times_s")],
                      needs={"times_s": "temps_K", "temps_K": "times_s"})
-    if "ramp_K_per_s" in kw:
-        return ThermalModel(kw["tempco_per_K"], linear_ramp(kw["ramp_K_per_s"]))
+    if "ramp_K_per_s" in kw:  # the table of the ramp's ends over the run
+        kw["times_s"], kw["temps_K"] = (0.0, duration_s), (0.0, kw["ramp_K_per_s"] * duration_s)
     return ThermalModel(kw["tempco_per_K"], (kw["times_s"], kw["temps_K"]))
 
 
@@ -189,7 +188,6 @@ class ScenarioConfig:
     seed: int
     duration_s: float
     dt_s: float
-    oscillators: Dict[str, OscillatorModel]
     locks: Dict[str, LockBlock]
     measurements: List[Measurement]
     chain: Optional[dict]  # evaluated chain: nodes and budget report
@@ -310,8 +308,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if timed and "servo" in ld:
             servo = parsed(lambda d, p: ServoConfig(**json_fields(d, p, ServoConfig)),
                            ld["servo"], f"{path}.servo")
-        if timed and "thermal" in ld:
-            thermal = parsed(_thermal, ld["thermal"], f"{path}.thermal")
+        if timed and "thermal" in ld and n_samples >= 2:  # a ramp's table spans the run
+            thermal = parsed(_thermal, ld["thermal"], f"{path}.thermal", duration)
         if len(errors) > n_errors:
             continue
         bw = kw.get("loop_bandwidth_hz")
@@ -324,8 +322,6 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 check_spectral_bandwidth(bw, dt)
             elif n_samples >= 2:
                 servo_stride(lock, servo, dt)
-                if thermal is not None:
-                    thermal.delay_at(disc, duration)  # a ramp's delay is monotonic in time
         except MALFORMED as exc:
             errors.append(f"{path}: {exc}")
             continue
@@ -477,9 +473,9 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     if errors:
         return None, errors
     return ScenarioConfig(
-        name=name, seed=seed, duration_s=duration, dt_s=dt,
-        oscillators=oscillators, locks=locks, measurements=measurements, chain=chain,
-        chain_statistics=chain_statistics, expectations=expectations, raw=doc,
+        name=name, seed=seed, duration_s=duration, dt_s=dt, locks=locks,
+        measurements=measurements, chain=chain, chain_statistics=chain_statistics,
+        expectations=expectations, raw=doc,
     ), []
 
 

@@ -39,7 +39,6 @@ from offsetlock import (
     synth_power_law,
     validate_config,
 )
-from offsetlock.lockloop import linear_ramp
 
 from conftest import brute_force_adev_overlapping
 
@@ -177,7 +176,7 @@ def test_criterion_06_inloop_stability_1010(capfd, tmp_path):
 def test_criterion_07_thermal_drift(capfd):
     disc = DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0,
                                bandpass_center_hz=30e6, bandpass_halfwidth_hz=15e6)
-    thermal = ThermalModel(1.7e-4, linear_ramp(0.1))  # 2 K over the 20 s run
+    thermal = ThermalModel(1.7e-4, ([0.0, 20.0], [0.0, 2.0]))  # 0.1 K/s over the 20 s run
     laser = OscillatorModel(198_000_030_000_000, NoiseSpec())
     ref = OscillatorModel(198_000_000_000_000, NoiseSpec())
     lock = resolve_lock_point(disc, 30e6)

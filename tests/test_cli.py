@@ -301,6 +301,8 @@ SERIES_CSV = "# nominal_hz=30000000 gate_s=1\n" + "".join(f"{v}.0\n" for v in ra
     pytest.param("synth", "{not json", ["--duration", "8", "--dt", "0.5"], id="synth-invalid-spec"),
     pytest.param("synth", '{"h": {"0": 2.0}, "drift_rate": 1.0}', ["--duration", "8", "--dt", "0.5"],
                  id="synth-unknown-spec-key"),
+    pytest.param("synth", '{"h": {"0": 2.0}, "drift_random_walk": 1.0}',
+                 ["--duration", "8", "--dt", "0.5"], id="synth-random-walk-spec-key"),
     pytest.param("adev", SERIES_CSV, ["--taus", "1,abc"], id="adev-malformed-taus"),
 ])
 def test_malformed_input_exits_two(runner, tmp_path, command, text, options):

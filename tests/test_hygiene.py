@@ -106,6 +106,56 @@ def test_no_unreferenced_public_functions():
     assert set(unreferenced_definitions(sources, public=True)) - TEST_ORACLES == set()
 
 
+def is_dataclass_node(node):
+    """A class decorated by ``dataclass`` or ``dataclass(...)``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in getattr(node, "decorator_list", ())]
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def unread_fields(sources):
+    """Fields of the dataclasses in ``sources`` ({name: text}) that no module reads as an
+    attribute, as ``"module: Class.field"``; a write such as ``obj.field = x`` is not a read."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in filter(is_dataclass_node, tree.body):
+            defined += [(module, node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(f"{module}: {cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+def test_scanner_finds_unread_fields():
+    sources = {"a.py": "from dataclasses import dataclass\n@dataclass(frozen=True)\n"
+                       "class Run:\n    trace: list\n    lock_flag: list\n    kept: int = 0\n"
+                       "@dataclass\nclass Config:\n    oscillators: dict\n    written: int\n"
+                       "class Plain:\n    unread: int\n",
+               "b.py": "def f(run, cfg):\n    cfg.written = run.kept\n    return run.trace\n"}
+    assert unread_fields(sources) == ["a.py: Config.oscillators", "a.py: Config.written",
+                                      "a.py: Run.lock_flag"]
+
+
+#: Dataclass fields that no src/ module reads as an attribute, each with why it stays.
+UNREAD_FIELDS = {
+    **{f"chain.py: BudgetReport.{name}": "asdict writes the report whole into the chain "
+       "budget, whose stability_pass and offset_pass validation then reads by key"
+       for name in ("afc", "node", "offset_margin_hz", "offset_pass", "stability_margin_hz",
+                    "stability_pass")},
+    "scenario.py: RunReport.config_echo": "asdict writes the report whole into report.json",
+    "noisegen.py: NoiseSpec.JSON_KEYS": "json_fields reads it by name, through getattr",
+    "lockloop.py: LockRun.thermal_lockpoint_trace": "criterion 07's oracle: the lock point the "
+                                                   "servo tracks under a thermal drift",
+}
+
+
+def test_no_unread_dataclass_fields():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert set(unread_fields(sources)) == set(UNREAD_FIELDS)
+
+
 def scipy_imports(source):
     """Lines that import scipy, at module level or inside a function."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))

@@ -33,7 +33,7 @@ from offsetlock import (
     simulate_lock,
 )
 from offsetlock import lockloop
-from offsetlock.lockloop import _one_pole_lowpass, linear_ramp
+from offsetlock.lockloop import _one_pole_lowpass
 
 from conftest import assert_lockrun_dir
 
@@ -272,17 +272,17 @@ def drifted_lock_point(thermal, t_s, f_lock_hz=30e6):
 
 class TestThermal:
     def test_zero_delta_t_no_shift(self):
-        thermal = ThermalModel(1.7e-4, linear_ramp(0.0))
+        thermal = ThermalModel(1.7e-4, ([0.0, 200.0], [0.0, 0.0]))
         assert drifted_lock_point(thermal, 100.0) == 30e6
 
     def test_two_kelvin_shift(self):
-        thermal = ThermalModel(1.7e-4, lambda t: 2.0)
+        thermal = ThermalModel(1.7e-4, ([0.0], [2.0]))
         shift = drifted_lock_point(thermal, 1.0) - 30e6
         assert shift == pytest.approx(-10.2e3, rel=5e-3)
 
     def test_tempco_sign_antisymmetry(self):
-        up = ThermalModel(1.7e-4, lambda t: 2.0)
-        dn = ThermalModel(-1.7e-4, lambda t: 2.0)
+        up = ThermalModel(1.7e-4, ([0.0], [2.0]))
+        dn = ThermalModel(-1.7e-4, ([0.0], [2.0]))
         s_up = drifted_lock_point(up, 0.0) - 30e6
         s_dn = drifted_lock_point(dn, 0.0) - 30e6
         assert s_dn == pytest.approx(-s_up, rel=1e-3)
@@ -301,24 +301,21 @@ class TestThermal:
 
     def test_tempco_bound(self):
         with pytest.raises(ParameterError):
-            ThermalModel(0.5, linear_ramp(0.0))
+            ThermalModel(0.5, ([0.0], [0.0]))
 
     def test_sampled_excursion_collapsing_delay_rejected(self):
         with pytest.raises(ParameterError, match="zero or below"):
             ThermalModel(5e-3, ([0.0, 1.0, 2.0], [0.0, -200.0, 0.0]))
 
-    def test_callable_profile_collapsing_delay_stops_the_run(self):
-        # a callable profile cannot be checked up front; the servo loop stops at the first
-        # update whose delay is not positive instead of reporting a meaningless lock
-        disc = wide_disc()
-        servo = servo_for_bandwidth(WIDE_LOCK, 100.0)
-        thermal = ThermalModel(5e-3, linear_ramp(-300.0))
-        with pytest.raises(ParameterError, match="not positive"):
-            simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, servo, 2.0, 1e-4, seed=1, thermal=thermal)
-        # the check is delay_at's, so every caller of it gets it
-        assert thermal.delay_at(disc, 0.5) > 0.0
-        with pytest.raises(ParameterError, match=r"at t=1\.0 s is not positive"):
-            thermal.delay_at(disc, 1.0)
+    def test_ramp_collapsing_delay_rejected_when_built(self):
+        # a ramp is the table of its ends, so the whole run's delays are checked up front:
+        # -300 K/s over 2 s ends at -600 K, where 1 + 5e-3 * dT is -2
+        with pytest.raises(ParameterError, match="zero or below"):
+            ThermalModel(5e-3, ([0.0, 2.0], [0.0, -600.0]))
+        # between positive points the interpolated delay stays positive
+        thermal = ThermalModel(5e-3, ([0.0, 2.0], [0.0, -199.0]))
+        times = np.linspace(0.0, 3.0, 301)
+        assert all(thermal.delay_at(wide_disc(), t) > 0.0 for t in times)
 
 
 class TestConfigValidation:
@@ -364,12 +361,15 @@ class TestSimulateLock:
         run = self._run(3.0, initial_beat_offset_hz=5e6)
         final = run.inloop_beat_trace.samples[-1] + run.inloop_beat_trace.nominal_hz
         assert final == pytest.approx(30e6, abs=1.0)
-        assert run.lock_flag[-1]
+        assert run.status["lock_fraction"] > 0.5 and not run.status["unstable"]
 
     def test_no_convergence_outside_capture(self):
         disc = wide_disc(bandpass_center_hz=30e6, bandpass_halfwidth_hz=10e6)
         run = self._run(3.0, disc, initial_beat_offset_hz=15e6)
-        assert not np.any(run.lock_flag)
+        assert run.status["lock_fraction"] == 0.0
+        # the actuator never rails, yet a loop that never locks is unstable
+        assert run.status["actuator_rail_fraction"] == 0.0
+        assert run.status["unstable"]
 
     def test_negative_sign_convention_still_locks(self):
         run = self._run(3.0, wide_disc(sign=-1), initial_beat_offset_hz=2e6)
@@ -377,7 +377,7 @@ class TestSimulateLock:
         assert final == pytest.approx(30e6, abs=1.0)
 
     def test_thermal_tracking(self):
-        thermal = ThermalModel(1.7e-4, linear_ramp(0.1))  # 2 K over 20 s
+        thermal = ThermalModel(1.7e-4, ([0.0, 20.0], [0.0, 2.0]))  # 0.1 K/s over 20 s
         run = self._run(20.0, thermal=thermal)
         beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
         lockpoint = np.repeat(run.thermal_lockpoint_trace, run.update_stride)[:beat.size]
@@ -389,6 +389,22 @@ class TestSimulateLock:
         hot = ServoConfig(kp=0.0, ki=1e13, update_dt_s=1e-3)
         with pytest.raises(ParameterError):
             simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, hot, 1.0, 1e-4, seed=1)
+
+    @pytest.mark.parametrize("g_p, g_i, stable", [
+        (0.0, 1.99, True), (0.0, 2.01, False),  # pure integral gain: k < 2
+        (0.99, 0.0, True), (1.01, 0.0, False),  # pure proportional gain: |g_p| < 1
+        (0.5, 0.99, True), (0.5, 1.01, False),  # both: 2 - 2 g_p - g_i > 0
+        (-0.5, 2.99, True), (0.0, -0.1, False),  # g_i > 0: a negative ki is positive feedback
+    ])
+    def test_gains_obey_the_stability_rule(self, g_p, g_i, stable):
+        # g_p = kp |slope| and g_i = ki |slope| T_u; every case lies below the 1/(10 dt) guard
+        slope = abs(WIDE_LOCK.slope)
+        servo = ServoConfig(kp=g_p / slope, ki=g_i / (slope * 1e-3), update_dt_s=1e-3)
+        if stable:
+            assert lockloop.servo_stride(WIDE_LOCK, servo, 1e-4) == 10
+        else:
+            with pytest.raises(ParameterError, match=r"unstable loop .* 2 - 2 g_p - g_i > 0"):
+                lockloop.servo_stride(WIDE_LOCK, servo, 1e-4)
 
     def test_railed_actuator_reported_not_raised(self):
         servo = ServoConfig(kp=0.0, ki=2.0 * np.pi * 100.0 / 1.571e-7,
@@ -414,7 +430,6 @@ class TestSimulateLock:
         run = self._run(1.0)
         n = len(run.laser_offset_trace)
         assert len(run.inloop_beat_trace) == n
-        assert run.lock_flag.size == n
         # the servo's own arrays hold one value per update of 10 samples
         assert run.update_stride == 10
         assert run.error_trace.size == n // 10
@@ -495,20 +510,19 @@ def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s
         lockpoint_arr[k0:k1] = f0 * disc.delay_s / tau_d
         halfwidth_arr[k0:k1] = 1.0 / (4.0 * tau_d)
     f_abs_arr = np.abs(beat_signed)
-    lock_flag = np.abs(f_abs_arr - lockpoint_arr) <= halfwidth_arr
+    lock_fraction = float(np.mean(np.abs(f_abs_arr - lockpoint_arr) <= halfwidth_arr))
     rail_fraction = railed_updates / n_upd
     status = {
-        "lock_fraction": float(np.mean(lock_flag)),
+        "lock_fraction": lock_fraction,
         "mean_beat_hz": float(np.mean(f_abs_arr)),
         "actuator_rail_fraction": float(rail_fraction),
-        "unstable": bool(rail_fraction > 0.5),
+        "unstable": bool(rail_fraction > 0.5 or lock_fraction < 0.5),
     }
     traces = {
         "laser_offset": laser_free + act_arr,
         "inloop_beat": f_abs_arr - int(round(f0)),
         "error": err_arr,
         "actuator": act_arr,
-        "lock_flag": lock_flag,
         "lockpoint": lockpoint_arr,
     }
     return traces, status
@@ -523,7 +537,7 @@ class TestScalarLoopMatchesReference:
     """simulate_lock against the numpy-per-update loop it replaced: equal to the bit."""
 
     @pytest.mark.parametrize("case", [
-        dict(id="thermal-ramp", thermal=ThermalModel(1.7e-4, linear_ramp(0.1))),
+        dict(id="thermal-ramp", thermal=ThermalModel(1.7e-4, ([0.0, 2.0], [0.0, 0.2]))),
         dict(id="thermal-sampled",
              thermal=ThermalModel(1.7e-4, ([0.0, 0.4, 2.0], [0.0, 1.5, -0.5]))),
         # the needed correction shrinks from 5 to 1 MHz: railed for a quarter of the run
@@ -561,7 +575,6 @@ class TestScalarLoopMatchesReference:
             "inloop_beat": run.inloop_beat_trace.samples,
             "error": error,
             "actuator": actuator,
-            "lock_flag": run.lock_flag,
             "lockpoint": lockpoint,
         }
         for name, want in expected.items():

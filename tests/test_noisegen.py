@@ -82,8 +82,11 @@ class TestNoiseSpec:
             NoiseSpec(h_coeffs={"3": 1.0})
 
     def test_negative_random_walk_rejected(self):
-        with pytest.raises(ParameterError):
-            NoiseSpec(drift_random_walk=-1.0)
+        # random-walk FM is h_{-2}; the linewidth form's random_walk is that coefficient
+        with pytest.raises(ParameterError, match="h_-2 must be a finite number >= 0"):
+            NoiseSpec(h_coeffs={-2: -1.0})
+        with pytest.raises(ParameterError, match="h_-2 must be a finite number >= 0"):
+            laser_from_linewidth(10**14, 1e3, random_walk=-1.0)
 
     def test_ideal_oscillator(self):
         assert NoiseSpec().is_zero
@@ -91,15 +94,17 @@ class TestNoiseSpec:
         assert not NoiseSpec(drift_rate=1.0).is_zero
 
     def test_random_walk_folds_into_h_minus_2(self):
-        spec = NoiseSpec(h_coeffs={-2: 1.0}, drift_random_walk=2.0)
-        assert spec.effective_h()[-2] == pytest.approx(3.0)
+        # h0 first: psd adds its terms in this order, and the goldens' bytes depend on it
+        spec = laser_from_linewidth(10**14, np.pi, random_walk=2.0).noise
+        assert list(spec.h_coeffs.items()) == [(0, 1.0), (-2, 2.0)]
+        assert laser_from_linewidth(10**14, np.pi, random_walk=0.0).noise.h_coeffs == {0: 1.0}
 
     def test_scaled_is_quadratic_in_psd_linear_in_drift(self):
-        spec = NoiseSpec(h_coeffs={0: 2.0}, drift_rate=3.0, drift_random_walk=4.0)
+        spec = NoiseSpec(h_coeffs={0: 2.0, -2: 4.0}, drift_rate=3.0)
         s = spec.scaled(10.0)
         assert s.h_coeffs[0] == pytest.approx(200.0)
         assert s.drift_rate == pytest.approx(30.0)
-        assert s.drift_random_walk == pytest.approx(400.0)
+        assert s.h_coeffs[-2] == pytest.approx(400.0)
 
     def test_psd_zero_at_and_below_dc_without_warnings(self):
         spec = NoiseSpec(h_coeffs={a: 1.0 for a in POWER_LAW_EXPONENTS})
@@ -226,13 +231,13 @@ def reference_synth_power_law(spec, duration_s, dt_s, seed):
     """``synth_power_law`` as it was with scipy's FFT and the masked PSD: the byte oracle."""
     n = grid_steps(duration_s, dt_s, 1e-6)
     samples = np.zeros(n)
-    if spec.has_stochastic:
+    if spec.h_coeffs:
         m = sp_fft.next_fast_len(2 * n, real=True)
         rng = np.random.default_rng(seed)
         freqs = np.fft.rfftfreq(m, dt_s)
         psd = np.zeros_like(freqs)
         pos = freqs > 0.0
-        for alpha, h in spec.effective_h().items():
+        for alpha, h in spec.h_coeffs.items():
             psd[pos] += h * freqs[pos] ** alpha
         amp = np.sqrt(psd * (m / (2.0 * dt_s)))
         re = rng.standard_normal(amp.size)
@@ -251,7 +256,8 @@ SYNTH_SPECS = {
     **{f"h{a}": NoiseSpec(h_coeffs={a: 3.7}) for a in (-2, -1, 0, 1, 2)},
     "mixed": NoiseSpec(h_coeffs={-2: 0.3, -1: 1.1, 0: 2.0, 1: 0.05, 2: 1e-3}),
     "drift_rate": NoiseSpec(h_coeffs={0: 2.0}, drift_rate=-0.4),
-    "drift_random_walk": NoiseSpec(h_coeffs={-1: 0.5}, drift_random_walk=0.8),
+    # what an oscillator's linewidth_hz and drift_random_walk keys give: h0, then h_{-2}
+    "drift_random_walk": laser_from_linewidth(10**14, 0.5, random_walk=0.8).noise,
 }
 
 
@@ -294,7 +300,7 @@ class TestLaserFromLinewidth:
     def test_drift_terms_attached(self):
         model = laser_from_linewidth(10**14, 1e3, drift_rate=5.0, random_walk=7.0)
         assert model.noise.drift_rate == 5.0
-        assert model.noise.drift_random_walk == 7.0
+        assert model.noise.h_coeffs[-2] == 7.0
 
     def test_nonpositive_linewidth_rejected(self):
         with pytest.raises(ParameterError):
@@ -540,7 +546,7 @@ class TestWriteColumn:
                       inloop_beat_trace=FrequencyTrace(198_000_019_000_000, 1.0 / 3.0,
                                                        np.roll(values, 1), seed=2**63 - 1),
                       error_trace=per_update[::-1].copy(), actuator_trace=-per_update,
-                      lock_flag=np.ones(n, bool), thermal_lockpoint_trace=per_update,
+                      thermal_lockpoint_trace=per_update,
                       update_stride=3, f_lock_hz=29_679_453.0, status={}, config={})
         assert_lockrun_dir(run, run.export(tmp_path), tmp_path)
 

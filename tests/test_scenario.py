@@ -233,6 +233,9 @@ class TestValidateConfig:
                      id="servo-update-not-dt-multiple"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"), {"ki": 1e13},
                      "1/(10 dt)", id="servo-gain-above-guard"),
+        # below the 1 kHz guard, yet k = 2 pi 400 Hz 1 ms = 2.51 > 2: the loop diverges
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "loop_bandwidth_hz"), 400.0,
+                     "locks[0]: servo gains make an unstable loop", id="servo-bandwidth-unstable"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "servo"),
                      {"ki": float("nan")}, "locks[0].servo: 'ki' must be a number",
                      id="servo-gain-nan"),
@@ -250,10 +253,11 @@ class TestValidateConfig:
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 5e-3, "times_s": [0.0, 2.0], "temps_K": [0.0, -300.0]},
                      "zero or below", id="thermal-sampled-delay-collapse"),
-        # a ramp is checked where the run ends, by the delay_at that the servo loop calls
+        # a ramp is the table of its ends over the run, checked whole when it is built
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 5e-3, "ramp_K_per_s": -5.0},
-                     "s at t=60.0 s is not positive", id="thermal-ramp-delay-collapse"),
+                     "locks[0].thermal: temperature excursion drives the delay to zero or below",
+                     id="thermal-ramp-delay-collapse"),
         # a bandwidth or lock point <= 0 is reported by the lockloop function it would reach
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "loop_bandwidth_hz"), 0,
                      "locks[0]: loop_bandwidth_hz 0.0 must be > 0", id="zero-servo-bandwidth"),
@@ -343,6 +347,11 @@ class TestValidateConfig:
                       "drift_rate_hz_per_s": 500.0},
                      "oscillators.laser1010: 'drift_rate_hz_per_s' is valid only with 'linewidth_hz'",
                      id="drift-with-noise"),
+        # random-walk FM is h_{-2} in a noise object; only the linewidth form has the key
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "reference_noise"),
+                     {"h": {"0": 1e-30}, "drift_random_walk": 1e-30},
+                     "combs.comb_gps.reference_noise: unknown key 'drift_random_walk'",
+                     id="random-walk-in-noise"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
                      {"tempco_per_K": 1e-5, "times_s": [0.0, 60.0]},
                      "locks[0].thermal: 'times_s' is valid only with 'temps_K'",
@@ -620,7 +629,8 @@ class TestRunScenario:
                                     "signal": "freerun:osc", "baseline": "freerun:ref"})
         cfg, errors = validate_config(doc)
         assert errors == []
-        assert cfg.oscillators["ref"].noise == noise_spec_from_profile(profile, 10**14)
+        assert cfg.measurements[-1].baseline.oscillator.noise == noise_spec_from_profile(
+            profile, 10**14)
         report = run_scenario(cfg, str(tmp_path))
         assert report.statistics["r"] > 0.0 and "r_series.csv" in report.manifest
 
