@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
@@ -305,28 +306,75 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _shaped_spectrum(spec: NoiseSpec, m: int, dt_s: float, seed: int) -> np.ndarray:
-    """The m-point real spectrum: white Gaussian bins times sqrt(S(f)), DC bin 0.
+#: Bins per amplitude chunk.  The helper thread allocates nothing longer: glibc gives each
+#: thread its own malloc arena, and a full-length array there stays resident (+60 MB).
+_AMP_CHUNK = 1 << 15
 
-    Its own function so that the draws and amplitudes are freed before the irfft runs.
+
+def _fill_amplitudes(spec: NoiseSpec, amp: np.ndarray, m: int, dt_s: float) -> None:
+    """Write sqrt(S(f_k) * m / (2 dt)) for bins k = 1, 2, ... into ``amp``, one chunk at a time."""
+    df, gain = 1.0 / (m * dt_s), m / (2.0 * dt_s)
+    for lo in range(0, amp.size, _AMP_CHUNK):
+        chunk = amp[lo:lo + _AMP_CHUNK]
+        # f_k = k * df is rfftfreq's own rounding; E|X_k|^2 = m * S(f_k) / (2 dt) gives a
+        # periodogram matching S.
+        np.multiply(spec.psd(np.arange(lo + 1, lo + 1 + chunk.size) * df), gain, out=chunk)
+        np.sqrt(chunk, out=chunk)
+
+
+def _shaped_noise(spec: NoiseSpec, n: int, m: int, dt_s: float, seed: int) -> np.ndarray:
+    """n samples of the m-point irfft of white Gaussian bins times sqrt(S(f)), DC bin 0.
+
+    A spectrum of more than one chunk gets its amplitudes, in its imaginary parts, on a
+    helper thread while this one draws the Gaussians (numpy releases the GIL in both).  The
+    amplitudes are elementwise and the RNG stays on this thread, so the result does not
+    depend on how the two are scheduled.  The Gaussians are drawn into the irfft's output
+    buffer, so the spectrum and that buffer are the only full-length arrays besides the result.
     """
     k = m // 2 + 1
+    if k > np.iinfo(np.intp).max:  # a run too long to index, reported as np.arange(1, k) does
+        raise ValueError("Maximum allowed size exceeded")
     rng = np.random.default_rng(seed)
-    # rfftfreq's own rounding, without the f = 0 bin, whose amplitude is zeroed anyway.
-    amp = spec.psd(np.arange(1, k) * (1.0 / (m * dt_s)))
-    # E|X_k|^2 = m * S(f_k) / (2 dt) gives a periodogram matching S.
-    amp *= m / (2.0 * dt_s)
-    np.sqrt(amp, out=amp)
     spectrum = np.zeros(k, dtype=complex)
-    np.multiply(amp, rng.standard_normal(k)[1:], out=spectrum.real[1:])
-    np.multiply(amp, rng.standard_normal(k)[1:], out=spectrum.imag[1:])
+    # The real parts' Gaussians, then the imaginary parts'.  A spare chunk at its end keeps it
+    # out of the hole a spectrum of this length leaves in glibc's heap, so it extends the heap,
+    # whose top pad then lets glibc trim the irfft's 59 MB of scratch once it is freed.  Without
+    # it that trim hangs on a few kB of slack, and spectral_hour's peak RSS reads 208 or 238 MB
+    # by the checkout path or the argument list alone.
+    buf = np.empty(2 * k + _AMP_CHUNK)
+    failure = []
+
+    def fill():
+        try:
+            _fill_amplitudes(spec, spectrum.imag[1:], m, dt_s)
+        except BaseException as exc:  # re-raised on the calling thread after the join
+            failure.append(exc)
+
+    helper = None
+    if k - 1 > _AMP_CHUNK:
+        helper = threading.Thread(target=fill, name="offsetlock-amplitudes")
+        helper.start()
+    else:
+        fill()
+    real, imag = buf[:k], buf[k:2 * k]
+    try:
+        rng.standard_normal(out=real)
+        rng.standard_normal(out=imag)
+    finally:
+        if helper is not None:
+            helper.join()
+    if failure:
+        raise failure[0]
+    np.multiply(spectrum.imag[1:], real[1:], out=spectrum.real[1:])
+    spectrum.imag[1:] *= imag[1:]
     nyquist = spectrum.real[-1]
     # numpy's complex division by sqrt(2) multiplies by this reciprocal; dividing each
     # part by sqrt(2) would round differently.
     spectrum *= 1.0 / np.sqrt(2.0)
     if m % 2 == 0:
         spectrum[-1] = nyquist
-    return spectrum
+    # The copy frees the buffer once the trace is sliced out of it.
+    return np.fft.irfft(spectrum, n=m, out=buf[:m])[:n].copy()
 
 
 def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) -> FrequencyTrace:
@@ -343,12 +391,7 @@ def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) 
     n = grid_steps(duration_s, dt_s, 1e-6)
     if n < 2:
         raise ParameterError("duration must be a multiple of dt, at least 2*dt")
-    if spec.h_coeffs:
-        m = _fast_len(2 * n)
-        # The copy frees the 2n-sample irfft buffer once the trace is sliced out of it.
-        samples = np.fft.irfft(_shaped_spectrum(spec, m, dt_s, seed), n=m)[:n].copy()
-    else:
-        samples = np.zeros(n)
+    samples = _shaped_noise(spec, n, _fast_len(2 * n), dt_s, seed) if spec.h_coeffs else np.zeros(n)
     if spec.drift_rate != 0.0:
         samples += spec.drift_rate * dt_s * np.arange(n)
     return FrequencyTrace(nominal_hz=0, dt_s=dt_s, samples=samples, seed=int(seed))

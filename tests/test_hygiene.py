@@ -156,24 +156,44 @@ def test_no_unread_dataclass_fields():
     assert set(unread_fields(sources)) == set(UNREAD_FIELDS)
 
 
-def scipy_imports(source):
-    """Lines that import scipy, at module level or inside a function."""
+def package_imports(source, *packages):
+    """Lines that import any of ``packages``, at module level or inside a function."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Import)
-                  and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+                  and any(alias.name.split(".")[0] in packages for alias in node.names)
                   or isinstance(node, ast.ImportFrom) and node.level == 0
-                  and node.module.split(".")[0] == "scipy")
+                  and node.module.split(".")[0] in packages)
 
 
 def test_scanner_finds_scipy_imports():
     source = ("import scipy\nimport numpy, scipy.fft as f\nimport scipyx\nfrom . import scipy\n"
               "def fit():\n    from scipy.optimize import nnls\n    from numpy import fft\n")
-    assert scipy_imports(source) == [1, 2, 6]
+    assert package_imports(source, "scipy") == [1, 2, 6]
 
 
 def test_no_scipy_imports():
     """scipy is the tests' oracle (nnls, lfilter, FFT), not a runtime dependency."""
-    found = {p.name: scipy_imports(p.read_text()) for p in SRC.glob("*.py")}
+    found = {p.name: package_imports(p.read_text(), "scipy") for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+#: Packages that start threads or processes.
+CONCURRENCY = ("threading", "concurrent", "multiprocessing")
+
+
+def test_scanner_finds_concurrency_imports():
+    source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "import os, multiprocessing as mp\nfrom concurrent import futures\nimport threadpoolctl\n"
+              "from . import threading\ndef run():\n    import multiprocessing.pool\n")
+    assert package_imports(source, *CONCURRENCY) == [1, 2, 3, 4, 8]
+
+
+def test_concurrency_in_noisegen_only():
+    """Synthesis shapes its amplitudes on a helper thread that allocates no more than one chunk,
+    since glibc gives each thread its own malloc arena; no other module starts a thread or a
+    process, so that concurrency and its memory cost stay in one audited place."""
+    found = {p.name: package_imports(p.read_text(), *CONCURRENCY) for p in SRC.glob("*.py")}
+    assert found.pop("noisegen.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

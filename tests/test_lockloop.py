@@ -35,7 +35,7 @@ from offsetlock import (
 from offsetlock import lockloop
 from offsetlock.lockloop import _one_pole_lowpass
 
-from conftest import assert_lockrun_dir
+from conftest import assert_lockrun_dir, psd_estimate
 
 IDEAL = OscillatorModel(198_000_019_000_000, NoiseSpec())
 IDEAL_REF = OscillatorModel(197_999_989_000_000, NoiseSpec())
@@ -618,6 +618,70 @@ class TestSpectralLock:
         locked, ref_free = closed_loop_components(laser, ref, WIDE_LOCK, 1e-300, 2.0, 1e-3, seed=4)
         laser_free = oscillator_trace(laser, 2.0, 1e-3, derive_seed(4, "laser")).samples
         assert locked.tobytes() == (ref_free[0] + (laser_free - laser_free[0])).tobytes()
+
+
+class TestLoopResponse:
+    """|1 - H|^2 of each lock model: the Welch PSD of the locked laser over that of the same
+    free-running laser (white FM), band-averaged at 7 frequencies, against its closed form.
+
+    Tolerance: K non-overlapping 2^11-sample segments and B adjacent bins make each PSD band a
+    mean of K*B independent chi^2_2 values, with relative standard error 1/sqrt(K*B).  The two
+    PSDs share one realization, so their errors correlate positively and the ratio's relative
+    error is at most sqrt(2/(K*B)); 4 of those is the bound.  Here K = 292, B = 7: 12.5 %.
+    At 50-700 Hz either model's response lies outside the other's bound.
+    """
+
+    DT, DURATION, BW, SEG, BINS = 1e-4, 60.0, 100.0, 2**11, 7
+    FREQS = (50, 100, 200, 300, 500, 700, 1000)
+    LASER = OscillatorModel(198_000_019_000_000, NoiseSpec(h_coeffs={0: 1e4}))
+
+    def assert_response(self, locked, seed, response):
+        free = oscillator_trace(self.LASER, self.DURATION, self.DT, derive_seed(seed, "laser"))
+        k = free.samples.size // self.SEG
+        f, s_free = psd_estimate(free, k)
+        _, s_locked = psd_estimate(FrequencyTrace(0, self.DT, locked), k)
+        tol = 4.0 * math.sqrt(2.0 / (k * self.BINS))
+        assert k == 292 and tol == pytest.approx(0.125, abs=5e-4)
+        for fc in self.FREQS:
+            lo = round(fc / f[1]) - self.BINS // 2
+            band = slice(lo, lo + self.BINS)
+            measured = s_locked[band].sum() / s_free[band].sum()
+            assert measured == pytest.approx(response(f[band]).mean(), rel=tol), fc
+
+    def test_time_domain_loop(self):
+        """The pure-integral loop of ``servo_for_bandwidth``, linearised: per update T_u of N
+        samples, a_j = (1 - k) a_{j-1} - k x_{j-1}, where x_{j-1} is the locked offset averaged
+        over update j - 1 and k = 2 pi bw T_u, so G = -k z^-1 / (1 - (1 - k) z^-1) at
+        z = e^{i 2 pi f T_u}.  The average and the hold each weigh f by D = sin(pi f T_u) /
+        (N sin(pi f dt)), so |1 - H|^2 = |1 + D^2 G|^2 + D^2 |G|^2 (1 - D^2): the second term
+        is the white FM that the hold aliases from f + n/T_u, 3 % of the first at 200-500 Hz."""
+        seed, servo = 7, servo_for_bandwidth(WIDE_LOCK, self.BW)
+        run = simulate_lock(self.LASER, IDEAL_REF, WIDE_LOCK, servo, self.DURATION, self.DT, seed)
+        t_u, n = servo.update_dt_s, run.update_stride
+        k = 2.0 * np.pi * self.BW * t_u
+
+        def response(f):
+            z_inv = np.exp(-2j * np.pi * f * t_u)
+            g = -k * z_inv / (1.0 - (1.0 - k) * z_inv)
+            d2 = (np.sin(np.pi * f * t_u) / (n * np.sin(np.pi * f * self.DT))) ** 2
+            return np.abs(1.0 + d2 * g) ** 2 + d2 * np.abs(g) ** 2 * (1.0 - d2)
+
+        self.assert_response(run.laser_offset_trace.samples, seed, response)
+
+    def test_spectral_model(self):
+        """laser - lowpass(laser) with the discrete one-pole y_i = a x_i + (1 - a) y_{i-1},
+        a = 1 - exp(-2 pi bw dt): |1 - H|^2 = |(1 - a)(1 - z^-1) / (1 - (1 - a) z^-1)|^2 at
+        z = e^{i 2 pi f dt}, which never exceeds 1."""
+        seed = 7
+        locked, _ = closed_loop_components(self.LASER, IDEAL_REF, WIDE_LOCK, self.BW,
+                                           self.DURATION, self.DT, seed)
+        a = 1.0 - math.exp(-2.0 * np.pi * self.BW * self.DT)
+
+        def response(f):
+            z_inv = np.exp(-2j * np.pi * f * self.DT)
+            return np.abs((1.0 - a) * (1.0 - z_inv) / (1.0 - (1.0 - a) * z_inv)) ** 2
+
+        self.assert_response(locked, seed, response)
 
 
 DT_GOLDEN = 1.0 / 512.0  # fig3 and fig4: 100 Hz at 512 samples per second

@@ -1,8 +1,12 @@
 import io
+import json
 import math
 import re
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from offsetlock import (
     synth_power_law,
     write_trace_csv,
 )
+from offsetlock import noisegen
 from offsetlock.lockloop import LockRun
 from offsetlock.metrology import write_series_csv
 from offsetlock.noisegen import (
@@ -282,6 +287,93 @@ class TestSynthMatchesReference:
 
     def test_fft_length_parity_is_covered(self):
         assert [_fast_len(2 * n) % 2 for n in (2, 7, 1001, 600_000)] == [0, 1, 1, 0]
+
+    # (n, chunk C): n = 1000 gives m // 2 = 1000 amplitude bins and n = 1125 gives 1125, so that
+    # the bins number C - 1, C, C + 1 and 2C + 1; the last two shape them on the helper thread.
+    @pytest.mark.parametrize("case, n, chunk", [("C-1", 1000, 1001), ("C", 1000, 1000),
+                                                ("C+1", 1000, 999), ("2C+1", 1125, 562)])
+    @pytest.mark.parametrize("name", sorted(SYNTH_SPECS))
+    def test_amplitude_chunk_boundaries(self, monkeypatch, name, case, n, chunk):
+        bins = {"C-1": chunk - 1, "C": chunk, "C+1": chunk + 1, "2C+1": 2 * chunk + 1}[case]
+        assert _fast_len(2 * n) // 2 == bins
+        monkeypatch.setattr(noisegen, "_AMP_CHUNK", chunk)
+        got = synth_power_law(SYNTH_SPECS[name], n * 0.25, 0.25, seed=n).samples
+        assert got.tobytes() == reference_synth_power_law(
+            SYNTH_SPECS[name], n * 0.25, 0.25, n).tobytes()
+
+    def test_odd_fft_length_across_chunks(self, monkeypatch):
+        # m = 2025: 1012 bins in chunks of 500, 500 and 12, and no Nyquist bin
+        monkeypatch.setattr(noisegen, "_AMP_CHUNK", 500)
+        got = synth_power_law(SYNTH_SPECS["mixed"], 1001 * 0.25, 0.25, seed=5).samples
+        assert got.tobytes() == reference_synth_power_law(
+            SYNTH_SPECS["mixed"], 1001 * 0.25, 0.25, 5).tobytes()
+
+    def test_fig3_laser_hour(self):
+        """fig3's laser (h0, h_{-2} and drift) over its hour: 1.84 M samples, 57 chunks."""
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "fig3_lock_1514.json").read_text())
+        osc = doc["oscillators"]["laser1514"]
+        spec = laser_from_linewidth(osc["nominal_hz"], osc["linewidth_hz"],
+                                    osc["drift_rate_hz_per_s"], osc["drift_random_walk"]).noise
+        assert set(spec.h_coeffs) == {0, -2} and spec.drift_rate != 0.0
+        got = synth_power_law(spec, doc["duration_s"], doc["dt_s"], seed=doc["seed"]).samples
+        assert got.size == 1_843_200
+        assert got.tobytes() == reference_synth_power_law(
+            spec, doc["duration_s"], doc["dt_s"], doc["seed"]).tobytes()
+
+
+class TestAmplitudeThread:
+    """A spectrum longer than one chunk gets its amplitudes on one helper thread."""
+
+    SPEC = SYNTH_SPECS["mixed"]
+    N = 3 * noisegen._AMP_CHUNK  # three chunks of amplitude bins
+
+    def synth(self, seed=1, n=N):
+        return synth_power_law(self.SPEC, n * 0.25, 0.25, seed=seed).samples
+
+    def test_psd_error_on_a_later_chunk_is_reraised(self, monkeypatch):
+        boom, threads = RuntimeError("psd failed on the second chunk"), []
+        psd = NoiseSpec.psd
+
+        def failing_psd(spec, freqs):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise boom
+            return psd(spec, freqs)
+
+        monkeypatch.setattr(NoiseSpec, "psd", failing_psd)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            self.synth()
+        assert info.value is boom
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threads[0] is not threading.current_thread()
+
+    def test_helper_ends_with_the_call(self):
+        before = threading.active_count()
+        self.synth()
+        assert threading.active_count() == before
+
+    # n = C gives m // 2 = C bins, one chunk; n = C + 1 gives C + 37
+    @pytest.mark.parametrize("extra, starts", [(0, 0), (1, 1)])
+    def test_a_thread_only_past_one_chunk(self, monkeypatch, extra, starts):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        self.synth(n=noisegen._AMP_CHUNK + extra)
+        assert len(started) == starts
+
+    def test_concurrent_callers_get_their_own_bytes(self):
+        """Four callers at once, switching threads every microsecond: each trace is its own."""
+        seeds = range(4)
+        want = [reference_synth_power_law(self.SPEC, self.N * 0.25, 0.25, s).tobytes() for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                got = [x.tobytes() for x in pool.map(self.synth, seeds, timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestLaserFromLinewidth:
