@@ -87,9 +87,9 @@ class DiscriminatorConfig:
 
 @dataclass(frozen=True)
 class ThermalModel:
-    """Fractional delay change per kelvin plus a table ``(times_s, temps_K)`` of K against the
-    run's start, interpolated linearly; checked whole when it is built, since a delay that is
-    positive at two points is positive between them.  A linear ramp is the table of its ends."""
+    """Fractional delay change per kelvin and a table ``(times_s, temps_K)`` of K since the run's
+    start, interpolated linearly into the delay schedule ``delays``; checked whole when built,
+    as a delay positive at two points is positive between them.  A ramp is a 2-point table."""
 
     tempco_per_K: float
     temperature_profile: Tuple[Sequence[float], Sequence[float]]
@@ -109,12 +109,10 @@ class ThermalModel:
         if not np.all(1.0 + self.tempco_per_K * temps > 0.0):
             raise ParameterError("temperature excursion drives the delay to zero or below")
 
-    def delta_t(self, t_s: float) -> float:
+    def delays(self, disc: DiscriminatorConfig, t_s):
+        """tau_d(t) = tau_d(0) (1 + tempco dT(t)) at ``t_s``, a time or an array of times (s)."""
         times, temps = self.temperature_profile
-        return float(np.interp(t_s, times, temps))
-
-    def delay_at(self, disc: DiscriminatorConfig, t_s: float) -> float:
-        return disc.delay_s * (1.0 + self.tempco_per_K * self.delta_t(t_s))
+        return disc.delay_s * (1.0 + self.tempco_per_K * np.interp(t_s, times, temps))
 
 
 @dataclass(frozen=True)
@@ -229,14 +227,12 @@ def servo_for_bandwidth(lock: LockPoint, bandwidth_hz: float) -> ServoConfig:
 
 @dataclass(frozen=True)
 class LockRun:
-    """One closed-loop run, each array at the rate README.md's "LockRun directory" gives it;
-    ``thermal_lockpoint_trace`` is per servo update like the error and actuator traces."""
+    """One closed-loop run, each array at the rate README.md's "LockRun directory" gives it."""
 
     laser_offset_trace: FrequencyTrace
     inloop_beat_trace: FrequencyTrace
     error_trace: np.ndarray
     actuator_trace: np.ndarray
-    thermal_lockpoint_trace: np.ndarray
     update_stride: int
     f_lock_hz: float
     status: dict
@@ -303,9 +299,9 @@ def simulate_lock(
     magnitude at the discriminator.  The servo consumes the error voltage
     averaged over the preceding update interval (integrate-and-dump, the
     anti-aliasing a real mixer low-pass provides); the actuator is held
-    between updates.  An unstable run (actuator railed in more than half the updates, or
-    locked in less than half the samples) is reported in the status block, not raised.  The
-    error, actuator and lock-point traces are returned at the update rate (see :class:`LockRun`).
+    between updates, and each update sees the delay ``thermal.delays`` gives at its first sample.
+    A run that railed the actuator in more than half its updates, or locked in less than half its
+    samples, is reported unstable in the status block, not raised.  See :class:`LockRun` for rates.
     """
     if dt_s <= 0.0:
         raise ParameterError("dt must be > 0")
@@ -335,8 +331,8 @@ def simulate_lock(
     # arithmetic.  This is error_signal() inlined, in its rounding order (2 pi f) tau.
     act_upd = np.empty(n_upd)  # polarity * actuator command, held for one update
     err_upd = np.empty(n_upd)
-    tau_upd = np.full(n_upd, disc.delay_s)
-    tau_d = disc.delay_s
+    tau_upd = (np.full(n_upd, disc.delay_s) if thermal is None
+               else thermal.delays(disc, np.arange(n_upd) * stride * dt_s))
     v0 = disc.sign * disc.amplitude_v
     two_pi = 2.0 * np.pi
     center, half = disc.bandpass_center_hz, disc.bandpass_halfwidth_hz
@@ -345,8 +341,7 @@ def simulate_lock(
     railed_updates = 0
     for j in range(n_upd):
         k0 = j * stride
-        if thermal is not None:
-            tau_d = tau_upd[j] = thermal.delay_at(disc, k0 * dt_s)
+        tau_d = tau_upd.item(j)
         # the discriminator sees the beat of the previous interval (the first sample at j=0)
         volts = []
         for b in base[k0 - stride:k0].tolist() if j else base[:1].tolist():
@@ -371,10 +366,9 @@ def simulate_lock(
     base += act
     del act
     f_abs = np.abs(base, out=base)
-    lockpoint_upd = f0 * disc.delay_s / tau_upd
-    dev = np.repeat(lockpoint_upd, stride)[:n]
+    dev = np.repeat(f0 * disc.delay_s / tau_upd, stride)[:n]  # the lock point f0 tau_d(0)/tau_d
     np.abs(np.subtract(f_abs, dev, out=dev), out=dev)
-    lock_fraction = np.count_nonzero(dev <= np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]) / n
+    lock_fraction = float(np.count_nonzero(dev <= np.repeat(1.0 / (4.0 * tau_upd), stride)[:n]) / n)
     rail_fraction = railed_updates / n_upd
     beat_nominal = int(round(f0))
 
@@ -400,7 +394,6 @@ def simulate_lock(
             nominal_hz=beat_nominal, dt_s=dt_s, samples=f_abs, seed=int(seed)),
         error_trace=err_upd,
         actuator_trace=act_upd,
-        thermal_lockpoint_trace=lockpoint_upd,
         update_stride=stride,
         f_lock_hz=f0,
         status=status,

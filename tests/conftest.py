@@ -116,6 +116,14 @@ def assert_lockrun_dir(run, written, out_dir):
         assert arrays[name].tobytes() == arr.tobytes()
 
 
+def tracked_lock_point(run, disc, thermal):
+    """Per sample, the lock point f_lock tau_d(0) / tau_d that ``run``'s servo tracks under
+    ``thermal``: each update holds the delay ``thermal.delays`` gives at its first sample."""
+    stride, n = run.update_stride, len(run.inloop_beat_trace)
+    starts = np.arange(run.error_trace.size) * stride * run.inloop_beat_trace.dt_s
+    return np.repeat(run.f_lock_hz * disc.delay_s / thermal.delays(disc, starts), stride)[:n]
+
+
 def nested(value, depth):
     """``value`` inside ``depth`` JSON arrays, one in the other."""
     for _ in range(depth):

@@ -40,7 +40,7 @@ from offsetlock import (
     validate_config,
 )
 
-from conftest import brute_force_adev_overlapping
+from conftest import brute_force_adev_overlapping, tracked_lock_point
 
 GPS_PROFILE = ((1.0, 3.4e-12), (263.0, 7.2e-12))
 CABLE_DELAY_S = cable_delay(5.0, 0.66)
@@ -184,8 +184,7 @@ def test_criterion_07_thermal_drift(capfd):
                         thermal=thermal)
     beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
     drift = beat[-1] - beat[0]
-    lockpoint = np.repeat(run.thermal_lockpoint_trace, run.update_stride)[:beat.size]
-    tracking_err = np.max(np.abs(beat - lockpoint))
+    tracking_err = np.max(np.abs(beat - tracked_lock_point(run, disc, thermal)))
     ok = abs(abs(drift) - 10.2e3) <= 0.05 * 10.2e3 and tracking_err < 10.0
     _verdict(capfd, 7, ok)
 

@@ -82,6 +82,15 @@ class TestAdev:
         b = runner.invoke(main, ["adev", str(path), "--taus", "2", "--nonoverlapping"])
         assert a.output != b.output
 
+    def test_omitted_taus_warned(self, runner, tmp_path):
+        # 1000 s does not fit twice into 64 one-second readings: a warning, not an error
+        path = self._series_csv(tmp_path)
+        result = runner.invoke(main, ["adev", str(path), "--taus", "1,1000"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines()[0] == "tau_s,sigma,units,n_pairs"
+        assert len(result.stdout.splitlines()) == 2
+        assert result.stderr == "warning: omitted taus [1000.0]\n"
+
     def test_octave_default(self, runner, tmp_path):
         path = self._series_csv(tmp_path)
         result = runner.invoke(main, ["adev", str(path)])
@@ -210,6 +219,26 @@ class TestRunCommand:
         assert echo["config_echo"]["seed"] == 2
         assert echo["config_echo"]["name"] == "tiny_seed2"
 
+    def test_zero_baseline_adev_exits_two_before_writing(self, runner, tmp_path):
+        # validation rejects a noiseless oscillator baseline; a noiseless lock shows it at run time
+        doc = {
+            "name": "flat", "seed": 1, "duration_s": 16.0, "dt_s": 1.0 / 64,
+            "oscillators": {"laser": {"nominal_hz": 297000057000000},
+                            "noisy": {"nominal_hz": 10**14, "noise": {"h": {"0": 1.0}}}},
+            "combs": {"comb": {"f_rep_hz": 107000000, "f_ceo_hz": 20000000}},
+            "locks": [{"id": "L", "laser": "laser", "comb": "comb", "f_lock_hz": 30e6,
+                       "loop_bandwidth_hz": 1.0, "discriminator": {"cable_m": 5.0}}],
+            "measurements": [{"id": "r", "kind": "adev_ratio_max", "signal": "freerun:noisy",
+                              "baseline": "locked:L"}],
+        }
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", str(path), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "Error: measurement r: baseline ADEV is zero at every tau\n"
+        assert result.stdout == "" and list(out.iterdir()) == []
+
     def test_out_dir_env_var(self, runner, tmp_path):
         result = runner.invoke(main, ["run", golden_path("chain_afc_606.json")],
                                env={"OLS_OUT_DIR": str(tmp_path / "envroot")})
@@ -234,6 +263,18 @@ class TestLockCommand:
             assert sorted(p.name for p in (tmp_path / out).iterdir()) == sorted(LOCKRUN_FILES)
         for name in LOCKRUN_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_out_dir_env_var(self, runner, tmp_path):
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "fig4_lock_1010_timedomain.json").read_text())
+        doc["duration_s"] = 2.0
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["lock", str(path), "--lock-id", "lock1010"],
+                               env={"OLS_OUT_DIR": str(tmp_path / "envroot")})
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "envroot" / "fig4_lock_1010_timedomain_lock1010"
+        assert sorted(p.name for p in out.iterdir()) == sorted(LOCKRUN_FILES)
 
     def test_spectral_block_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["lock", golden_path("fig3_lock_1514.json"),
@@ -304,6 +345,7 @@ SERIES_CSV = "# nominal_hz=30000000 gate_s=1\n" + "".join(f"{v}.0\n" for v in ra
     pytest.param("synth", '{"h": {"0": 2.0}, "drift_random_walk": 1.0}',
                  ["--duration", "8", "--dt", "0.5"], id="synth-random-walk-spec-key"),
     pytest.param("adev", SERIES_CSV, ["--taus", "1,abc"], id="adev-malformed-taus"),
+    pytest.param("adev", SERIES_CSV.splitlines(keepends=True)[0], [], id="adev-header-only"),
 ])
 def test_malformed_input_exits_two(runner, tmp_path, command, text, options):
     """Malformed input is exit 2 with a message, not a traceback (exit 1 means a failed check)."""

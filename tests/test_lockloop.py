@@ -35,7 +35,7 @@ from offsetlock import (
 from offsetlock import lockloop
 from offsetlock.lockloop import _one_pole_lowpass
 
-from conftest import assert_lockrun_dir, psd_estimate
+from conftest import assert_lockrun_dir, psd_estimate, tracked_lock_point
 
 IDEAL = OscillatorModel(198_000_019_000_000, NoiseSpec())
 IDEAL_REF = OscillatorModel(197_999_989_000_000, NoiseSpec())
@@ -267,7 +267,7 @@ class TestCaptureHalfwidth:
 def drifted_lock_point(thermal, t_s, f_lock_hz=30e6):
     """The lock point f_lock * tau_d(0) / tau_d(t) that the servo loop tracks at time t."""
     disc = wide_disc()
-    return f_lock_hz * disc.delay_s / thermal.delay_at(disc, t_s)
+    return f_lock_hz * disc.delay_s / thermal.delays(disc, t_s)
 
 
 class TestThermal:
@@ -289,11 +289,24 @@ class TestThermal:
 
     def test_sampled_profile_interpolates(self):
         thermal = ThermalModel(1e-4, ([0.0, 10.0], [0.0, 1.0]))
-        assert thermal.delta_t(5.0) == pytest.approx(0.5)
+        disc = wide_disc()
+        assert thermal.delays(disc, 5.0) == disc.delay_s * (1.0 + 1e-4 * 0.5)
+
+    def test_delays_take_a_time_or_an_array_of_times(self):
+        # the servo loop takes every update's delay in one call: each equals the scalar call's
+        thermal = ThermalModel(1.7e-4, ([0.0, 0.4, 2.0], [0.0, 1.5, -0.5]))
+        disc, times = wide_disc(), np.arange(2000) * 10 * 1e-4
+        delays = thermal.delays(disc, times)
+        assert delays.shape == times.shape
+        assert delays.tobytes() == np.array([thermal.delays(disc, t) for t in times]).tobytes()
+        assert [thermal.delays(disc, t) for t in (0.0, 0.4, 2.0, 3.0)] == [
+            disc.delay_s, disc.delay_s * (1.0 + 1.7e-4 * 1.5),
+            disc.delay_s * (1.0 - 1.7e-4 * 0.5), disc.delay_s * (1.0 - 1.7e-4 * 0.5)]
 
     def test_sampled_profile_holds_numbers_only(self):
         thermal = ThermalModel(1e-4, (np.array([0.0, 10.0]), [np.float32(0.0), np.int64(1)]))
-        assert thermal.delta_t(5.0) == pytest.approx(0.5)
+        disc = wide_disc()
+        assert thermal.delays(disc, 5.0) == disc.delay_s * (1.0 + 1e-4 * 0.5)
         for times, temps in ((["0", "10"], [0.0, 1.0]), ([0.0, 10.0], [True, 1.0]),
                              ([0.0, float("inf")], [0.0, 1.0])):
             with pytest.raises(ParameterError, match="finite numbers only"):
@@ -315,10 +328,24 @@ class TestThermal:
         # between positive points the interpolated delay stays positive
         thermal = ThermalModel(5e-3, ([0.0, 2.0], [0.0, -199.0]))
         times = np.linspace(0.0, 3.0, 301)
-        assert all(thermal.delay_at(wide_disc(), t) > 0.0 for t in times)
+        assert np.all(thermal.delays(wide_disc(), times) > 0.0)
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("delay_s", 0.0), ("amplitude_v", -1.0), ("sign", 2), ("bandpass_halfwidth_hz", 0.0),
+        ("noise_v2_per_hz", -1e-9)])
+    def test_discriminator_guards(self, key, value):
+        with pytest.raises(ParameterError, match=f"^{key} must be"):
+            wide_disc(**{key: value})
+
+    def test_servo_guards(self):
+        with pytest.raises(ParameterError, match="actuator_limit_hz must be > 0"):
+            ServoConfig(ki=1.0, actuator_limit_hz=0.0)
+        with pytest.raises(ParameterError, match="dt must be > 0"):
+            simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK, servo_for_bandwidth(WIDE_LOCK, 100.0),
+                          1.0, 0.0, seed=1)
+
     def test_passband_must_contain_lock_point(self):
         with pytest.raises(ParameterError):
             DiscriminatorConfig(delay_s=25e-9, amplitude_v=1.0,
@@ -376,12 +403,18 @@ class TestSimulateLock:
         final = run.inloop_beat_trace.samples[-1] + run.inloop_beat_trace.nominal_hz
         assert final == pytest.approx(30e6, abs=1.0)
 
+    def test_status_values_are_plain_python_numbers(self):
+        # json writes a float subclass like a float, but a caller comparing types sees numpy's
+        run = self._run(1.0)
+        assert {key: type(value) for key, value in run.status.items()} == {
+            "lock_fraction": float, "mean_beat_hz": float,
+            "actuator_rail_fraction": float, "unstable": bool}
+
     def test_thermal_tracking(self):
         thermal = ThermalModel(1.7e-4, ([0.0, 20.0], [0.0, 2.0]))  # 0.1 K/s over 20 s
         run = self._run(20.0, thermal=thermal)
         beat = run.inloop_beat_trace.samples + run.inloop_beat_trace.nominal_hz
-        lockpoint = np.repeat(run.thermal_lockpoint_trace, run.update_stride)[:beat.size]
-        assert np.max(np.abs(beat - lockpoint)) < 5.0
+        assert np.max(np.abs(beat - tracked_lock_point(run, wide_disc(), thermal))) < 5.0
         drift = beat[-1] - beat[0]
         assert drift == pytest.approx(-10.2e3, rel=0.05)
 
@@ -434,7 +467,6 @@ class TestSimulateLock:
         assert run.update_stride == 10
         assert run.error_trace.size == n // 10
         assert run.actuator_trace.size == n // 10
-        assert run.thermal_lockpoint_trace.size == n // 10
 
     def test_peak_memory_is_the_outputs(self):
         # Noiseless oscillators make synthesis np.zeros, so the peak is the loop's own arrays.
@@ -491,7 +523,10 @@ def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s
     for j in range(n_upd):
         k0 = j * stride
         k1 = min(k0 + stride, n)
-        tau_d = thermal.delay_at(disc, k0 * dt_s) if thermal is not None else disc.delay_s
+        tau_d = disc.delay_s
+        if thermal is not None:
+            times, temps = thermal.temperature_profile
+            tau_d *= 1.0 + thermal.tempco_per_K * float(np.interp(k0 * dt_s, times, temps))
         if j == 0:
             f_abs = np.abs(base[k0:k0 + 1] + polarity * act_cmd)
         else:
@@ -567,15 +602,17 @@ class TestScalarLoopMatchesReference:
                                                    **kwargs)
         n, stride = len(run.laser_offset_trace), run.update_stride
         assert stride == round(servo.update_dt_s / 1e-4)
-        servo_rate = (run.error_trace, run.actuator_trace, run.thermal_lockpoint_trace)
-        assert [a.size for a in servo_rate] == [case.get("n_updates", 2000)] * 3
-        error, actuator, lockpoint = (np.repeat(a, stride)[:n] for a in servo_rate)
+        servo_rate = (run.error_trace, run.actuator_trace)
+        assert [a.size for a in servo_rate] == [case.get("n_updates", 2000)] * 2
+        error, actuator = (np.repeat(a, stride)[:n] for a in servo_rate)
+        # with no thermal model, a zero tempco gives every update the delay tau_d(0) exactly
+        thermal = kwargs["thermal"] or ThermalModel(0.0, ([0.0], [0.0]))
         got = {
             "laser_offset": run.laser_offset_trace.samples,
             "inloop_beat": run.inloop_beat_trace.samples,
             "error": error,
             "actuator": actuator,
-            "lockpoint": lockpoint,
+            "lockpoint": tracked_lock_point(run, disc, thermal),
         }
         for name, want in expected.items():
             assert got[name].tobytes() == want.tobytes(), name

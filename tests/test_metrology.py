@@ -53,6 +53,8 @@ class TestCount:
         trace = FrequencyTrace(0, 1.0, np.zeros(10))
         with pytest.raises(ParameterError):
             count(trace, CounterConfig(gate_s=1.0))
+        with pytest.raises(ParameterError, match="gate_s must be > 0"):
+            CounterConfig(0.0)
 
     def test_white_fm_reading_variance_scales_inverse_gate(self):
         vars_by_gate = {}

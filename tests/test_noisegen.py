@@ -98,6 +98,10 @@ class TestNoiseSpec:
         assert not NoiseSpec(h_coeffs={0: 1.0}).is_zero
         assert not NoiseSpec(drift_rate=1.0).is_zero
 
+    def test_carrier_must_be_positive(self):
+        with pytest.raises(ParameterError, match="nominal_hz must be > 0"):
+            OscillatorModel(0)
+
     def test_random_walk_folds_into_h_minus_2(self):
         # h0 first: psd adds its terms in this order, and the goldens' bytes depend on it
         spec = laser_from_linewidth(10**14, np.pi, random_walk=2.0).noise
@@ -638,7 +642,6 @@ class TestWriteColumn:
                       inloop_beat_trace=FrequencyTrace(198_000_019_000_000, 1.0 / 3.0,
                                                        np.roll(values, 1), seed=2**63 - 1),
                       error_trace=per_update[::-1].copy(), actuator_trace=-per_update,
-                      thermal_lockpoint_trace=per_update,
                       update_stride=3, f_lock_hz=29_679_453.0, status={}, config={})
         assert_lockrun_dir(run, run.export(tmp_path), tmp_path)
 

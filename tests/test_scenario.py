@@ -19,8 +19,14 @@ from offsetlock import (
     validate_config,
 )
 from offsetlock import lockloop, scenario
-from offsetlock.lockloop import closed_loop_components
-from offsetlock.noisegen import OscillatorModel, noise_spec_from_profile
+from offsetlock.lockloop import closed_loop_components, out_of_loop_beat
+from offsetlock.metrology import CounterConfig, count, write_series_csv
+from offsetlock.noisegen import (
+    OscillatorModel,
+    derive_seed,
+    noise_spec_from_profile,
+    oscillator_trace,
+)
 from offsetlock.scenario import expand_seeds
 
 from conftest import nested
@@ -89,6 +95,13 @@ class TestValidateConfig:
         doc["dt_s"] = 0
         cfg, errors = validate_config(doc)
         assert any(e.startswith("dt_s") for e in errors)
+
+    def test_duplicate_lock_id(self):
+        doc = json.loads(golden_text("fig4_inloop_1010.json"))
+        doc["locks"].append(copy.deepcopy(doc["locks"][0]))
+        cfg, errors = validate_config(doc)
+        assert cfg is None
+        assert errors == ["locks[1].id: duplicate lock id 'lock1010'"]
 
     def test_duplicate_measurement_id(self):
         doc = small_doc()
@@ -468,6 +481,14 @@ class TestValidateConfig:
                      "a multiple of gate_s within the", id="window-beyond-run"),
         pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "pick_tau_s"), 3.0,
                      "a tau of the grid that fits twice", id="pick-tau-off-grid"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0), 5,
+                     "locks[0]: must be a JSON object", id="lock-not-an-object"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "units"), "ppm",
+                     "measurements[0].units: must be 'hz' or 'fractional'", id="unknown-units"),
+        # a 500 THz comb's line nearest the 198 THz laser is line 0, its offset alone
+        pytest.param("fig3_lock_1514.json", ("combs", "comb_narrow", "f_rep_hz"), 500000000000000,
+                     "measurements[2].signal: comb line index must be >= 1",
+                     id="outofloop-comb-line-zero"),
         pytest.param("fig4_lock_1010_timedomain.json", ("measurements", 0, "gate_s"), True,
                      "gate_s", id="boolean-gate-s"),
         pytest.param("fig3_lock_1514.json", ("measurements", 0, "window_s"), True,
@@ -633,6 +654,32 @@ class TestRunScenario:
             profile, 10**14)
         report = run_scenario(cfg, str(tmp_path))
         assert report.statistics["r"] > 0.0 and "r_series.csv" in report.manifest
+
+    def test_outofloop_against_an_oscillator(self, tmp_path):
+        # the beat of the locked laser against the reference oscillator's freerun: trace,
+        # drawn with that signal's seed label
+        doc = {
+            "name": "oo", "seed": 5, "duration_s": 16.0, "dt_s": 1.0 / 64,
+            "oscillators": {"laser": {"nominal_hz": 297000057000000, "linewidth_hz": 1e3},
+                            "ref": {"nominal_hz": 297000000000000, "noise": {"h": {"0": 1e2}}}},
+            "combs": {"comb": {"f_rep_hz": 107000000, "f_ceo_hz": 20000000}},
+            "locks": [{"id": "L", "laser": "laser", "comb": "comb", "f_lock_hz": 30e6,
+                       "loop_bandwidth_hz": 1.0, "discriminator": {"cable_m": 5.0}}],
+            "measurements": [
+                {"id": "oo", "kind": "peak_to_peak", "signal": "outofloop:L:ref"},
+                {"id": "fr", "kind": "peak_to_peak", "signal": "freerun:ref"}],
+        }
+        cfg, errors = validate_config(doc)
+        assert errors == []
+        report = run_scenario(cfg, tmp_path / "out")
+        assert math.isfinite(report.statistics["oo"])
+        locked, _, _ = scenario.execute_lock(cfg, cfg.locks["L"])
+        free = oscillator_trace(cfg.measurements[1].signal.oscillator, cfg.duration_s, cfg.dt_s,
+                                derive_seed(cfg.seed, "freerun:ref"))
+        for mid, trace in (("oo", out_of_loop_beat(locked, free)), ("fr", free)):
+            write_series_csv(count(trace, CounterConfig(1.0)), tmp_path / f"{mid}.csv")
+            assert ((tmp_path / f"{mid}.csv").read_bytes()
+                    == (tmp_path / "out" / f"{mid}_series.csv").read_bytes()), mid
 
     def test_failing_envelope(self, tmp_path):
         doc = small_doc()
