@@ -39,13 +39,13 @@ C_M_PER_S = 299792458.0
 DEFAULT_VELOCITY_FACTOR = 0.66
 
 
-def cable_delay(length_m: float, velocity_factor: float = DEFAULT_VELOCITY_FACTOR) -> float:
-    """Electrical delay of a cable: length / (vf * c)."""
-    if length_m < 0.0:
-        raise ParameterError("length_m must be >= 0")
+def cable_delay(cable_m: float, velocity_factor: float = DEFAULT_VELOCITY_FACTOR) -> float:
+    """Delay of a discriminator's cable from its config keys: cable_m / (velocity_factor * c)."""
+    if cable_m < 0.0:
+        raise ParameterError("cable_m must be >= 0")
     if not 0.0 < velocity_factor <= 1.0:
         raise ParameterError("velocity_factor must be in (0, 1]")
-    return length_m / (velocity_factor * C_M_PER_S)
+    return cable_m / (velocity_factor * C_M_PER_S)
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ def simulate_lock(
     A run that railed the actuator in more than half its updates, or locked in less than half its
     samples, is reported unstable in the status block, not raised.  See :class:`LockRun` for rates.
     """
-    if dt_s <= 0.0:
+    if not dt_s > 0.0:
         raise ParameterError("dt must be > 0")
     disc, f0, fb = lock.disc, lock.f_hz, lock.slope_sign  # fb: negative feedback for either sign
     stride = servo_stride(lock, servo, dt_s)
@@ -503,13 +503,15 @@ def closed_loop_components(
     the time-domain loop (``servo_for_bandwidth``).  Criterion 09 compares the two models at
     one statistic only, the in-loop ADEV at 1 s.
     """
+    if not dt_s > 0.0:
+        raise ParameterError("dt must be > 0")
     check_spectral_bandwidth(loop_bandwidth_hz, dt_s)
     laser_free = oscillator_trace(laser, duration_s, dt_s, derive_seed(seed, "laser")).samples
     ref_free = oscillator_trace(reference, duration_s, dt_s, derive_seed(seed, "reference")).samples
     seen = ref_free
     h0 = lock.disc.noise_v2_per_hz / lock.slope**2  # detection noise, V^2/Hz -> Hz^2/Hz
     if h0 > 0.0:
-        seen = synth_power_law(NoiseSpec(h_coeffs={0: h0}), duration_s, dt_s,
+        seen = synth_power_law(NoiseSpec(h={0: h0}), duration_s, dt_s,
                                derive_seed(seed, "detector")).samples
         seen += ref_free
     locked = _one_pole_lowpass(seen, loop_bandwidth_hz, dt_s)

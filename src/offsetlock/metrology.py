@@ -65,10 +65,13 @@ def read_series_csv(path) -> FrequencyTrace:
         m = _SERIES_HEADER.match(fh.readline())
         if not m:
             raise ParameterError(f"{path}: not a counter series CSV")
-        try:
-            readings = np.loadtxt(fh, dtype=float, ndmin=1)
-        except ValueError as exc:
-            raise ParameterError(f"{path}: {exc}") from None
+        lines = fh.readlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):  # loadtxt would warn, then fail
+        raise ParameterError(f"{path}: no readings after the header")
+    try:
+        readings = np.loadtxt(lines, dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
     return FrequencyTrace(int(m.group(1)), float(m.group(2)), readings)
 
 

@@ -17,7 +17,7 @@ import math
 import sys
 import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,27 +42,24 @@ def derive_seed(seed: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Power-law frequency-noise recipe.
+    """Power-law frequency-noise recipe; a config's noise object has these fields as its keys.
 
     Parameters
     ----------
-    h_coeffs : mapping
+    h : mapping
         Exponent alpha -> coefficient h_alpha of the one-sided PSD
         ``S_nu(f) = sum h_alpha f**alpha`` (Hz^2/Hz).
         Random-walk FM is h_{-2} (NIST SP 1065), and has no other spelling.
-    drift_rate : float
+    drift_rate_hz_per_s : float
         Deterministic linear drift, Hz/s.
     """
 
-    h_coeffs: Mapping[int, float] = field(default_factory=dict)
-    drift_rate: float = 0.0
-
-    #: Config key of each field whose key is not the field's name (see :func:`json_fields`).
-    JSON_KEYS: ClassVar[Dict[str, str]] = {"h": "h_coeffs", "drift_rate_hz_per_s": "drift_rate"}
+    h: Mapping[int, float] = field(default_factory=dict)
+    drift_rate_hz_per_s: float = 0.0
 
     def __post_init__(self):
         coeffs = {}
-        for key, h in dict(self.h_coeffs).items():
+        for key, h in dict(self.h).items():
             # an exact int or, as a JSON key, its canonical decimal string: not "00", "+0", 0.5, True
             alpha = int(key) if isinstance(key, str) and key.removeprefix("-").isdecimal() else key
             if (not isinstance(alpha, (int, np.integer)) or isinstance(alpha, bool)
@@ -76,12 +73,12 @@ class NoiseSpec:
             h = float(h)
             if h != 0.0:
                 coeffs[alpha] = h
-        object.__setattr__(self, "h_coeffs", coeffs)
+        object.__setattr__(self, "h", coeffs)
 
     @property
     def is_zero(self) -> bool:
         """True for the ideal oscillator (no stochastic or drift content)."""
-        return not self.h_coeffs and self.drift_rate == 0.0
+        return not self.h and self.drift_rate_hz_per_s == 0.0
 
     def psd(self, freqs: np.ndarray) -> np.ndarray:
         """One-sided PSD evaluated on ``freqs`` (0 at f <= 0)."""
@@ -89,7 +86,7 @@ class NoiseSpec:
         out = np.zeros_like(freqs)
         # Every bin is evaluated and f <= 0 zeroed after: gathering the f > 0 bins costs more.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for alpha, h in self.h_coeffs.items():
+            for alpha, h in self.h.items():
                 term = freqs**alpha
                 term *= h  # in place: numpy's first elision check allocates 46 kB amid these arrays
                 out += term
@@ -99,7 +96,7 @@ class NoiseSpec:
 
     def scaled(self, factor: float) -> "NoiseSpec":
         """PSD scaled by ``factor**2`` (drift rate scales by ``factor``)."""
-        return NoiseSpec({a: h * factor**2 for a, h in self.h_coeffs.items()}, self.drift_rate * factor)
+        return NoiseSpec({a: h * factor**2 for a, h in self.h.items()}, self.drift_rate_hz_per_s * factor)
 
 
 def _validate_profile(profile) -> Tuple[Tuple[float, float], ...]:
@@ -142,29 +139,27 @@ _JSON_TYPES = {
 def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> dict:
     """The members of the JSON object ``obj`` found at ``path``, checked against ``specs``.
 
-    A spec is a dataclass, whose fields are allowed keys (spelt as its ``JSON_KEYS`` say)
-    and required unless they have a default; a dict of allowed keys to their types; or a
-    collection of allowed keys.  ``required`` names more required keys.  A ``float`` value
-    must be a finite number, not NaN, an infinity, a bool or a string; float() converts it.
-    An ``int`` value must be an integer, not a bool or a float; a ``str`` value a string.
+    A spec is a dataclass, whose field names are the allowed keys, each required unless it
+    has a default, so a config writes its model's own names; a dict of allowed keys to their
+    types; or a collection of allowed keys.  ``required`` names more required keys.  A ``float``
+    value must be a finite number, not NaN, an infinity, a bool or a string; float() converts
+    it.  An ``int`` value must be an integer, not a bool or a float; a ``str`` value a string.
     Of a dataclass's fields only the floats are typed.  Of each pair ``(a, b)`` in ``either``
     at most one may be given, and one must be if ``a`` is required.  ``needs`` maps a key to
-    the key it is valid only with.  Returns the members by field name; raises one
+    the key it is valid only with.  Returns the members under their own keys; raises one
     ConfigKeyError naming ``path`` and every offending key.
     """
     if not isinstance(obj, dict):
         raise ConfigKeyError(f"{path}: must be a JSON object")
-    names, types, required = {}, {}, list(required)
+    types, required = {}, list(required)
     for spec in specs:
         if not is_dataclass(spec):
             types.update(spec if isinstance(spec, dict) else dict.fromkeys(spec))
             continue
-        keys = {name: key for key, name in getattr(spec, "JSON_KEYS", {}).items()}
         for f in fields(spec):
-            key = keys.get(f.name, f.name)
-            names[key], types[key] = f.name, float if f.type in (float, "float") else None
+            types[f.name] = float if f.type in (float, "float") else None
             if f.default is MISSING and f.default_factory is MISSING:
-                required.append(key)
+                required.append(f.name)
     problems = [f"unknown key {k!r}" for k in obj if k not in types]
     for a, b in either:
         if a in obj and b in obj:
@@ -180,7 +175,7 @@ def json_fields(obj, path: str, *specs, required=(), either=(), needs=None) -> d
                  if types.get(k) in _JSON_TYPES and not _JSON_TYPES[types[k]][1](v)]
     if problems:
         raise ConfigKeyError(f"{path}: " + "; ".join(problems))
-    return {names.get(k, k): float(v) if types[k] is float else v for k, v in obj.items()}
+    return {k: float(v) if types[k] is float else v for k, v in obj.items()}
 
 
 def grid_steps(x: float, unit: float, rtol: float) -> int:
@@ -386,32 +381,32 @@ def synth_power_law(spec: NoiseSpec, duration_s: float, dt_s: float, seed: int) 
     the low-frequency (random-walk) components.  Deterministic per
     (spec, duration, dt, seed).
     """
-    if dt_s <= 0.0:
+    if not dt_s > 0.0:
         raise ParameterError("dt must be > 0")
     n = grid_steps(duration_s, dt_s, 1e-6)
     if n < 2:
         raise ParameterError("duration must be a multiple of dt, at least 2*dt")
-    samples = _shaped_noise(spec, n, _fast_len(2 * n), dt_s, seed) if spec.h_coeffs else np.zeros(n)
-    if spec.drift_rate != 0.0:
-        samples += spec.drift_rate * dt_s * np.arange(n)
+    samples = _shaped_noise(spec, n, _fast_len(2 * n), dt_s, seed) if spec.h else np.zeros(n)
+    if spec.drift_rate_hz_per_s != 0.0:
+        samples += spec.drift_rate_hz_per_s * dt_s * np.arange(n)
     return FrequencyTrace(nominal_hz=0, dt_s=dt_s, samples=samples, seed=int(seed))
 
 
 def laser_from_linewidth(
     nominal_hz: int,
-    fwhm_linewidth_hz: float,
-    drift_rate: float = 0.0,
-    random_walk: float = 0.0,
+    linewidth_hz: float,
+    drift_rate_hz_per_s: float = 0.0,
+    drift_random_walk: float = 0.0,
 ) -> OscillatorModel:
-    """Build a laser model from its Lorentzian FWHM linewidth.
+    """Build a laser model from its Lorentzian FWHM linewidth: an oscillator's linewidth form.
 
-    Uses the white-FM relation ``FWHM = pi * h0``; ``random_walk`` is h_{-2}, Hz^2/Hz at
-    1 Hz, and ``drift_rate`` a deterministic drift, Hz/s.
+    The parameters are that form's config keys.  Uses the white-FM relation ``FWHM = pi * h0``;
+    ``drift_random_walk`` is h_{-2}, Hz^2/Hz at 1 Hz, and ``drift_rate_hz_per_s`` a drift, Hz/s.
     """
-    if fwhm_linewidth_hz <= 0.0:
-        raise ParameterError("fwhm_linewidth_hz must be > 0")
+    if linewidth_hz <= 0.0:
+        raise ParameterError("linewidth_hz must be > 0")
     # psd adds its terms in this order, so h0 comes first; a zero coefficient is dropped
-    spec = NoiseSpec({0: fwhm_linewidth_hz / np.pi, -2: random_walk}, drift_rate)
+    spec = NoiseSpec({0: linewidth_hz / np.pi, -2: drift_random_walk}, drift_rate_hz_per_s)
     return OscillatorModel(nominal_hz=nominal_hz, noise=spec)
 
 
@@ -471,7 +466,7 @@ def noise_spec_from_profile(profile, nominal_hz: int) -> NoiseSpec:
     """Convert a fractional ADEV profile to an absolute-Hz NoiseSpec at an exact integer carrier."""
     nu2 = float(exact_int(nominal_hz, "nominal_hz")) ** 2
     a, b, c = decompose_adev_profile(profile)
-    return NoiseSpec(h_coeffs={  # a zero coefficient leaves no h
+    return NoiseSpec(h={  # a zero coefficient leaves no h
         0: 2.0 * a * nu2,  # sigma^2 = h0 / (2 tau)
         -1: b * nu2 / (2.0 * _LN2),  # sigma^2 = 2 ln2 h_{-1}
         -2: 3.0 * c * nu2 / (2.0 * np.pi**2),  # sigma^2 = (2 pi^2 / 3) h_{-2} tau

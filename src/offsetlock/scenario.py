@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 from . import chain as chainmod
 from .errors import MALFORMED, ConfigKeyError, ParameterError
 from .lockloop import (
-    DEFAULT_VELOCITY_FACTOR,
     DiscriminatorConfig,
     LockPoint,
     ServoConfig,
@@ -70,22 +69,16 @@ TIME_DOMAIN_CAP_S = 60.0
 # ---------------------------------------------------------------------------
 # Config objects: ``json_fields`` checks each one's keys; every default lives in its model.
 
-#: An oscillator's linewidth form: config key -> ``laser_from_linewidth`` argument.
-_LASER_ARGS = {"linewidth_hz": "fwhm_linewidth_hz", "drift_rate_hz_per_s": "drift_rate",
-               "drift_random_walk": "random_walk"}
-
-
 def _oscillator(d, path: str) -> OscillatorModel:
-    kw = json_fields(d, path, OscillatorModel, dict.fromkeys(_LASER_ARGS, float), ["adev_profile"],
-                     either=[("noise", "linewidth_hz"), ("noise", "adev_profile"),
-                             ("linewidth_hz", "adev_profile")],
-                     needs=dict.fromkeys(("drift_rate_hz_per_s", "drift_random_walk"),
-                                         "linewidth_hz"))
+    drift = ("drift_rate_hz_per_s", "drift_random_walk")  # the linewidth form's drift
+    kw = json_fields(d, path, OscillatorModel, dict.fromkeys(("linewidth_hz", *drift), float),
+                     ["adev_profile"], either=[("noise", "linewidth_hz"), ("noise", "adev_profile"),
+                                               ("linewidth_hz", "adev_profile")],
+                     needs=dict.fromkeys(drift, "linewidth_hz"))
+    if "linewidth_hz" in kw:
+        return laser_from_linewidth(**kw)
     if "noise" in kw:
         kw["noise"] = NoiseSpec(**json_fields(kw["noise"], f"{path}.noise", NoiseSpec))
-    if "linewidth_hz" in kw:
-        laser = {_LASER_ARGS[k]: kw.pop(k) for k in _LASER_ARGS if k in kw}
-        kw["noise"] = laser_from_linewidth(kw["nominal_hz"], **laser).noise
     if "adev_profile" in kw:
         kw["noise"] = noise_spec_from_profile(kw.pop("adev_profile"), kw["nominal_hz"])
     return OscillatorModel(**kw)
@@ -102,9 +95,9 @@ def _comb(d, path: str) -> CombModel:
 def _discriminator(d, path: str) -> DiscriminatorConfig:
     kw = json_fields(d, path, DiscriminatorConfig, {"cable_m": float, "velocity_factor": float},
                      either=[("delay_s", "cable_m")], needs={"velocity_factor": "cable_m"})
-    if "cable_m" in kw:
-        kw["delay_s"] = cable_delay(kw.pop("cable_m"),
-                                    kw.pop("velocity_factor", DEFAULT_VELOCITY_FACTOR))
+    cable = {k: kw.pop(k) for k in ("cable_m", "velocity_factor") if k in kw}
+    if cable:  # velocity_factor needs cable_m
+        kw["delay_s"] = cable_delay(**cable)
     return DiscriminatorConfig(**kw)
 
 

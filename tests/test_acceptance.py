@@ -85,7 +85,7 @@ def test_criterion_01_adev_oracle_equivalence(capfd):
 
 def test_criterion_02_white_fm_law(capfd):
     t0 = time.perf_counter()
-    spec = NoiseSpec(h_coeffs={0: 2.0})
+    spec = NoiseSpec(h={0: 2.0})
     taus = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     sigmas = []
     for seed in range(20):
@@ -102,7 +102,7 @@ def test_criterion_02_white_fm_law(capfd):
 
 
 def test_criterion_03_drift_law(capfd):
-    spec = NoiseSpec(drift_rate=1.0)
+    spec = NoiseSpec(drift_rate_hz_per_s=1.0)
     trace = synth_power_law(spec, 64.0, 0.25, seed=0)
     series = count(trace, CounterConfig(gate_s=1.0))
     result = adev_overlapping(series, [1.0, 2.0, 4.0])

@@ -362,6 +362,15 @@ def test_malformed_input_exits_two(runner, tmp_path, command, text, options):
     assert result.stdout == ""
 
 
+def test_header_only_series_is_one_error_line(tmp_path):
+    """A series CSV with no readings is rejected before numpy's loadtxt could warn of it."""
+    path = tmp_path / "series.csv"
+    path.write_text("# nominal_hz=30000000 gate_s=1\n")
+    proc = run_python("-m", "offsetlock.cli", "adev", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("Error:"), proc.stderr
+
+
 @pytest.mark.parametrize("command, text, options", [
     pytest.param("synth", '{"h": {"0": 2.0}}', ["--duration", "8", "--dt", "0.5"], id="synth"),
     pytest.param("lock", None, ["--lock-id", "lock1010"], id="lock"),

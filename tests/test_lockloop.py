@@ -31,6 +31,7 @@ from offsetlock import (
     resolve_lock_point,
     servo_for_bandwidth,
     simulate_lock,
+    synth_power_law,
 )
 from offsetlock import lockloop
 from offsetlock.lockloop import _one_pole_lowpass
@@ -246,6 +247,22 @@ def test_lock_point_outside_passband_rejected(call, message):
     assert [p.f_hz for p in lock_points(disc, 0.0, 60e6)] == [pytest.approx(30e6)]
     with pytest.raises(ParameterError, match=message):
         call(disc)
+
+
+# Each model entry that takes a time step rejects one that is not > 0 as FrequencyTrace does.
+@pytest.mark.parametrize("dt_s", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda dt: closed_loop_components(IDEAL, IDEAL_REF, WIDE_LOCK, 100.0, 1.0, dt,
+                                                   seed=1), id="closed_loop_components"),
+    pytest.param(lambda dt: simulate_lock(IDEAL, IDEAL_REF, WIDE_LOCK,
+                                          servo_for_bandwidth(WIDE_LOCK, 100.0), 1.0, dt, seed=1),
+                 id="simulate_lock"),
+    pytest.param(lambda dt: synth_power_law(NoiseSpec(h={0: 1.0}), 1.0, dt, seed=1),
+                 id="synth_power_law"),
+])
+def test_nonpositive_dt_rejected(call, dt_s):
+    with pytest.raises(ParameterError, match="^dt must be > 0$"):
+        call(dt_s)
 
 
 class TestCaptureHalfwidth:
@@ -563,9 +580,9 @@ def reference_simulate_lock(laser, reference, disc, servo, f_lock_hz, duration_s
     return traces, status
 
 
-NOISY_LASER = laser_from_linewidth(198_000_019_000_000, 40e3, drift_rate=500.0)
-NOISY_LOW_LASER = laser_from_linewidth(197_999_959_000_000, 40e3, drift_rate=500.0)
-NOISY_REF = OscillatorModel(197_999_989_000_000, NoiseSpec(h_coeffs={0: 1e3}))
+NOISY_LASER = laser_from_linewidth(198_000_019_000_000, 40e3, drift_rate_hz_per_s=500.0)
+NOISY_LOW_LASER = laser_from_linewidth(197_999_959_000_000, 40e3, drift_rate_hz_per_s=500.0)
+NOISY_REF = OscillatorModel(197_999_989_000_000, NoiseSpec(h={0: 1e3}))
 
 
 class TestScalarLoopMatchesReference:
@@ -577,7 +594,7 @@ class TestScalarLoopMatchesReference:
              thermal=ThermalModel(1.7e-4, ([0.0, 0.4, 2.0], [0.0, 1.5, -0.5]))),
         # the needed correction shrinks from 5 to 1 MHz: railed for a quarter of the run
         dict(id="railed-anti-windup", initial_beat_offset_hz=5e6,
-             laser=laser_from_linewidth(198_000_019_000_000, 40e3, drift_rate=-2e6),
+             laser=laser_from_linewidth(198_000_019_000_000, 40e3, drift_rate_hz_per_s=-2e6),
              servo=ServoConfig(kp=1e6, ki=4e9, actuator_limit_hz=4e6)),
         dict(id="railed-throughout", initial_beat_offset_hz=5e6,
              servo=ServoConfig(ki=4e9, actuator_limit_hz=1e5)),
@@ -642,7 +659,7 @@ class TestSpectralLock:
 
     def test_reference_passes_through_below_bandwidth(self):
         # A drifting reference within the loop bandwidth is followed 1:1.
-        ref = OscillatorModel(197_999_989_000_000, NoiseSpec(drift_rate=100.0))
+        ref = OscillatorModel(197_999_989_000_000, NoiseSpec(drift_rate_hz_per_s=100.0))
         locked, _ = closed_loop_components(IDEAL, ref, WIDE_LOCK, 50.0, 20.0, 1e-3, seed=3)
         expected_drift = 100.0 * 20.0
         assert locked[-1] - locked[0] == pytest.approx(expected_drift, rel=0.05)
@@ -651,7 +668,7 @@ class TestSpectralLock:
         # bw 1e-300 validates; its warm-up (~1e303 samples) must not size an allocation.
         # Its pole is 1.0, so the low-pass holds the first sample.
         laser = laser_from_linewidth(198_000_019_000_000, 300e3)
-        ref = OscillatorModel(197_999_989_000_000, NoiseSpec(h_coeffs={0: 1e4}))
+        ref = OscillatorModel(197_999_989_000_000, NoiseSpec(h={0: 1e4}))
         locked, ref_free = closed_loop_components(laser, ref, WIDE_LOCK, 1e-300, 2.0, 1e-3, seed=4)
         laser_free = oscillator_trace(laser, 2.0, 1e-3, derive_seed(4, "laser")).samples
         assert locked.tobytes() == (ref_free[0] + (laser_free - laser_free[0])).tobytes()
@@ -670,7 +687,7 @@ class TestLoopResponse:
 
     DT, DURATION, BW, SEG, BINS = 1e-4, 60.0, 100.0, 2**11, 7
     FREQS = (50, 100, 200, 300, 500, 700, 1000)
-    LASER = OscillatorModel(198_000_019_000_000, NoiseSpec(h_coeffs={0: 1e4}))
+    LASER = OscillatorModel(198_000_019_000_000, NoiseSpec(h={0: 1e4}))
 
     def assert_response(self, locked, seed, response):
         free = oscillator_trace(self.LASER, self.DURATION, self.DT, derive_seed(seed, "laser"))

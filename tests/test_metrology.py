@@ -61,7 +61,7 @@ class TestCount:
         for gate in (1.0, 4.0):
             v = []
             for seed in range(12):
-                trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0}), 512.0, 0.5, seed=seed)
+                trace = synth_power_law(NoiseSpec(h={0: 2.0}), 512.0, 0.5, seed=seed)
                 series = count(trace, CounterConfig(gate_s=gate))
                 v.append(np.var(series.samples))
             vars_by_gate[gate] = np.mean(v)
@@ -235,7 +235,7 @@ class TestFitNoiseSlope:
         taus = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         per_seed = []
         for seed in range(10):
-            trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0}), 4096.0, 0.5, seed=seed)
+            trace = synth_power_law(NoiseSpec(h={0: 2.0}), 4096.0, 0.5, seed=seed)
             series = count(trace, CounterConfig(gate_s=1.0))
             per_seed.append(adev_overlapping(series, taus).sigmas)
         mean = AllanResult(np.array(taus), np.mean(per_seed, axis=0),
@@ -251,7 +251,7 @@ class TestFitNoiseSlope:
         per_seed = []
         taus = [1.0, 2.0, 4.0, 8.0, 16.0]
         for seed in range(10):
-            trace = synth_power_law(NoiseSpec(h_coeffs={-1: 2.0}), 2048.0, 0.5, seed=seed)
+            trace = synth_power_law(NoiseSpec(h={-1: 2.0}), 2048.0, 0.5, seed=seed)
             series = count(trace, CounterConfig(gate_s=1.0))
             per_seed.append(adev_overlapping(series, taus).sigmas)
         mean = AllanResult(np.array(taus), np.mean(per_seed, axis=0),
@@ -274,7 +274,7 @@ class TestPsdEstimate:
         assert freqs[np.argmax(psd)] == pytest.approx(f0)
 
     def test_parseval(self):
-        trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0, -2: 1.0}), 1024.0, 1.0, seed=4)
+        trace = synth_power_law(NoiseSpec(h={0: 2.0, -2: 1.0}), 1024.0, 1.0, seed=4)
         freqs, psd = psd_estimate(trace, segments=1)
         df = freqs[1] - freqs[0]
         assert np.sum(psd) * df == pytest.approx(np.mean(trace.samples**2), rel=0.05)

@@ -66,37 +66,37 @@ class TestDeriveSeed:
 class TestNoiseSpec:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ParameterError):
-            NoiseSpec(h_coeffs={0: -1.0})
+            NoiseSpec(h={0: -1.0})
 
     def test_unsupported_exponent_rejected(self):
         with pytest.raises(ParameterError):
-            NoiseSpec(h_coeffs={3: 1.0})
+            NoiseSpec(h={3: 1.0})
 
     def test_exponent_keys_exact(self):
         # keys used to go through int(): "00" and "+0" both read as 0 (the later one won),
         # 0.5 was truncated to 0 and True read as 1
-        assert NoiseSpec(h_coeffs={"0": 1.0, "-2": 2.0, np.int64(1): 3.0}).h_coeffs == {
+        assert NoiseSpec(h={"0": 1.0, "-2": 2.0, np.int64(1): 3.0}).h == {
             0: 1.0, -2: 2.0, 1: 3.0}
         for bad in ({"00": 12732.4, "+0": 1.0}, {"00": 1.0}, {"+0": 1.0}, {"-0": 1.0},
                     {" 0": 1.0}, {"0.0": 1.0}, {"": 1.0}, {0.5: 1.0}, {0.0: 1.0}, {True: 1.0},
                     {np.bool_(False): 1.0}):
             key = next(iter(bad))
             with pytest.raises(ParameterError, match=f"PSD exponent {re.escape(repr(key))} must"):
-                NoiseSpec(h_coeffs=bad)
+                NoiseSpec(h=bad)
         with pytest.raises(ParameterError, match="unsupported PSD exponent 3"):
-            NoiseSpec(h_coeffs={"3": 1.0})
+            NoiseSpec(h={"3": 1.0})
 
     def test_negative_random_walk_rejected(self):
-        # random-walk FM is h_{-2}; the linewidth form's random_walk is that coefficient
+        # random-walk FM is h_{-2}; the linewidth form's drift_random_walk is that coefficient
         with pytest.raises(ParameterError, match="h_-2 must be a finite number >= 0"):
-            NoiseSpec(h_coeffs={-2: -1.0})
+            NoiseSpec(h={-2: -1.0})
         with pytest.raises(ParameterError, match="h_-2 must be a finite number >= 0"):
-            laser_from_linewidth(10**14, 1e3, random_walk=-1.0)
+            laser_from_linewidth(10**14, 1e3, drift_random_walk=-1.0)
 
     def test_ideal_oscillator(self):
         assert NoiseSpec().is_zero
-        assert not NoiseSpec(h_coeffs={0: 1.0}).is_zero
-        assert not NoiseSpec(drift_rate=1.0).is_zero
+        assert not NoiseSpec(h={0: 1.0}).is_zero
+        assert not NoiseSpec(drift_rate_hz_per_s=1.0).is_zero
 
     def test_carrier_must_be_positive(self):
         with pytest.raises(ParameterError, match="nominal_hz must be > 0"):
@@ -104,19 +104,19 @@ class TestNoiseSpec:
 
     def test_random_walk_folds_into_h_minus_2(self):
         # h0 first: psd adds its terms in this order, and the goldens' bytes depend on it
-        spec = laser_from_linewidth(10**14, np.pi, random_walk=2.0).noise
-        assert list(spec.h_coeffs.items()) == [(0, 1.0), (-2, 2.0)]
-        assert laser_from_linewidth(10**14, np.pi, random_walk=0.0).noise.h_coeffs == {0: 1.0}
+        spec = laser_from_linewidth(10**14, np.pi, drift_random_walk=2.0).noise
+        assert list(spec.h.items()) == [(0, 1.0), (-2, 2.0)]
+        assert laser_from_linewidth(10**14, np.pi, drift_random_walk=0.0).noise.h == {0: 1.0}
 
     def test_scaled_is_quadratic_in_psd_linear_in_drift(self):
-        spec = NoiseSpec(h_coeffs={0: 2.0, -2: 4.0}, drift_rate=3.0)
+        spec = NoiseSpec(h={0: 2.0, -2: 4.0}, drift_rate_hz_per_s=3.0)
         s = spec.scaled(10.0)
-        assert s.h_coeffs[0] == pytest.approx(200.0)
-        assert s.drift_rate == pytest.approx(30.0)
-        assert s.h_coeffs[-2] == pytest.approx(400.0)
+        assert s.h[0] == pytest.approx(200.0)
+        assert s.drift_rate_hz_per_s == pytest.approx(30.0)
+        assert s.h[-2] == pytest.approx(400.0)
 
     def test_psd_zero_at_and_below_dc_without_warnings(self):
-        spec = NoiseSpec(h_coeffs={a: 1.0 for a in POWER_LAW_EXPONENTS})
+        spec = NoiseSpec(h={a: 1.0 for a in POWER_LAW_EXPONENTS})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             psd = spec.psd(np.array([0.0, -0.0, -2.0, np.nan, 0.5]))
@@ -158,17 +158,17 @@ class TestSynthPowerLaw:
         assert np.all(trace.samples == 0.0)
 
     def test_pure_drift_exact_ramp(self):
-        trace = synth_power_law(NoiseSpec(drift_rate=1.0), 10.0, 1.0, seed=1)
+        trace = synth_power_law(NoiseSpec(drift_rate_hz_per_s=1.0), 10.0, 1.0, seed=1)
         assert np.array_equal(trace.samples, np.arange(10.0))
 
     def test_deterministic_per_seed(self):
-        spec = NoiseSpec(h_coeffs={0: 2.0, -2: 0.5})
+        spec = NoiseSpec(h={0: 2.0, -2: 0.5})
         a = synth_power_law(spec, 32.0, 0.5, seed=9)
         b = synth_power_law(spec, 32.0, 0.5, seed=9)
         assert np.array_equal(a.samples, b.samples)
 
     def test_seeds_differ(self):
-        spec = NoiseSpec(h_coeffs={0: 2.0})
+        spec = NoiseSpec(h={0: 2.0})
         a = synth_power_law(spec, 32.0, 0.5, seed=1)
         b = synth_power_law(spec, 32.0, 0.5, seed=2)
         assert not np.array_equal(a.samples, b.samples)
@@ -187,7 +187,7 @@ class TestSynthPowerLaw:
     def test_white_fm_adev_one_seed(self):
         # sigma(1 s) = sqrt(h0/2) = 1 Hz for h0 = 2; loose single-seed check
         # (the tight ensemble version lives in the acceptance suite).
-        trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0}), 4096.0, 0.5, seed=3)
+        trace = synth_power_law(NoiseSpec(h={0: 2.0}), 4096.0, 0.5, seed=3)
         series = count(trace, CounterConfig(gate_s=1.0))
         sigma = adev_overlapping(series, [1.0]).sigmas[0]
         assert sigma == pytest.approx(1.0, rel=0.2)
@@ -200,7 +200,7 @@ class TestSynthPowerLaw:
         lo, hi = (0.01, 0.1) if alpha <= 0 else (0.04, 0.4)
         psds = []
         for seed in range(8):
-            trace = synth_power_law(NoiseSpec(h_coeffs={alpha: 1.0}), 4096.0, 1.0, seed=seed)
+            trace = synth_power_law(NoiseSpec(h={alpha: 1.0}), 4096.0, 1.0, seed=seed)
             freqs, psd = psd_estimate(trace, segments=8)
             psds.append(psd)
         psd = np.mean(psds, axis=0)
@@ -211,7 +211,7 @@ class TestSynthPowerLaw:
     def test_psd_level_white(self):
         psds = []
         for seed in range(8):
-            trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0}), 2048.0, 1.0, seed=seed)
+            trace = synth_power_law(NoiseSpec(h={0: 2.0}), 2048.0, 1.0, seed=seed)
             freqs, psd = psd_estimate(trace, segments=4)
             psds.append(psd)
         psd = np.mean(psds, axis=0)
@@ -240,13 +240,13 @@ def reference_synth_power_law(spec, duration_s, dt_s, seed):
     """``synth_power_law`` as it was with scipy's FFT and the masked PSD: the byte oracle."""
     n = grid_steps(duration_s, dt_s, 1e-6)
     samples = np.zeros(n)
-    if spec.h_coeffs:
+    if spec.h:
         m = sp_fft.next_fast_len(2 * n, real=True)
         rng = np.random.default_rng(seed)
         freqs = np.fft.rfftfreq(m, dt_s)
         psd = np.zeros_like(freqs)
         pos = freqs > 0.0
-        for alpha, h in spec.h_coeffs.items():
+        for alpha, h in spec.h.items():
             psd[pos] += h * freqs[pos] ** alpha
         amp = np.sqrt(psd * (m / (2.0 * dt_s)))
         re = rng.standard_normal(amp.size)
@@ -256,17 +256,17 @@ def reference_synth_power_law(spec, duration_s, dt_s, seed):
         if m % 2 == 0:
             spectrum[-1] = amp[-1] * re[-1]
         samples = sp_fft.irfft(spectrum, n=m)[:n].copy()
-    if spec.drift_rate != 0.0:
-        samples += spec.drift_rate * dt_s * np.arange(n)
+    if spec.drift_rate_hz_per_s != 0.0:
+        samples += spec.drift_rate_hz_per_s * dt_s * np.arange(n)
     return samples
 
 
 SYNTH_SPECS = {
-    **{f"h{a}": NoiseSpec(h_coeffs={a: 3.7}) for a in (-2, -1, 0, 1, 2)},
-    "mixed": NoiseSpec(h_coeffs={-2: 0.3, -1: 1.1, 0: 2.0, 1: 0.05, 2: 1e-3}),
-    "drift_rate": NoiseSpec(h_coeffs={0: 2.0}, drift_rate=-0.4),
+    **{f"h{a}": NoiseSpec(h={a: 3.7}) for a in (-2, -1, 0, 1, 2)},
+    "mixed": NoiseSpec(h={-2: 0.3, -1: 1.1, 0: 2.0, 1: 0.05, 2: 1e-3}),
+    "drift_rate": NoiseSpec(h={0: 2.0}, drift_rate_hz_per_s=-0.4),
     # what an oscillator's linewidth_hz and drift_random_walk keys give: h0, then h_{-2}
-    "drift_random_walk": laser_from_linewidth(10**14, 0.5, random_walk=0.8).noise,
+    "drift_random_walk": laser_from_linewidth(10**14, 0.5, drift_random_walk=0.8).noise,
 }
 
 
@@ -319,7 +319,7 @@ class TestSynthMatchesReference:
         osc = doc["oscillators"]["laser1514"]
         spec = laser_from_linewidth(osc["nominal_hz"], osc["linewidth_hz"],
                                     osc["drift_rate_hz_per_s"], osc["drift_random_walk"]).noise
-        assert set(spec.h_coeffs) == {0, -2} and spec.drift_rate != 0.0
+        assert set(spec.h) == {0, -2} and spec.drift_rate_hz_per_s != 0.0
         got = synth_power_law(spec, doc["duration_s"], doc["dt_s"], seed=doc["seed"]).samples
         assert got.size == 1_843_200
         assert got.tobytes() == reference_synth_power_law(
@@ -383,20 +383,20 @@ class TestAmplitudeThread:
 class TestLaserFromLinewidth:
     def test_300_khz(self):
         model = laser_from_linewidth(198_000_000_000_000, 300e3)
-        assert model.noise.h_coeffs[0] == pytest.approx(9.549e4, rel=1e-3)
+        assert model.noise.h[0] == pytest.approx(9.549e4, rel=1e-3)
 
     def test_40_khz(self):
         model = laser_from_linewidth(297_000_000_000_000, 40e3)
-        assert model.noise.h_coeffs[0] == pytest.approx(1.273e4, rel=1e-3)
+        assert model.noise.h[0] == pytest.approx(1.273e4, rel=1e-3)
 
     def test_pi_linewidth_gives_unit_h0(self):
         model = laser_from_linewidth(10**14, np.pi)
-        assert model.noise.h_coeffs[0] == 1.0
+        assert model.noise.h[0] == 1.0
 
     def test_drift_terms_attached(self):
-        model = laser_from_linewidth(10**14, 1e3, drift_rate=5.0, random_walk=7.0)
-        assert model.noise.drift_rate == 5.0
-        assert model.noise.h_coeffs[-2] == 7.0
+        model = laser_from_linewidth(10**14, 1e3, drift_rate_hz_per_s=5.0, drift_random_walk=7.0)
+        assert model.noise.drift_rate_hz_per_s == 5.0
+        assert model.noise.h[-2] == 7.0
 
     def test_nonpositive_linewidth_rejected(self):
         with pytest.raises(ParameterError):
@@ -430,10 +430,10 @@ class TestCombModel:
 
     def test_fractional_noise_scaled_to_carrier(self):
         comb = CombModel(f_rep_hz=107_000_000, f_ceo_hz=0,
-                         reference_noise=NoiseSpec(h_coeffs={0: 1e-24}))
+                         reference_noise=NoiseSpec(h={0: 1e-24}))
         line = comb_line_oscillator(comb, 1000)
         nu = 1000 * 107_000_000
-        assert line.noise.h_coeffs[0] == pytest.approx(1e-24 * nu**2)
+        assert line.noise.h[0] == pytest.approx(1e-24 * nu**2)
 
     def test_profile_passes_through_fractional(self):
         # decomposed at the line's carrier (fig4's line): a scaled 1 Hz decomposition rounds h_-2
@@ -447,7 +447,7 @@ class TestCombModel:
 
     def test_both_fractional_forms_rejected(self):
         with pytest.raises(ParameterError, match="give 'reference_noise' or 'adev_profile'"):
-            CombModel(f_rep_hz=107_000_000, reference_noise=NoiseSpec(h_coeffs={0: 1e-24}),
+            CombModel(f_rep_hz=107_000_000, reference_noise=NoiseSpec(h={0: 1e-24}),
                       adev_profile=((1.0, 3.4e-12), (263.0, 7.2e-12)))
 
 
@@ -479,13 +479,13 @@ class TestAdevProfile:
         profile = ((np.float64(1.0), np.float32(3.5e-12)), (np.int64(263), 7.2e-12))
         assert CombModel(f_rep_hz=107_000_000, adev_profile=profile).adev_profile == (
             (1.0, float(np.float32(3.5e-12))), (263.0, 7.2e-12))
-        assert NoiseSpec(h_coeffs={0: np.float32(0.5), -2: np.float64(2.0)}).h_coeffs == {
+        assert NoiseSpec(h={0: np.float32(0.5), -2: np.float64(2.0)}).h == {
             0: 0.5, -2: 2.0}
         for bad in (True, "1", float("nan"), None):
             with pytest.raises(ParameterError, match="finite numbers"):
                 noise_spec_from_profile(((1.0, 1e-12), (2.0, bad)), 10**14)
             with pytest.raises(ParameterError, match="h_0 must be a finite number >= 0"):
-                NoiseSpec(h_coeffs={0: bad})
+                NoiseSpec(h={0: bad})
 
     def test_white_only_profile_decomposition(self):
         # sigma ~ 1/sqrt(tau) over a factor 100 is pure white FM.
@@ -548,7 +548,7 @@ class TestAdevProfile:
         # Pure white profile: h0 = 2 * A * nu^2 reproduces sigma = sqrt(h0/(2 tau)).
         nu = 297_000_000_000_000
         spec = noise_spec_from_profile([(1.0, 1e-12), (100.0, 1e-13)], nu)
-        assert spec.h_coeffs[0] == pytest.approx(2.0 * (1e-12 * nu) ** 2, rel=1e-9)
+        assert spec.h[0] == pytest.approx(2.0 * (1e-12 * nu) ** 2, rel=1e-9)
 
     def test_trace_matches_profile_iodine(self):
         profile = ((1.0, 9.1e-13), (155.0, 6.8e-13))
@@ -562,7 +562,7 @@ class TestAdevProfile:
             assert result.sigma_at(tau) == pytest.approx(target, rel=0.25)
 
     def test_oscillator_trace_dispatch(self):
-        plain = OscillatorModel(10**14, noise=NoiseSpec(drift_rate=1.0))
+        plain = OscillatorModel(10**14, noise=NoiseSpec(drift_rate_hz_per_s=1.0))
         tr = oscillator_trace(plain, 4.0, 1.0, seed=0)
         assert np.array_equal(tr.samples, np.arange(4.0))
         assert tr.nominal_hz == 10**14
@@ -570,7 +570,7 @@ class TestAdevProfile:
 
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
-        trace = synth_power_law(NoiseSpec(h_coeffs={0: 2.0}, drift_rate=0.25),
+        trace = synth_power_law(NoiseSpec(h={0: 2.0}, drift_rate_hz_per_s=0.25),
                                 16.0, 0.5, seed=17)
         trace = FrequencyTrace(198_000_019_000_000, trace.dt_s, trace.samples, trace.seed)
         path = tmp_path / "trace.csv"
@@ -653,7 +653,7 @@ class TestWriteColumn:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_synthesis_determinism_property(h0, drift, seed):
-    spec = NoiseSpec(h_coeffs={0: h0}, drift_rate=drift)
+    spec = NoiseSpec(h={0: h0}, drift_rate_hz_per_s=drift)
     a = synth_power_law(spec, 8.0, 0.5, seed=seed)
     b = synth_power_law(spec, 8.0, 0.5, seed=seed)
     assert np.array_equal(a.samples, b.samples)

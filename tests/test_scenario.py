@@ -503,6 +503,12 @@ class TestValidateConfig:
                      {"nominal_hz": 198000019000000},
                      "measurements[2].signal: out-of-loop reference 'comb_narrow' names both "
                      "an oscillator and a comb", id="outofloop-ref-oscillator-and-comb"),
+        # a model's own check names the key the config wrote: no key is renamed on the way in
+        pytest.param("fig4_lock_1010_timedomain.json", ("oscillators", "laser1010", "linewidth_hz"),
+                     -1.0, "oscillators.laser1010: linewidth_hz must be > 0",
+                     id="negative-linewidth_hz"),
+        pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "discriminator", "cable_m"),
+                     -5.0, "locks[0].discriminator: cable_m must be >= 0", id="negative-cable_m"),
     ])
     def test_rejects_silently_altered_input(self, name, path, value, message):
         doc = golden_with(name, path, value)
