@@ -72,7 +72,10 @@ def read_series_csv(path) -> FrequencyTrace:
         readings = np.loadtxt(lines, dtype=float, ndmin=1)
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from None
-    return FrequencyTrace(int(m.group(1)), float(m.group(2)), readings)
+    series = FrequencyTrace(int(m.group(1)), float(m.group(2)), readings)
+    if not np.isfinite(series.dt_s * len(series)):  # octave_taus would double to overflow
+        raise ParameterError(f"{path}: gate_s times the number of readings must be finite")
+    return series
 
 
 def allan_csv(result: AllanResult) -> str:

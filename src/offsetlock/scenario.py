@@ -118,11 +118,6 @@ def _file_name(x) -> bool:
             and x == os.path.basename(x))
 
 
-def _named(table: dict, key):
-    """``table[key]`` for a string key, else None (JSON may put any value there)."""
-    return table.get(key) if isinstance(key, str) else None
-
-
 def _comb_line(laser: OscillatorModel, comb: CombModel) -> Tuple[int, OscillatorModel]:
     """(index, oscillator) of the comb line nearest the laser carrier."""
     n, _ = chainmod.comb_beat(laser.nominal_hz, comb)
@@ -254,39 +249,49 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
             errors.append("duration_s: must be a multiple of dt_s, at least 2*dt_s")
 
     def models(key, build) -> dict:
-        """The objects of section ``key`` that parse, by name."""
-        parsed_models = {k: parsed(build, d, f"{key}.{k}") for k, d in section(key, dict).items()}
-        return {k: m for k, m in parsed_models.items() if m is not None}
+        """Every object of section ``key`` by name: None for one whose error is recorded."""
+        return {k: parsed(build, d, f"{key}.{k}") for k, d in section(key, dict).items()}
 
-    oscillators: Dict[str, OscillatorModel] = models("oscillators", _oscillator)
-    combs: Dict[str, CombModel] = models("combs", _comb)
+    oscillators: Dict[str, Optional[OscillatorModel]] = models("oscillators", _oscillator)
+    combs: Dict[str, Optional[CombModel]] = models("combs", _comb)
+
+    def named(table, key, path, what):
+        """``table[key]``, or None: with an error when ``key`` is not a name in ``table``, and
+        without one when it names a model whose error is recorded already."""
+        if isinstance(key, str) and key in table:
+            return table[key]
+        errors.append(f"{path}: unknown {what} {key!r}")
+        return None
+
+    def entries(key, what, ids, default):
+        """(path, object, id, error count) of each object of list section ``key``.  A missing
+        id is ``default`` and the index, if ``default`` is given; an id that is not a file name
+        gets a placeholder that no reference can name."""
+        for i, d in enumerate(section(key, list)):
+            path = f"{key}[{i}]"
+            if not isinstance(d, dict):
+                errors.append(f"{path}: must be a JSON object")
+                continue
+            n_errors = len(errors)
+            eid = d.get("id", default and f"{default}{i}")
+            if not _file_name(eid):
+                errors.append(f"{path}.id: must be a string usable as a file name")
+                eid = (key, i)
+            elif eid in ids:
+                errors.append(f"{path}.id: duplicate {what} id {eid!r}")
+            ids.add(eid)
+            yield path, d, eid, n_errors
 
     locks: Dict[str, LockBlock] = {}
     lock_ids = set()
-    for i, ld in enumerate(section("locks", list)):
-        path = f"locks[{i}]"
-        if not isinstance(ld, dict):
-            errors.append(f"{path}: must be a JSON object")
-            continue
-        n_errors = len(errors)
+    for path, ld, lid, n_errors in entries("locks", "lock", lock_ids, "lock"):
         fidelity = ld.get("fidelity", "spectral")
         timed = fidelity == "time-domain"
         kw = parsed(json_fields, ld, path, _LOCK_KEYS,
                     required=("f_lock_hz", "servo" if timed else "loop_bandwidth_hz"),
                     either=[("servo", "loop_bandwidth_hz")] if timed else ())
-        lid = ld.get("id", f"lock{i}")
-        if not _file_name(lid):
-            errors.append(f"{path}.id: must be a string usable as a file name")
-            continue
-        if lid in lock_ids:
-            errors.append(f"{path}.id: duplicate lock id {lid!r}")
-        lock_ids.add(lid)
-        laser = _named(oscillators, ld.get("laser"))
-        if laser is None:
-            errors.append(f"{path}.laser: unknown oscillator {ld.get('laser')!r}")
-        comb = _named(combs, ld.get("comb"))
-        if comb is None:
-            errors.append(f"{path}.comb: unknown comb {ld.get('comb')!r}")
+        laser = named(oscillators, ld.get("laser"), f"{path}.laser", "oscillator")
+        comb = named(combs, ld.get("comb"), f"{path}.comb", "comb")
         if fidelity not in ("spectral", "time-domain"):
             errors.append(f"{path}.fidelity: must be 'spectral' or 'time-domain'")
         if timed and duration > TIME_DOMAIN_CAP_S:
@@ -303,7 +308,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                            ld["servo"], f"{path}.servo")
         if timed and "thermal" in ld and n_samples >= 2:  # a ramp's table spans the run
             thermal = parsed(_thermal, ld["thermal"], f"{path}.thermal", duration)
-        if len(errors) > n_errors:
+        if len(errors) > n_errors or laser is None or comb is None:
             continue
         bw = kw.get("loop_bandwidth_hz")
         try:
@@ -327,28 +332,25 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if len(names) != _SIGNAL_ARITY.get(kind):
             errors.append(f"{path}: malformed signal {text!r}")
             return None
-        source, ref = names[0], None
-        osc = oscillators.get(source) if kind == "freerun" else None
-        if kind == "freerun" and osc is None:
-            errors.append(f"{path}: unknown oscillator {source!r}")
-        elif kind != "freerun" and source not in lock_ids:
+        source, ref, osc = names[0], None, None
+        if kind == "freerun":
+            osc = named(oscillators, source, path, "oscillator")
+        elif source not in lock_ids:
             errors.append(f"{path}: unknown lock id {source!r}")
         if kind == "outofloop":
             ref = names[1]
             if ref in combs and ref in oscillators:
                 errors.append(f"{path}: out-of-loop reference {ref!r} names both an "
                               f"oscillator and a comb")
-            elif ref in combs and source in locks:
+            elif ref not in combs:
+                osc = named(oscillators, ref, path, "out-of-loop reference")
+            elif combs[ref] is not None and source in locks:
                 try:
                     n, osc = _comb_line(locks[source].laser, combs[ref])
                 except MALFORMED as exc:
                     errors.append(f"{path}: {exc}")
                     return None
                 ref = f"{ref}:line{n}"
-            elif ref in oscillators:
-                osc = oscillators[ref]
-            elif ref not in combs:
-                errors.append(f"{path}: unknown out-of-loop reference {ref!r}")
         return Signal(kind, source, ref, osc)
 
     chain, chain_statistics = None, {}
@@ -367,30 +369,18 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                     "chain_offset_pass": float(budget["offset_pass"])}
 
     measurements: List[Measurement] = []
-    measurement_ids, stat_ids = set(), set()
-    for i, md in enumerate(section("measurements", list)):
-        path = f"measurements[{i}]"
-        if not isinstance(md, dict):
-            errors.append(f"{path}: must be a JSON object")
-            continue
-        n_errors = len(errors)
-        mid = md.get("id")
-        if not _file_name(mid):
-            errors.append(f"{path}.id: required non-empty string usable as a file name")
-            mid = f"m{i}"
-        if mid in measurement_ids:
-            errors.append(f"{path}.id: duplicate measurement id {mid!r}")
-        measurement_ids.add(mid)
+    stat_ids = set()
+    for path, md, mid, n_errors in entries("measurements", "measurement", set(), None):
         kind = md.get("kind")
-        kind_keys = _named(_MEASUREMENT_KEYS, kind)
+        if kind != "adev" or md.get("pick_tau_s") is not None:  # an unknown kind's id too
+            if mid in chain_statistics:
+                errors.append(f"{path}.id: the chain produces statistic {mid!r} too")
+            stat_ids.add(mid)
+        kind_keys = _MEASUREMENT_KEYS.get(kind) if isinstance(kind, str) else None
         if kind_keys is None:
             errors.append(f"{path}.kind: must be one of {tuple(_MEASUREMENT_KEYS)}")
             continue
         kw = parsed(json_fields, md, path, ("id", "kind", "signal"), {"gate_s": float}, kind_keys)
-        if kind != "adev" or md.get("pick_tau_s") is not None:
-            if mid in chain_statistics:
-                errors.append(f"{path}.id: the chain produces statistic {mid!r} too")
-            stat_ids.add(mid)
         signal = parse_signal(md.get("signal"), f"{path}.signal")
         baseline = None
         if kind == "adev_ratio_max":
@@ -412,12 +402,9 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if kind == "adev":
             units = md.get("units", UNITS_HZ)
             if units == UNITS_FRACTIONAL:
-                ref = _named(oscillators, md.get("fractional_ref"))
-                if ref is None:
-                    errors.append(f"{path}.fractional_ref: unknown oscillator "
-                                  f"{md.get('fractional_ref')!r} (required for fractional units)")
-                else:
-                    fractional_hz = ref.nominal_hz
+                ref = named(oscillators, md.get("fractional_ref"), f"{path}.fractional_ref",
+                            "oscillator")
+                fractional_hz = ref.nominal_hz if ref else None
             elif units != UNITS_HZ:
                 errors.append(f"{path}.units: must be '{UNITS_HZ}' or '{UNITS_FRACTIONAL}'")
             elif "fractional_ref" in md:

@@ -371,6 +371,17 @@ def test_header_only_series_is_one_error_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("Error:"), proc.stderr
 
 
+@pytest.mark.parametrize("gate", ["inf", "1e308"])  # 8 readings of 1e308 s span inf
+def test_nonfinite_series_span_is_malformed(runner, tmp_path, gate):
+    """A gate or a span beyond a float is malformed input: the octave grid used to double up
+    to an OverflowError."""
+    path = tmp_path / "series.csv"
+    path.write_text(SERIES_CSV.replace("gate_s=1", f"gate_s={gate}"))
+    result = runner.invoke(main, ["adev", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("Error: SERIES_CSV: "), result.stderr
+
+
 @pytest.mark.parametrize("command, text, options", [
     pytest.param("synth", '{"h": {"0": 2.0}}', ["--duration", "8", "--dt", "0.5"], id="synth"),
     pytest.param("lock", None, ["--lock-id", "lock1010"], id="lock"),

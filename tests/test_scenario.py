@@ -83,12 +83,26 @@ class TestValidateConfig:
         assert cfg is None
         assert "invalid JSON" in errors[0]
 
-    def test_unknown_oscillator_reference(self):
-        doc = json.loads(golden_text("fig4_lock_1010_timedomain.json"))
-        doc["locks"][0]["laser"] = "L99"
-        cfg, errors = validate_config(doc)
-        assert cfg is None
-        assert any("locks[0].laser" in e and "L99" in e for e in errors)
+    @pytest.mark.parametrize("name, path, value, error", [
+        pytest.param("fig4_inloop_1010.json", ("locks", 0, "laser"), "ghost",
+                     "locks[0].laser: unknown oscillator 'ghost'", id="lock-laser"),
+        pytest.param("fig4_inloop_1010.json", ("locks", 0, "comb"), "ghost",
+                     "locks[0].comb: unknown comb 'ghost'", id="lock-comb"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 0, "signal"), "freerun:ghost",
+                     "measurements[0].signal: unknown oscillator 'ghost'", id="freerun-source"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 2, "fractional_ref"), "ghost",
+                     "measurements[2].fractional_ref: unknown oscillator 'ghost'",
+                     id="fractional-ref"),
+        pytest.param("fig4_inloop_1010.json", ("measurements", 3, "baseline"), "freerun:ghost",
+                     "measurements[3].baseline: unknown oscillator 'ghost'", id="baseline"),
+        pytest.param("fig3_lock_1514.json", ("measurements", 2, "signal"),
+                     "outofloop:lock1514:ghost",
+                     "measurements[2].signal: unknown out-of-loop reference 'ghost'",
+                     id="outofloop-reference"),
+    ])
+    def test_unknown_name_is_one_error(self, name, path, value, error):
+        cfg, errors = validate_config(golden_with(name, path, value))
+        assert errors == [error]
 
     def test_bad_timing(self):
         doc = small_doc()
@@ -231,7 +245,7 @@ class TestValidateConfig:
         pytest.param("fig4_inloop_1010.json", ("locks", 0, "id"), "lock\0",
                      "locks[0].id: must be a string usable as a file name", id="nul-lock-id"),
         pytest.param("fig4_inloop_1010.json", ("measurements", 0, "id"), "pp\0",
-                     "measurements[0].id: required non-empty string usable as a file name",
+                     "measurements[0].id: must be a string usable as a file name",
                      id="nul-measurement-id"),
         # 2.00049 s is 20004.9 samples of 0.1 ms; it used to run as 20005
         pytest.param("fig4_lock_1010_timedomain.json", ("duration_s",), 2.00049,
@@ -798,12 +812,49 @@ def mutated_goldens(draw):
 @example(json.dumps(golden_with("chain_afc_606.json", ("chain", "sources", "extra"),
                                 {"nominal_hz": 1, "provenance": 0}))
          .replace('"provenance": 0', '"provenance": ' + "[" * 1500 + "]" * 1500))
+# A list or dict where an id or a name goes: a set or dict lookup of one raises TypeError.
+@example(golden_with("fig4_inloop_1010.json", ("locks", 0, "id"), [1]))
+@example(golden_with("fig4_inloop_1010.json", ("locks", 0, "id"), {"a": 1}))
+@example(golden_with("fig4_inloop_1010.json", ("measurements", 0, "id"), [1]))
+@example(golden_with("fig4_inloop_1010.json", ("measurements", 0, "kind"), [1]))
+@example(golden_with("fig4_inloop_1010.json", ("locks", 0, "laser"), [1]))
+@example(golden_with("fig4_inloop_1010.json", ("measurements", 2, "fractional_ref"), [1]))
 def test_validate_config_never_raises(doc):
     cfg, errors = validate_config(doc)
     if cfg is None:
         assert errors and all(isinstance(e, str) for e in errors)
     else:
         assert errors == []
+
+
+BAD_VALUES = [-1, -1.0, None, "x", [1], {"a": 1}, True, 0]
+
+
+def _model_subtrees():
+    """(golden, path, object path) of each subtree of each golden oscillator and comb object."""
+    for name in GOLDEN_NAMES:
+        doc = json.loads(golden_text(name))
+        for section in ("oscillators", "combs"):
+            for key, model in doc.get(section, {}).items():
+                for sub in _subtree_paths(model):
+                    yield pytest.param(name, (section, key, *sub), BAD_VALUES, f"{section}.{key}",
+                                       id=".".join(map(str, (name[:-5], section, key, *sub))))
+
+
+@pytest.mark.parametrize("name, path, values, root", [
+    *_model_subtrees(),
+    pytest.param("fig4_inloop_1010.json", ("measurements", 1, "kind"), ["peak2peak"],
+                 "measurements[1]", id="fig4_inloop_1010.measurements.1.kind"),
+])
+def test_broken_object_is_reported_once(name, path, values, root):
+    """Every error sits at the broken object's own path: a name that refers to an object
+    that failed to parse, or a statistic of a measurement of unknown kind, adds none."""
+    rejected = 0
+    for value in values:
+        cfg, errors = validate_config(golden_with(name, path, value))
+        rejected += cfg is None
+        assert all(e.startswith((f"{root}:", f"{root}.")) for e in errors), (value, errors)
+    assert rejected
 
 
 @st.composite
