@@ -13,6 +13,7 @@ manifest and shows up as its diff.
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,6 @@ def record_case(name, out: Path) -> dict:
 
 
 def main():
-    import tempfile
-
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as work:
         cases = {name: record_case(name, Path(work, str(i))) for i, name in enumerate(CASES)}

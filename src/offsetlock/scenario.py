@@ -265,12 +265,14 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
 
     def entries(key, what, ids, default):
         """(path, object, id, error count) of each object of list section ``key``.  A missing
-        id is ``default`` and the index, if ``default`` is given; an id that is not a file name
-        gets a placeholder that no reference can name."""
+        id is ``default`` and the index, if ``default`` is given.  An entry that is not an
+        object, or whose id is not a file name, adds to ``ids`` a placeholder that no
+        reference can name."""
         for i, d in enumerate(section(key, list)):
             path = f"{key}[{i}]"
             if not isinstance(d, dict):
                 errors.append(f"{path}: must be a JSON object")
+                ids.add((key, i))
                 continue
             n_errors = len(errors)
             eid = d.get("id", default and f"{default}{i}")
@@ -297,8 +299,6 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         if timed and duration > TIME_DOMAIN_CAP_S:
             errors.append(f"{path}: time-domain fidelity requires duration_s <= {TIME_DOMAIN_CAP_S}")
         disc = parsed(_discriminator, ld.get("discriminator", {}), f"{path}.discriminator")
-        if disc is None:
-            continue
         servo = thermal = None
         for key in ("servo", "thermal"):
             if not timed and key in ld:
@@ -369,8 +369,8 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                     "chain_offset_pass": float(budget["offset_pass"])}
 
     measurements: List[Measurement] = []
-    stat_ids = set()
-    for path, md, mid, n_errors in entries("measurements", "measurement", set(), None):
+    stat_ids, measurement_ids = set(), set()
+    for path, md, mid, n_errors in entries("measurements", "measurement", measurement_ids, None):
         kind = md.get("kind")
         if kind != "adev" or md.get("pick_tau_s") is not None:  # an unknown kind's id too
             if mid in chain_statistics:
@@ -436,10 +436,12 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                 pick_tau_s=kw.get("pick_tau_s"), window_s=kw.get("window_s")))
 
     stat_ids.update(chain_statistics)
+    # a rejected measurement may be the one an expectation names: its error stands for both
+    id_rejected = any(isinstance(mid, tuple) for mid in measurement_ids)
     expectations: Dict[str, Tuple[float, float]] = {}
     for sid, env in section("expectations", dict).items():
         path = f"expectations.{sid}"
-        if sid not in stat_ids:
+        if sid not in stat_ids and not id_rejected:
             errors.append(f"{path}: no measurement produces statistic {sid!r}")
             continue
         if not isinstance(env, list) or len(env) != 2 or not all(finite(v) for v in env):
@@ -476,6 +478,8 @@ class RunReport:
     unchecked: bool
     manifest: List[str]
     config_echo: dict
+    #: measurement id -> the series files its statistic read: signal's, then any baseline's
+    series: Dict[str, List[str]] = field(default_factory=dict)  # absent from older reports
 
 
 def execute_lock(cfg: ScenarioConfig,
@@ -523,24 +527,33 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         lockruns.append((f"{lid}_lockrun.json", write_json, {
             "f_lock_hz": block.lock.f_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
 
-    def counted(sig: Signal, gate_s: float):
-        if sig not in traces:  # a freerun or outofloop signal draws its oscillator
-            trace = oscillator_trace(sig.oscillator, cfg.duration_s, cfg.dt_s,
-                                     derive_seed(cfg.seed, f"freerun:{sig.ref or sig.source}"))
-            if sig.kind == "outofloop":  # the reference trace is used once, so it is not kept
-                trace = out_of_loop_beat(traces[Signal("locked", sig.source, None)], trace)
-            traces[sig] = trace
-        return count(traces[sig], CounterConfig(gate_s=gate_s))
+    statistics: Dict[str, float] = {}
+    artifacts = []  # (file name, writer, payload), written once every statistic exists
+    counts: Dict[Tuple[Signal, float], Tuple[str, FrequencyTrace]] = {}  # (file name, series)
+    read: Dict[str, List[str]] = {}  # measurement id -> the series files its statistic read
+
+    def counted(m: Measurement, sig: Signal, name: str) -> FrequencyTrace:
+        """``sig``'s series at ``m``'s gate, counted and written once, as its first read's name."""
+        key = (sig, m.gate_s)
+        if key not in counts:
+            if sig not in traces:  # a freerun or outofloop signal draws its oscillator
+                trace = oscillator_trace(sig.oscillator, cfg.duration_s, cfg.dt_s,
+                                         derive_seed(cfg.seed, f"freerun:{sig.ref or sig.source}"))
+                if sig.kind == "outofloop":  # the reference trace is used once, so it is not kept
+                    trace = out_of_loop_beat(traces[Signal("locked", sig.source, None)], trace)
+                traces[sig] = trace
+            counts[key] = name, count(traces[sig], CounterConfig(gate_s=m.gate_s))
+            artifacts.append((name, write_series_csv, counts[key][1]))
+        name, series = counts[key]
+        read.setdefault(m.id, []).append(name)
+        return series
 
     def allan(m: Measurement, series):
         fn = adev_overlapping if m.estimator == "overlapping" else adev_nonoverlapping
         return fn(series, m.taus_s)
 
-    statistics: Dict[str, float] = {}
-    artifacts = []  # (file name, writer, payload), written once every statistic exists
     for m in cfg.measurements:
-        series = counted(m.signal, m.gate_s)
-        artifacts.append((f"{m.id}_series.csv", write_series_csv, series))
+        series = counted(m, m.signal, f"{m.id}_series.csv")
         if m.kind == "peak_to_peak":
             statistics[m.id] = peak_to_peak(series, m.window_s)
         elif m.kind == "adev":
@@ -552,7 +565,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
                 statistics[m.id] = result.sigma_at(m.pick_tau_s)
         else:
             num = allan(m, series)
-            den = allan(m, counted(m.baseline, m.gate_s))
+            den = allan(m, counted(m, m.baseline, f"{m.id}_baseline.csv"))
             # both series are counted on the run's grid with one gate and tau list: equal taus
             ratios = [a / b for a, b in zip(num.sigmas, den.sigmas) if b > 0]
             if not ratios:
@@ -579,6 +592,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         unchecked=not verdicts,
         manifest=manifest,
         config_echo=cfg.raw,
+        series=read,
     )
     write_json(asdict(report), os.path.join(out_dir, "report.json"))
     report.manifest.append("report.json")

@@ -6,10 +6,13 @@ alter an artifact re-records the manifest with that script.
 """
 import importlib.util
 import json
+import posixpath
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from offsetlock.scenario import load_config
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "record_artifact_manifest.py"
 _spec = importlib.util.spec_from_file_location("record_artifact_manifest", SCRIPT)
@@ -20,6 +23,25 @@ MANIFEST = json.loads(recorder.MANIFEST.read_text())
 
 def test_manifest_covers_every_case():
     assert sorted(MANIFEST["cases"]) == sorted(recorder.CASES)
+
+
+def test_no_case_writes_two_identical_files():
+    for case in MANIFEST["cases"].values():
+        assert len(set(case["files"].values())) == len(case["files"])
+
+
+@pytest.mark.parametrize("case", [name for name, args in recorder.CASES.items()
+                                  if args[0] == "run"])
+def test_one_series_file_per_signal_and_gate(case):
+    cfg = load_config(recorder.GOLDENS / recorder.CASES[case][1])
+    keys = {(s, m.gate_s) for m in cfg.measurements for s in (m.signal, m.baseline) if s}
+    runs = {}  # run directory -> its series files; ``--seeds`` writes one per seed
+    for path in MANIFEST["cases"][case]["files"]:
+        run_dir, name = posixpath.split(path)
+        runs.setdefault(run_dir, [])
+        if name.endswith(("_series.csv", "_baseline.csv")):
+            runs[run_dir].append(name)
+    assert runs and all(len(names) == len(keys) for names in runs.values())
 
 
 @pytest.mark.parametrize("case", list(recorder.CASES))

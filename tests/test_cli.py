@@ -321,6 +321,26 @@ class TestCompareCommand:
         assert (result.exit_code, result.stdout, result.stderr) == (0, run.stdout, "")
 
 
+    @pytest.mark.parametrize("envelope, code", [([0.0, 1e9], 0), ([0.0, 1.0], 1)])
+    def test_report_without_series_key_still_compares(self, runner, tmp_path, envelope, code):
+        """A report written before runs named the series each statistic read compares as
+        before, with the same verdict and exit code."""
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "fig4_lock_1010_timedomain.json").read_text())
+        doc["duration_s"], doc["expectations"]["inloop_adev"] = 4.0, envelope
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        run = runner.invoke(main, ["run", str(config), "-o", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["series"] == {"inloop_adev": ["inloop_adev_series.csv"]}
+        del report["series"]
+        old = tmp_path / "old_report.json"
+        old.write_text(json.dumps(report))
+        result = runner.invoke(main, ["compare", str(old)])
+        assert (result.exit_code, result.stdout, result.stderr) == (code, run.stdout, "")
+        assert run.exit_code == code
+
+
 def _chain_text(edit):
     doc = json.loads((resources.files("offsetlock") / "scenarios"
                       / "chain_afc_606.json").read_text())["chain"]

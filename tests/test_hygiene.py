@@ -144,7 +144,8 @@ UNREAD_FIELDS = {
        "budget, whose stability_pass and offset_pass validation then reads by key"
        for name in ("afc", "node", "offset_margin_hz", "offset_pass", "stability_margin_hz",
                     "stability_pass")},
-    "scenario.py: RunReport.config_echo": "asdict writes the report whole into report.json",
+    **{f"scenario.py: RunReport.{name}": "asdict writes the report whole into report.json"
+       for name in ("config_echo", "series")},
 }
 
 

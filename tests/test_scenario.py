@@ -576,6 +576,29 @@ class TestValidateConfig:
         cfg, errors = validate_config(doc)
         assert len(errors) >= 2
 
+    def test_failed_discriminator_hides_no_servo_error(self):
+        doc = json.loads(golden_text("fig4_lock_1010_timedomain.json"))
+        lock = doc["locks"][0]
+        del lock["loop_bandwidth_hz"]
+        lock["discriminator"]["cable_m"] = -1
+        lock["servo"] = {"ki": "x"}
+        cfg, errors = validate_config(doc)
+        assert errors == ["locks[0].discriminator: cable_m must be >= 0",
+                          "locks[0].servo: 'ki' must be a number"]
+
+    @pytest.mark.parametrize("entry, error", [
+        pytest.param({"id": [1]}, "measurements[0].id: must be a string usable as a file name",
+                     id="list-id"),
+        pytest.param(5, "measurements[0]: must be a JSON object", id="not-an-object"),
+    ])
+    def test_rejected_measurement_id_is_one_error(self, entry, error):
+        # the expectation naming freerun_pp may mean the rejected measurement: no second error
+        doc = json.loads(golden_text("fig4_inloop_1010.json"))
+        md = doc["measurements"][0]
+        doc["measurements"][0] = dict(md, **entry) if isinstance(entry, dict) else entry
+        cfg, errors = validate_config(doc)
+        assert errors == [error]
+
 
 class TestRunScenario:
     @pytest.mark.parametrize("name", ["fig3_lock_1514.json", "fig4_lock_1010_timedomain.json"])
@@ -659,7 +682,11 @@ class TestRunScenario:
         monkeypatch.setattr(scenario, "count", lambda *a: calls.append(a) or real_count(*a))
         report = run_scenario(cfg, tmp_path / "out")
         assert report.statistics["r"] == 1.0
-        assert len(calls) == 4  # pp, a, and r's signal and baseline
+        assert len(calls) == 1  # pp, a, and r's signal and baseline read one series
+        assert report.series == {"pp": ["pp_series.csv"], "a": ["pp_series.csv"],
+                                 "r": ["pp_series.csv", "pp_series.csv"]}
+        assert sorted(os.listdir(tmp_path / "out")) == ["a_adev.csv", "pp_series.csv",
+                                                        "report.json"]
 
     def test_profile_oscillator_as_ratio_baseline(self, tmp_path):
         # no golden has a profile-form oscillator: its profile becomes its noise when parsed
@@ -673,7 +700,10 @@ class TestRunScenario:
         assert cfg.measurements[-1].baseline.oscillator.noise == noise_spec_from_profile(
             profile, 10**14)
         report = run_scenario(cfg, str(tmp_path))
-        assert report.statistics["r"] > 0.0 and "r_series.csv" in report.manifest
+        assert report.statistics["r"] > 0.0
+        # r's signal is pp's series; the baseline's is read first by r, as its baseline
+        assert report.series["r"] == ["pp_series.csv", "r_baseline.csv"]
+        assert sorted(report.manifest) == ["pp_series.csv", "r_baseline.csv", "report.json"]
 
     def test_outofloop_against_an_oscillator(self, tmp_path):
         # the beat of the locked laser against the reference oscillator's freerun: trace,
@@ -700,6 +730,24 @@ class TestRunScenario:
             write_series_csv(count(trace, CounterConfig(1.0)), tmp_path / f"{mid}.csv")
             assert ((tmp_path / f"{mid}.csv").read_bytes()
                     == (tmp_path / "out" / f"{mid}_series.csv").read_bytes()), mid
+
+    def test_series_written_once_per_signal_and_gate(self, tmp_path):
+        # inloop_adev and suppression count one signal at one gate, and suppression's
+        # baseline is freerun_pp's signal: four reads of three series
+        cfg, errors = validate_config(golden_text("fig4_inloop_1010.json"))
+        assert errors == []
+        short = dataclasses.replace(cfg, duration_s=64.0, measurements=[
+            dataclasses.replace(m, taus_s=(1.0, 2.0)) for m in cfg.measurements])
+        out = tmp_path / "out"
+        report = run_scenario(short, out)
+        assert report.series == {
+            "freerun_pp": ["freerun_pp_series.csv"], "locked_pp": ["locked_pp_series.csv"],
+            "inloop_adev": ["inloop_adev_series.csv"],
+            "suppression": ["inloop_adev_series.csv", "freerun_pp_series.csv"]}
+        assert sorted(os.listdir(out)) == sorted(report.manifest) == [
+            "freerun_pp_series.csv", "inloop_adev_adev.csv", "inloop_adev_series.csv",
+            "lock1010_lockrun.json", "locked_pp_series.csv", "report.json"]
+        assert json.loads((out / "report.json").read_text())["series"] == report.series
 
     def test_failing_envelope(self, tmp_path):
         doc = small_doc()
