@@ -320,7 +320,6 @@ class TestCompareCommand:
         result = runner.invoke(main, ["compare", str(old)])
         assert (result.exit_code, result.stdout, result.stderr) == (0, run.stdout, "")
 
-
     @pytest.mark.parametrize("envelope, code", [([0.0, 1e9], 0), ([0.0, 1.0], 1)])
     def test_report_without_series_key_still_compares(self, runner, tmp_path, envelope, code):
         """A report written before runs named the series each statistic read compares as
