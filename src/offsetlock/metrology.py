@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 from .noisegen import FrequencyTrace, grid_steps, write_column
@@ -137,7 +136,7 @@ def tau_index(taus_s: Sequence[float], tau_s: float) -> int:
 def count(trace: FrequencyTrace, cfg: CounterConfig) -> FrequencyTrace:
     """Apply a gated Pi counter to a trace; trailing partial gate discarded."""
     m = gate_steps(cfg.gate_s, trace.dt_s, trace.samples.size)
-    readings = sliding_window_view(trace.samples, m)[::m].mean(axis=1)
+    readings = trace.samples[: trace.samples.size // m * m].reshape(-1, m).mean(axis=1)
     return FrequencyTrace(trace.nominal_hz, cfg.gate_s, readings)
 
 

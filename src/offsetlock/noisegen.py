@@ -17,7 +17,7 @@ import math
 import sys
 import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -97,21 +97,6 @@ class NoiseSpec:
     def scaled(self, factor: float) -> "NoiseSpec":
         """PSD scaled by ``factor**2`` (drift rate scales by ``factor``)."""
         return NoiseSpec({a: h * factor**2 for a, h in self.h.items()}, self.drift_rate_hz_per_s * factor)
-
-
-def _validate_profile(profile) -> Tuple[Tuple[float, float], ...]:
-    pts = tuple((t, s) for t, s in profile)
-    if not all(finite(t) and finite(s) for t, s in pts):
-        raise ParameterError("adev_profile taus and sigmas must be finite numbers")
-    pts = tuple((float(t), float(s)) for t, s in pts)
-    if len(pts) < 2:
-        raise ParameterError("adev_profile needs at least 2 points")
-    taus = [t for t, _ in pts]
-    if taus[0] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
-        raise ParameterError("adev_profile taus must be > 0 and strictly increasing")
-    if not all(s > 0.0 and 0.0 < s * s < math.inf for _, s in pts):
-        raise ParameterError("adev_profile sigmas must be > 0 with a finite, nonzero square")
-    return pts
 
 
 def exact_int(value, name: str) -> int:
@@ -208,14 +193,13 @@ class OscillatorModel:
 class CombModel:
     """Optical frequency comb: lines at ``f_ceo + n * f_rep``.
 
-    ``reference_noise`` or ``adev_profile`` (not both) describes common-mode *fractional*
-    noise applied to every line.
+    ``reference_noise`` is common-mode *fractional* noise applied to every line; a config's
+    fractional ``adev_profile`` becomes it when it is parsed.
     """
 
     f_rep_hz: int
     f_ceo_hz: int = 0
-    reference_noise: Optional[NoiseSpec] = None
-    adev_profile: Optional[Tuple[Tuple[float, float], ...]] = None
+    reference_noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
         for name in ("f_rep_hz", "f_ceo_hz"):
@@ -224,10 +208,6 @@ class CombModel:
             raise ParameterError("f_rep_hz must be > 0")
         if not 0 <= self.f_ceo_hz < self.f_rep_hz:
             raise ParameterError("f_ceo_hz must satisfy 0 <= f_ceo < f_rep")
-        if self.reference_noise is not None and self.adev_profile is not None:
-            raise ParameterError("give 'reference_noise' or 'adev_profile', not both")
-        if self.adev_profile is not None:
-            object.__setattr__(self, "adev_profile", _validate_profile(self.adev_profile))
 
     def line_hz(self, n: int) -> int:
         return self.f_ceo_hz + int(n) * self.f_rep_hz
@@ -414,18 +394,14 @@ def comb_line_oscillator(comb: CombModel, n: int) -> OscillatorModel:
     """Oscillator model of comb line ``n`` (exact integer carrier).
 
     The comb's common-mode fractional noise is rescaled to absolute Hz at the
-    line frequency; a fractional ADEV profile is decomposed at that frequency.
+    line frequency.
     """
     if n < 1:
         raise ParameterError("comb line index must be >= 1")
     nu = comb.line_hz(n)
     if nu >= _MAX_CARRIER:
         raise ParameterError(f"comb line {n} overflows the integer carrier range")
-    if comb.adev_profile is not None:
-        return OscillatorModel(nu, noise_spec_from_profile(comb.adev_profile, nu))
-    if comb.reference_noise is not None:
-        return OscillatorModel(nu, comb.reference_noise.scaled(float(nu)))
-    return OscillatorModel(nu)
+    return OscillatorModel(nu, comb.reference_noise.scaled(float(nu)))
 
 
 def decompose_adev_profile(profile) -> Tuple[float, float, float]:
@@ -437,8 +413,18 @@ def decompose_adev_profile(profile) -> Tuple[float, float, float]:
     earlier on a tie.  A square subset fits exactly and ends the search, so a two-point profile
     keeps white FM (it governs extrapolation to shorter taus) whenever a pair with it fits.
     """
-    pts = _validate_profile(profile)
-    m, e = np.frexp([t for t, _ in pts])  # power-of-two scaling: no product overflows, no bit moves
+    pts = tuple((t, s) for t, s in profile)
+    if not all(finite(t) and finite(s) for t, s in pts):
+        raise ParameterError("adev_profile taus and sigmas must be finite numbers")
+    pts = tuple((float(t), float(s)) for t, s in pts)
+    if len(pts) < 2:
+        raise ParameterError("adev_profile needs at least 2 points")
+    taus = [t for t, _ in pts]
+    if taus[0] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
+        raise ParameterError("adev_profile taus must be > 0 and strictly increasing")
+    if not all(s > 0.0 and 0.0 < s * s < math.inf for _, s in pts):
+        raise ParameterError("adev_profile sigmas must be > 0 with a finite, nonzero square")
+    m, e = np.frexp(taus)  # power-of-two scaling: no product overflows, no bit moves
     e_var = math.frexp(max(s * s for _, s in pts))[1]
     var = np.ldexp([s * s for _, s in pts], -e_var)
     basis = np.column_stack([np.ldexp(1.0 / m, e[0] - e), np.ones_like(var), np.ldexp(m, e - e[-1])])
@@ -462,14 +448,13 @@ def decompose_adev_profile(profile) -> Tuple[float, float, float]:
     return tuple(coeffs.tolist())
 
 
-def noise_spec_from_profile(profile, nominal_hz: int) -> NoiseSpec:
-    """Convert a fractional ADEV profile to an absolute-Hz NoiseSpec at an exact integer carrier."""
-    nu2 = float(exact_int(nominal_hz, "nominal_hz")) ** 2
+def noise_spec_from_profile(profile) -> NoiseSpec:
+    """Convert a fractional ADEV profile to a fractional NoiseSpec; ``scaled`` puts it in Hz."""
     a, b, c = decompose_adev_profile(profile)
     return NoiseSpec(h={  # a zero coefficient leaves no h
-        0: 2.0 * a * nu2,  # sigma^2 = h0 / (2 tau)
-        -1: b * nu2 / (2.0 * _LN2),  # sigma^2 = 2 ln2 h_{-1}
-        -2: 3.0 * c * nu2 / (2.0 * np.pi**2),  # sigma^2 = (2 pi^2 / 3) h_{-2} tau
+        0: 2.0 * a,  # sigma^2 = h0 / (2 tau)
+        -1: b / (2.0 * _LN2),  # sigma^2 = 2 ln2 h_{-1}
+        -2: 3.0 * c / (2.0 * np.pi**2),  # sigma^2 = (2 pi^2 / 3) h_{-2} tau
     })
 
 

@@ -52,6 +52,7 @@ from .noisegen import (
     OscillatorModel,
     comb_line_oscillator,
     derive_seed,
+    exact_int,
     finite,
     grid_steps,
     json_fields,
@@ -80,15 +81,19 @@ def _oscillator(d, path: str) -> OscillatorModel:
     if "noise" in kw:
         kw["noise"] = NoiseSpec(**json_fields(kw["noise"], f"{path}.noise", NoiseSpec))
     if "adev_profile" in kw:
-        kw["noise"] = noise_spec_from_profile(kw.pop("adev_profile"), kw["nominal_hz"])
+        nominal = float(exact_int(kw["nominal_hz"], "nominal_hz"))
+        kw["noise"] = noise_spec_from_profile(kw.pop("adev_profile")).scaled(nominal)
     return OscillatorModel(**kw)
 
 
 def _comb(d, path: str) -> CombModel:
-    kw = json_fields(d, path, CombModel)
-    if kw.get("reference_noise") is not None:
+    kw = json_fields(d, path, CombModel, ["adev_profile"],
+                     either=[("reference_noise", "adev_profile")])
+    if "reference_noise" in kw:
         noise = json_fields(kw["reference_noise"], f"{path}.reference_noise", NoiseSpec)
         kw["reference_noise"] = NoiseSpec(**noise)
+    if "adev_profile" in kw:
+        kw["reference_noise"] = noise_spec_from_profile(kw.pop("adev_profile"))
     return CombModel(**kw)
 
 
@@ -327,6 +332,9 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
                                fidelity=fidelity, loop_bandwidth_hz=bw, servo=servo,
                                thermal=thermal)
 
+    # a rejected lock may be the one a signal names: its error stands for both
+    lock_rejected = len(locks) < len(lock_ids)
+
     def parse_signal(text, path) -> Optional[Signal]:
         kind, *names = text.split(":") if isinstance(text, str) else [""]
         if len(names) != _SIGNAL_ARITY.get(kind):
@@ -335,7 +343,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
         source, ref, osc = names[0], None, None
         if kind == "freerun":
             osc = named(oscillators, source, path, "oscillator")
-        elif source not in lock_ids:
+        elif source not in lock_ids and not lock_rejected:
             errors.append(f"{path}: unknown lock id {source!r}")
         if kind == "outofloop":
             ref = names[1]
@@ -372,7 +380,7 @@ def validate_config(raw) -> Tuple[Optional[ScenarioConfig], List[str]]:
     stat_ids, measurement_ids = set(), set()
     for path, md, mid, n_errors in entries("measurements", "measurement", measurement_ids, None):
         kind = md.get("kind")
-        if kind != "adev" or md.get("pick_tau_s") is not None:  # an unknown kind's id too
+        if kind != "adev" or "pick_tau_s" in md:  # an unknown kind's id too
             if mid in chain_statistics:
                 errors.append(f"{path}.id: the chain produces statistic {mid!r} too")
             stat_ids.add(mid)

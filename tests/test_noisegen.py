@@ -436,24 +436,21 @@ class TestCombModel:
         assert line.noise.h[0] == pytest.approx(1e-24 * nu**2)
 
     def test_profile_passes_through_fractional(self):
-        # decomposed at the line's carrier (fig4's line): a scaled 1 Hz decomposition rounds h_-2
+        # fig4's line: a comb's profile is fitted once, as fractional noise, and scaled to each
+        # line like any reference_noise.  A fit at the line's carrier rounded h_-2 1 ulp lower.
         profile = ((1.0, 3.4e-12), (263.0, 7.2e-12))
-        comb = CombModel(f_rep_hz=107_000_000, f_ceo_hz=20_000_000, adev_profile=profile)
+        comb = CombModel(f_rep_hz=107_000_000, f_ceo_hz=20_000_000,
+                         reference_noise=noise_spec_from_profile(profile))
         line = comb_line_oscillator(comb, 2_775_701)
         nu = 297_000_027_000_000
-        assert comb.adev_profile == profile and line.nominal_hz == nu
-        assert line.noise == noise_spec_from_profile(profile, nu)
-        assert line.noise != noise_spec_from_profile(profile, 1).scaled(float(nu))
-
-    def test_both_fractional_forms_rejected(self):
-        with pytest.raises(ParameterError, match="give 'reference_noise' or 'adev_profile'"):
-            CombModel(f_rep_hz=107_000_000, reference_noise=NoiseSpec(h={0: 1e-24}),
-                      adev_profile=((1.0, 3.4e-12), (263.0, 7.2e-12)))
+        assert line.nominal_hz == nu
+        assert line.noise == noise_spec_from_profile(profile).scaled(float(nu))
+        assert line.noise.h[-2] == 2640.2899726006367
 
 
 @st.composite
 def adev_profiles(draw):
-    """2 to 8 points anywhere in the range ``_validate_profile`` accepts."""
+    """2 to 8 points anywhere in the range ``decompose_adev_profile`` accepts."""
     taus = draw(st.lists(st.floats(math.ulp(0.0), sys.float_info.max), min_size=2, max_size=8,
                          unique=True))
     sigma = st.floats(math.sqrt(math.ulp(0.0)), math.sqrt(sys.float_info.max))
@@ -468,22 +465,18 @@ class TestAdevProfile:
                     ((0.0, 1e-12), (2.0, 1e-12)), ((-1.0, 1e-12), (2.0, 1e-12)),
                     ((1.0, 1e200), (2.0, 1e-12)), ((1.0, 1e-200), (2.0, 1e-200))):
             with pytest.raises(ParameterError, match="adev_profile"):
-                noise_spec_from_profile(bad, 10**14)
-            with pytest.raises(ParameterError, match="adev_profile"):
-                CombModel(f_rep_hz=107_000_000, adev_profile=bad)
-        with pytest.raises(ParameterError, match="nominal_hz must be an exact integer"):
-            noise_spec_from_profile(((1.0, 1e-12), (2.0, 1e-12)), 1e14)
+                noise_spec_from_profile(bad)
 
     def test_numbers_inside_profile_and_h_checked(self):
         # numpy scalars are numbers; a bool, a string or NaN used to be coerced or let through
         profile = ((np.float64(1.0), np.float32(3.5e-12)), (np.int64(263), 7.2e-12))
-        assert CombModel(f_rep_hz=107_000_000, adev_profile=profile).adev_profile == (
-            (1.0, float(np.float32(3.5e-12))), (263.0, 7.2e-12))
+        assert noise_spec_from_profile(profile) == noise_spec_from_profile(
+            ((1.0, float(np.float32(3.5e-12))), (263.0, 7.2e-12)))
         assert NoiseSpec(h={0: np.float32(0.5), -2: np.float64(2.0)}).h == {
             0: 0.5, -2: 2.0}
         for bad in (True, "1", float("nan"), None):
             with pytest.raises(ParameterError, match="finite numbers"):
-                noise_spec_from_profile(((1.0, 1e-12), (2.0, bad)), 10**14)
+                noise_spec_from_profile(((1.0, 1e-12), (2.0, bad)))
             with pytest.raises(ParameterError, match="h_0 must be a finite number >= 0"):
                 NoiseSpec(h={0: bad})
 
@@ -547,13 +540,13 @@ class TestAdevProfile:
     def test_noise_spec_from_profile_white_relation(self):
         # Pure white profile: h0 = 2 * A * nu^2 reproduces sigma = sqrt(h0/(2 tau)).
         nu = 297_000_000_000_000
-        spec = noise_spec_from_profile([(1.0, 1e-12), (100.0, 1e-13)], nu)
+        spec = noise_spec_from_profile([(1.0, 1e-12), (100.0, 1e-13)]).scaled(float(nu))
         assert spec.h[0] == pytest.approx(2.0 * (1e-12 * nu) ** 2, rel=1e-9)
 
     def test_trace_matches_profile_iodine(self):
         profile = ((1.0, 9.1e-13), (155.0, 6.8e-13))
         nu = 297_000_000_000_000
-        model = OscillatorModel(nu, noise_spec_from_profile(profile, nu))
+        model = OscillatorModel(nu, noise_spec_from_profile(profile).scaled(float(nu)))
         trace = oscillator_trace(model, 3600.0, 0.5, seed=5)
         series = count(trace, CounterConfig(gate_s=1.0))
         result = adev_overlapping(series, [1.0, 155.0])

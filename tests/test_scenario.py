@@ -18,7 +18,7 @@ from offsetlock import (
     run_scenario,
     validate_config,
 )
-from offsetlock import lockloop, scenario
+from offsetlock import lockloop, noisegen, scenario
 from offsetlock.lockloop import closed_loop_components, out_of_loop_beat
 from offsetlock.metrology import CounterConfig, count, write_series_csv
 from offsetlock.noisegen import (
@@ -375,8 +375,9 @@ class TestValidateConfig:
                      "oscillators.laser1010: 'drift_rate_hz_per_s' is valid only with 'linewidth_hz'",
                      id="drift-with-noise"),
         # random-walk FM is h_{-2} in a noise object; only the linewidth form has the key
-        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps", "reference_noise"),
-                     {"h": {"0": 1e-30}, "drift_random_walk": 1e-30},
+        pytest.param("fig4_lock_1010_timedomain.json", ("combs", "comb_gps"),
+                     {"f_rep_hz": 107000000, "f_ceo_hz": 20000000,
+                      "reference_noise": {"h": {"0": 1e-30}, "drift_random_walk": 1e-30}},
                      "combs.comb_gps.reference_noise: unknown key 'drift_random_walk'",
                      id="random-walk-in-noise"),
         pytest.param("fig4_lock_1010_timedomain.json", ("locks", 0, "thermal"),
@@ -599,6 +600,32 @@ class TestValidateConfig:
         cfg, errors = validate_config(doc)
         assert errors == [error]
 
+    def test_each_comb_profile_is_fitted_once(self, monkeypatch):
+        # comb_gps serves two locks and an out-of-loop reference: its profile becomes its
+        # fractional noise once, when it is parsed
+        calls = []
+        real = noisegen.decompose_adev_profile
+        monkeypatch.setattr(noisegen, "decompose_adev_profile",
+                            lambda profile: calls.append(profile) or real(profile))
+        doc = json.loads(golden_text("fig4_inloop_1010.json"))
+        doc["locks"].append(dict(doc["locks"][0], id="lock1010b"))
+        doc["measurements"].append({"id": "ool", "kind": "adev", "gate_s": 1.0,
+                                    "signal": "outofloop:lock1010b:comb_gps"})
+        cfg, errors = validate_config(doc)
+        assert errors == [] and len(calls) == 1
+        assert cfg.measurements[-1].signal.ref == f"comb_gps:line{cfg.locks['lock1010'].line_index}"
+
+    @pytest.mark.parametrize("comb", ["spare", "comb_gps", "comb_narrow"])
+    def test_comb_profile_beyond_double_range_is_one_comb_error(self, comb):
+        # an unreferenced comb's profile used to pass; a referenced one's failed at each lock
+        # or signal that used the comb
+        doc = json.loads(golden_text("fig3_lock_1514.json"))
+        doc["combs"][comb] = dict(doc["combs"]["comb_gps"],
+                                  adev_profile=[[1, 1e-160], [2, 1e-160]])
+        cfg, errors = validate_config(doc)
+        assert errors == [f"combs.{comb}: adev_profile's Allan variance coefficients fall "
+                          f"outside a double's range"]
+
 
 class TestRunScenario:
     @pytest.mark.parametrize("name", ["fig3_lock_1514.json", "fig4_lock_1010_timedomain.json"])
@@ -698,7 +725,7 @@ class TestRunScenario:
         cfg, errors = validate_config(doc)
         assert errors == []
         assert cfg.measurements[-1].baseline.oscillator.noise == noise_spec_from_profile(
-            profile, 10**14)
+            profile).scaled(1e14)
         report = run_scenario(cfg, str(tmp_path))
         assert report.statistics["r"] > 0.0
         # r's signal is pp's series; the baseline's is read first by r, as its baseline
@@ -878,25 +905,34 @@ def test_validate_config_never_raises(doc):
 BAD_VALUES = [-1, -1.0, None, "x", [1], {"a": 1}, True, 0]
 
 
-def _model_subtrees():
-    """(golden, path, object path) of each subtree of each golden oscillator and comb object."""
+def _object_subtrees():
+    """(golden, path, values, object path) of each golden oscillator, comb, lock and measurement
+    and each of its subtrees.  Renaming an id orphans what names it, a true second error: a
+    measurement's id is left out, and a lock's is given no string."""
     for name in GOLDEN_NAMES:
         doc = json.loads(golden_text(name))
-        for section in ("oscillators", "combs"):
-            for key, model in doc.get(section, {}).items():
-                for sub in _subtree_paths(model):
-                    yield pytest.param(name, (section, key, *sub), BAD_VALUES, f"{section}.{key}",
-                                       id=".".join(map(str, (name[:-5], section, key, *sub))))
+        for section in ("oscillators", "combs", "locks", "measurements"):
+            objects = doc.get(section, {})
+            for sub in _subtree_paths(objects):
+                values = BAD_VALUES
+                if sub[1:] == ("id",):
+                    if section == "measurements":
+                        continue
+                    values = [v for v in BAD_VALUES if not isinstance(v, str)]
+                root = f"{section}.{sub[0]}" if isinstance(objects, dict) else f"{section}[{sub[0]}]"
+                yield pytest.param(name, (section, *sub), values, root,
+                                   id=".".join(map(str, (name[:-5], section, *sub))))
 
 
 @pytest.mark.parametrize("name, path, values, root", [
-    *_model_subtrees(),
+    *_object_subtrees(),
     pytest.param("fig4_inloop_1010.json", ("measurements", 1, "kind"), ["peak2peak"],
                  "measurements[1]", id="fig4_inloop_1010.measurements.1.kind"),
 ])
 def test_broken_object_is_reported_once(name, path, values, root):
     """Every error sits at the broken object's own path: a name that refers to an object
-    that failed to parse, or a statistic of a measurement of unknown kind, adds none."""
+    that failed to parse, a lock id a rejected lock may have had, or a statistic of a
+    rejected measurement adds none."""
     rejected = 0
     for value in values:
         cfg, errors = validate_config(golden_with(name, path, value))
