@@ -311,12 +311,7 @@ def _shaped_noise(spec: NoiseSpec, n: int, m: int, dt_s: float, seed: int) -> np
         raise ValueError("Maximum allowed size exceeded")
     rng = np.random.default_rng(seed)
     spectrum = np.zeros(k, dtype=complex)
-    # The real parts' Gaussians, then the imaginary parts'.  A spare chunk at its end keeps it
-    # out of the hole a spectrum of this length leaves in glibc's heap, so it extends the heap,
-    # whose top pad then lets glibc trim the irfft's 59 MB of scratch once it is freed.  Without
-    # it that trim hangs on a few kB of slack, and spectral_hour's peak RSS reads 208 or 238 MB
-    # by the checkout path or the argument list alone.
-    buf = np.empty(2 * k + _AMP_CHUNK)
+    buf = np.empty(2 * k)  # the real parts' Gaussians, then the imaginary parts'
     failure = []
 
     def fill():

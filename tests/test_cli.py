@@ -1,4 +1,6 @@
+import ctypes
 import json
+import sys
 import textwrap
 from importlib import resources
 
@@ -481,3 +483,42 @@ def test_unallocatable_run_exits_two(tmp_path, args):
     assert proc.stderr.startswith("Error: Unable to allocate") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert not out.exists() or not any(out.iterdir())
+
+
+# A fresh process runs the CLI once, frees an 8 MiB array and prints how many of the next
+# 2 MiB array's bytes glibc gave a mapping of their own (mallinfo2's hblkhd).
+MAPPED_AFTER_CLI = textwrap.dedent("""
+    import ctypes
+    import sys
+
+    import numpy as np
+    from click.testing import CliRunner
+    from offsetlock.cli import main
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+            "fordblks", "keepcost")]
+
+    libc = ctypes.CDLL(None)
+    libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), Mallinfo2
+    assert CliRunner().invoke(main, ["adev", sys.argv[1]]).exit_code == 0
+    big = np.ones(1 << 20)
+    del big
+    before = libc.mallinfo2().hblkhd
+    small = np.ones(1 << 18)
+    print(libc.mallinfo2().hblkhd - before)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="glibc's mallopt and mallinfo2")
+def test_cli_maps_each_large_block(tmp_path):
+    """Once the CLI has run, a block of 1 MiB or more gets its own mapping even after a larger
+    one was freed. glibc's own rule would keep it in the heap, where freed traces stay resident
+    by the heap's layout and peak RSS with them."""
+    path = tmp_path / "series.csv"
+    path.write_text(SERIES_CSV)
+    proc = run_python("-c", MAPPED_AFTER_CLI, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 2 << 20
