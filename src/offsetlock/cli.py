@@ -81,9 +81,7 @@ def synth(spec_path, duration, dt, seed, nominal_hz, out):
     """Synthesize a power-law frequency-noise trace to a CSV."""
     with open(spec_path) as fh, _malformed("--spec"):
         spec = NoiseSpec(**json_fields(json.load(fh), spec_path, NoiseSpec))
-    trace = synth_power_law(spec, duration, dt, seed)
-    if nominal_hz:
-        trace = replace(trace, nominal_hz=nominal_hz)
+    trace = replace(synth_power_law(spec, duration, dt, seed), nominal_hz=nominal_hz)
     write_trace_csv(trace, out)
     click.echo(f"wrote {len(trace)} samples to {out}")
 

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from offsetlock import FrequencyTrace
 from offsetlock.cli import main
 from offsetlock.metrology import write_series_csv
+from offsetlock.scenario import execute_lock, load_config
 
 from conftest import LOCKRUN_FILES, read_allan_csv, read_trace_csv, run_python
 
@@ -277,6 +278,21 @@ class TestLockCommand:
         assert result.exit_code == 0, result.output
         out = tmp_path / "envroot" / "fig4_lock_1010_timedomain_lock1010"
         assert sorted(p.name for p in out.iterdir()) == sorted(LOCKRUN_FILES)
+
+    def test_lock_draws_the_run_realization(self, runner, tmp_path):
+        # lock and run each build simulate_lock's arguments and its "lock:<id>" seed label
+        doc = json.loads((resources.files("offsetlock") / "scenarios"
+                          / "fig4_lock_1010_timedomain.json").read_text())
+        doc["duration_s"] = 2.0
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["lock", str(path), "--lock-id", "lock1010",
+                                      "-o", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        cfg = load_config(str(path))
+        locked, inloop, _ = execute_lock(cfg, cfg.locks["lock1010"])
+        for name, trace in [("laser_offset.npy", locked), ("inloop_beat.npy", inloop)]:
+            assert np.load(tmp_path / "run" / name).tobytes() == trace.samples.tobytes()
 
     def test_spectral_block_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["lock", golden_path("fig3_lock_1514.json"),

@@ -293,7 +293,7 @@ class TestSynthMatchesReference:
         assert [_fast_len(2 * n) % 2 for n in (2, 7, 1001, 600_000)] == [0, 1, 1, 0]
 
     # (n, chunk C): n = 1000 gives m // 2 = 1000 amplitude bins and n = 1125 gives 1125, so that
-    # the bins number C - 1, C, C + 1 and 2C + 1; the last two shape them on the helper thread.
+    # the bins number C - 1, C, C + 1 and 2C + 1: one chunk, a full one, then two and three.
     @pytest.mark.parametrize("case, n, chunk", [("C-1", 1000, 1001), ("C", 1000, 1000),
                                                 ("C+1", 1000, 999), ("2C+1", 1125, 562)])
     @pytest.mark.parametrize("name", sorted(SYNTH_SPECS))
@@ -327,7 +327,7 @@ class TestSynthMatchesReference:
 
 
 class TestAmplitudeThread:
-    """A spectrum longer than one chunk gets its amplitudes on one helper thread."""
+    """Every spectrum gets its amplitudes on one helper thread, however many chunks it has."""
 
     SPEC = SYNTH_SPECS["mixed"]
     N = 3 * noisegen._AMP_CHUNK  # three chunks of amplitude bins
@@ -358,13 +358,13 @@ class TestAmplitudeThread:
         self.synth()
         assert threading.active_count() == before
 
-    # n = C gives m // 2 = C bins, one chunk; n = C + 1 gives C + 37
-    @pytest.mark.parametrize("extra, starts", [(0, 0), (1, 1)])
-    def test_a_thread_only_past_one_chunk(self, monkeypatch, extra, starts):
+    # n = C gives m // 2 = C bins, one chunk; n = C + 1 gives C + 37, two
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_helper_per_synthesis(self, monkeypatch, extra):
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
         self.synth(n=noisegen._AMP_CHUNK + extra)
-        assert len(started) == starts
+        assert len(started) == 1 and started[0].name.startswith("offsetlock-amplitudes")
 
     def test_concurrent_callers_get_their_own_bytes(self):
         """Four callers at once, switching threads every microsecond: each trace is its own."""

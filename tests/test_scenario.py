@@ -615,16 +615,18 @@ class TestValidateConfig:
         assert errors == [] and len(calls) == 1
         assert cfg.measurements[-1].signal.ref == f"comb_gps:line{cfg.locks['lock1010'].line_index}"
 
+    @pytest.mark.parametrize("sigma, error", [
+        pytest.param(1e-160, "adev_profile's Allan variance coefficients fall outside a double's "
+                     "range", id="fit"),
+        pytest.param(1e150, "reference noise overflows a double at a comb line", id="line")])
     @pytest.mark.parametrize("comb", ["spare", "comb_gps", "comb_narrow"])
-    def test_comb_profile_beyond_double_range_is_one_comb_error(self, comb):
+    def test_comb_profile_beyond_double_range_is_one_comb_error(self, comb, sigma, error):
         # an unreferenced comb's profile used to pass; a referenced one's failed at each lock
-        # or signal that used the comb
+        # or signal that used the comb.  At 1e150 the fit is finite, its noise at a line is not.
         doc = json.loads(golden_text("fig3_lock_1514.json"))
-        doc["combs"][comb] = dict(doc["combs"]["comb_gps"],
-                                  adev_profile=[[1, 1e-160], [2, 1e-160]])
+        doc["combs"][comb] = dict(doc["combs"]["comb_gps"], adev_profile=[[1, sigma], [2, sigma]])
         cfg, errors = validate_config(doc)
-        assert errors == [f"combs.{comb}: adev_profile's Allan variance coefficients fall "
-                          f"outside a double's range"]
+        assert errors == [f"combs.{comb}: {error}"]
 
 
 class TestRunScenario:
