@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -526,12 +527,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     except OSError as exc:
         raise ParameterError(f"output directory {out_dir!r} is not writable: {exc}")
 
+    # the reads each full-rate trace has left: one per (signal, gate) that counts it, and one
+    # of locked:<lock> per out-of-loop signal beaten against it; a trace is dropped at its last
+    left = Counter(sig for sig, _ in {(s, m.gate_s) for m in cfg.measurements
+                                      for s in (m.signal, m.baseline) if s is not None})
+    left.update([Signal("locked", sig.source, None) for sig in left if sig.kind == "outofloop"])
     traces: Dict[Signal, FrequencyTrace] = {}
     lockruns = []  # written last, as (file name, writer, payload) like every artifact
     for lid, block in cfg.locks.items():
         locked, inloop, status = execute_lock(cfg, block)
-        traces[Signal("locked", lid, None)] = locked
-        traces[Signal("inloop", lid, None)] = inloop
+        for sig, trace in ((Signal("locked", lid, None), locked),
+                           (Signal("inloop", lid, None), inloop)):
+            if left[sig]:  # a trace nothing reads is never stored
+                traces[sig] = trace
+        del locked, inloop, trace  # these names would hold the traces to the next lock or the end
         lockruns.append((f"{lid}_lockrun.json", write_json, {
             "f_lock_hz": block.lock.f_hz, "line_nominal_hz": block.line.nominal_hz, "status": status}))
 
@@ -539,6 +548,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     artifacts = []  # (file name, writer, payload), written once every statistic exists
     counts: Dict[Tuple[Signal, float], Tuple[str, FrequencyTrace]] = {}  # (file name, series)
     read: Dict[str, List[str]] = {}  # measurement id -> the series files its statistic read
+
+    def take(sig: Signal) -> FrequencyTrace:
+        """One read of ``sig``'s trace; the last one drops it."""
+        left[sig] -= 1
+        return traces[sig] if left[sig] else traces.pop(sig)
 
     def counted(m: Measurement, sig: Signal, name: str) -> FrequencyTrace:
         """``sig``'s series at ``m``'s gate, counted and written once, as its first read's name."""
@@ -548,9 +562,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
                 trace = oscillator_trace(sig.oscillator, cfg.duration_s, cfg.dt_s,
                                          derive_seed(cfg.seed, f"freerun:{sig.ref or sig.source}"))
                 if sig.kind == "outofloop":  # the reference trace is used once, so it is not kept
-                    trace = out_of_loop_beat(traces[Signal("locked", sig.source, None)], trace)
+                    trace = out_of_loop_beat(take(Signal("locked", sig.source, None)), trace)
                 traces[sig] = trace
-            counts[key] = name, count(traces[sig], CounterConfig(gate_s=m.gate_s))
+            counts[key] = name, count(take(sig), CounterConfig(gate_s=m.gate_s))
             artifacts.append((name, write_series_csv, counts[key][1]))
         name, series = counts[key]
         read.setdefault(m.id, []).append(name)

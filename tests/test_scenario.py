@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -777,6 +778,64 @@ class TestRunScenario:
             "freerun_pp_series.csv", "inloop_adev_adev.csv", "inloop_adev_series.csv",
             "lock1010_lockrun.json", "locked_pp_series.csv", "report.json"]
         assert json.loads((out / "report.json").read_text())["series"] == report.series
+
+    def test_each_trace_is_read_to_its_last_count(self, tmp_path, monkeypatch):
+        # locked:L is read at two gates and beaten once, outofloop:L:ref and freerun:ref are
+        # each read at two gates; a trace dropped before its last read fails a count or a
+        # redraw of its oscillator shows
+        doc = {
+            "name": "reads", "seed": 5, "duration_s": 16.0, "dt_s": 1.0 / 64,
+            "oscillators": {"laser": {"nominal_hz": 297000057000000, "linewidth_hz": 1e3},
+                            "ref": {"nominal_hz": 297000000000000, "noise": {"h": {"0": 1e2}}}},
+            "combs": {"comb": {"f_rep_hz": 107000000, "f_ceo_hz": 20000000}},
+            "locks": [{"id": "L", "laser": "laser", "comb": "comb", "f_lock_hz": 30e6,
+                       "loop_bandwidth_hz": 1.0, "discriminator": {"cable_m": 5.0}}],
+            "measurements": [
+                {"id": "l1", "kind": "peak_to_peak", "signal": "locked:L"},
+                {"id": "oo1", "kind": "peak_to_peak", "signal": "outofloop:L:ref"},
+                {"id": "l2", "kind": "peak_to_peak", "signal": "locked:L", "gate_s": 2.0},
+                {"id": "r", "kind": "adev_ratio_max", "signal": "outofloop:L:ref",
+                 "baseline": "freerun:ref", "gate_s": 2.0},
+                {"id": "fr", "kind": "peak_to_peak", "signal": "freerun:ref"}],
+        }
+        cfg, errors = validate_config(doc)
+        assert errors == []
+        draws = []
+        real_draw = scenario.oscillator_trace
+        monkeypatch.setattr(scenario, "oscillator_trace",
+                            lambda *a: draws.append(a) or real_draw(*a))
+        run_scenario(cfg, tmp_path / "out")
+        assert len(draws) == 2  # outofloop:L:ref's reference and freerun:ref, once each
+        locked, _, _ = scenario.execute_lock(cfg, cfg.locks["L"])
+        free = real_draw(cfg.measurements[-1].signal.oscillator, cfg.duration_s, cfg.dt_s,
+                         derive_seed(cfg.seed, "freerun:ref"))
+        beat = out_of_loop_beat(locked, free)
+        for name, trace, gate in (("l1_series", locked, 1.0), ("oo1_series", beat, 1.0),
+                                  ("l2_series", locked, 2.0), ("r_series", beat, 2.0),
+                                  ("r_baseline", free, 2.0), ("fr_series", free, 1.0)):
+            write_series_csv(count(trace, CounterConfig(gate)), tmp_path / f"{name}.csv")
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / "out" / f"{name}.csv").read_bytes()), name
+
+    @pytest.mark.parametrize("name", ["fig3_lock_1514.json", "fig4_inloop_1010.json"])
+    def test_peak_memory_holds_no_trace_past_its_last_read(self, tmp_path, name):
+        # n = 2^18 samples, synthesised on m = 2^19 points.  The floor is a spectral lock's
+        # third synthesis with its first two draws held, about 7.0 x 8n.  A trace held past its
+        # last read beside a later synthesis adds 8n: fig3's unread in-loop trace, say
+        cfg, errors = validate_config(golden_text(name))
+        assert errors == []
+        # a short run first, so that the lazy imports of numpy's modules are not in the peak
+        run_scenario(dataclasses.replace(cfg, duration_s=4.0, expectations={}), tmp_path / "a")
+        short = dataclasses.replace(cfg, duration_s=512.0, expectations={})
+        n = round(short.duration_s / short.dt_s)
+        assert n == 2**18
+        tracemalloc.start()
+        try:
+            run_scenario(short, tmp_path / "b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 8 * n
 
     def test_failing_envelope(self, tmp_path):
         doc = small_doc()
