@@ -257,6 +257,30 @@ class TestEvaluateChain:
             evaluate_chain(doc)
         assert message in str(info.value)
 
+    # the op is checked before the output node, and any value that is not an op's name,
+    # hashable or not, is an unknown op
+    @pytest.mark.parametrize("op, message", [
+        ({"op": [1], "in": "a", "out": "b"}, "operations[0]: unknown op [1]"),
+        ({"op": {"shg": 1}, "in": "a", "out": "b"}, "operations[0]: unknown op {'shg': 1}"),
+        ({"op": None, "in": "a", "out": "b"}, "operations[0]: unknown op None"),
+        ({"op": "mix", "in": "a", "out": "b"}, "operations[0]: unknown op 'mix'"),
+        ({"op": "mix", "in": "a", "out": 5}, "operations[0].out: must be a non-empty node name"),
+    ], ids=["list-op", "object-op", "null-op", "mix", "mix-with-non-string-out"])
+    def test_operation_error_message_is_exact(self, op, message):
+        doc = {"sources": {"a": {"nominal_hz": 10**14}}, "operations": [op]}
+        with pytest.raises(ParameterError) as info:
+            evaluate_chain(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "a", "a"], "a"],
+                             ids=["one-input", "three-inputs", "one-name-string"])
+    def test_sfg_needs_two_inputs(self, names):
+        doc = {"sources": {"a": {"nominal_hz": 10**14}},
+               "operations": [{"op": "sfg", "in": names, "out": "c"}]}
+        with pytest.raises(ParameterError) as info:
+            evaluate_chain(doc)
+        assert str(info.value).startswith("malformed chain description (")
+
     def test_source_error_names_the_source(self):
         doc = dict(self.DOC, sources=dict(self.DOC["sources"],
                                           laser1010={"nominal_hz": 297_000_000_000_000,
