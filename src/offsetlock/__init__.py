@@ -41,7 +41,6 @@ from .lockloop import (
 )
 from .chain import (
     AfcSpec,
-    BudgetReport,
     ChainNode,
     afc_budget,
     aom_double_pass,

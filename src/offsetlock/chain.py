@@ -55,16 +55,6 @@ class AfcSpec:
             raise ParameterError("need 0 < stability_target_hz < width_hz")
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    node: ChainNode
-    afc: AfcSpec
-    stability_pass: bool
-    offset_pass: bool
-    stability_margin_hz: float
-    offset_margin_hz: float
-
-
 def shg(a: ChainNode) -> ChainNode:
     """Second harmonic: nominal, sigma and offset all double (self-correlated)."""
     return replace(a, nominal_hz=a.nominal_hz * 2, sigma_abs_hz=a.sigma_abs_hz * 2.0,
@@ -121,25 +111,28 @@ def comb_beat(nu_hz, comb: CombModel):
     return q + up, r + up * (comb.f_rep_hz - 2 * r)
 
 
-def afc_budget(node: ChainNode, afc: AfcSpec) -> BudgetReport:
-    """Check a chain output against the AFC stability and centering budget."""
+def afc_budget(node: ChainNode, afc: AfcSpec) -> dict:
+    """Check a chain output against the AFC stability and centering budget, as the chain's
+    ``budget`` JSON holds it: the node, the window, and each check's pass flag and margin."""
     stability_margin = afc.stability_target_hz - node.sigma_abs_hz
     mismatch = abs(node.nominal_hz + node.offset_hz - afc.center_hz)
     offset_margin = afc.width_hz / 2.0 - (mismatch + node.sigma_abs_hz)
-    return BudgetReport(
-        node=node, afc=afc,
-        stability_pass=bool(stability_margin >= 0.0),
-        offset_pass=bool(offset_margin >= 0.0),
-        stability_margin_hz=float(stability_margin),
-        offset_margin_hz=float(offset_margin),
-    )
+    return {"node": asdict(node), "afc": asdict(afc), "stability_pass": bool(stability_margin >= 0.0),
+            "offset_pass": bool(offset_margin >= 0.0), "stability_margin_hz": float(stability_margin),
+            "offset_margin_hz": float(offset_margin)}
 
 
 # ---------------------------------------------------------------------------
 # Chain-description JSON: sources plus a DAG of operations.
 
+#: Each op's function, how many nodes its ``in`` names (two as a list, one as a bare name), and
+#: the keys it takes besides op, in and out, whose values follow the nodes as its arguments.
+_OPS = {"shg": (shg, 1, ()), "pdc": (pdc_degenerate, 1, ()), "sfg": (sfg, 2, ()),
+        "aom": (aom_double_pass, 1, ("f_rf_hz",))}
+
+
 def evaluate_chain(doc: dict) -> dict:
-    """Evaluate a chain-description document; returns nodes and budget report.
+    """Evaluate a chain-description document; returns its nodes and AFC budget.
 
     Document layout::
 
@@ -165,24 +158,18 @@ def evaluate_chain(doc: dict) -> dict:
                 raise ParameterError(f"sources.{name}: {exc}") from None
         for i, op in enumerate(doc.get("operations", [])):
             path = f"operations[{i}]"
-            aom = isinstance(op, dict) and op.get("op") == "aom"
-            keys = ("op", "in", "out") + (("f_rf_hz",) if aom else ())
+            kind = op.get("op") if isinstance(op, dict) else None
+            fn, n_in, extra = _OPS[kind] if isinstance(kind, str) and kind in _OPS else (None, 1, ())
+            keys = ("op", "in", "out") + extra
             op = json_fields(op, path, keys, required=keys)
-            kind, out = op["op"], op["out"]
+            out = op["out"]
             if not isinstance(out, str) or not out:
                 raise ParameterError(f"{path}.out: must be a non-empty node name")
+            if fn is None:
+                raise ParameterError(f"{path}: unknown op {kind!r}")
+            ins = op["in"] if n_in == 2 else [op["in"]]
             try:
-                if kind == "shg":
-                    nodes[out] = shg(nodes[op["in"]])
-                elif kind == "pdc":
-                    nodes[out] = pdc_degenerate(nodes[op["in"]])
-                elif kind == "sfg":
-                    a, b = op["in"]
-                    nodes[out] = sfg(nodes[a], nodes[b])
-                elif kind == "aom":
-                    nodes[out] = aom_double_pass(nodes[op["in"]], op["f_rf_hz"])
-                else:
-                    raise ParameterError(f"unknown op {kind!r}")
+                nodes[out] = fn(*(nodes[n] for n in ins), *(op[key] for key in extra))
             except KeyError as exc:
                 raise ParameterError(f"{path}: unresolved node {exc}") from None
             except ParameterError as exc:
@@ -193,7 +180,7 @@ def evaluate_chain(doc: dict) -> dict:
             budget_name = doc.get("budget_node")
             if budget_name not in nodes:
                 raise ParameterError(f"budget_node {budget_name!r} is not a defined node")
-            result["budget"] = asdict(afc_budget(nodes[budget_name], afc))
+            result["budget"] = afc_budget(nodes[budget_name], afc)
         return result
     except ParameterError:
         raise

@@ -143,9 +143,9 @@ def adev(series_csv, taus, overlapping, fractional_hz, out):
 @main.command("chain")
 @click.argument("chain_json", type=click.Path(exists=True))
 @click.option("--out", "-o", type=click.Path(), default=None,
-              help="BudgetReport JSON (default: stdout).")
+              help="The evaluated chain: its nodes and AFC budget (default: stdout).")
 def chain_cmd(chain_json, out):
-    """Evaluate a chain-description JSON; emit the budget report."""
+    """Evaluate a chain-description JSON; emit its nodes and AFC budget."""
     with open(chain_json) as fh, _malformed("CHAIN_JSON"):
         result = chainmod.evaluate_chain(json.load(fh))
     if out:

@@ -234,7 +234,6 @@ class LockRun:
     error_trace: np.ndarray
     actuator_trace: np.ndarray
     update_stride: int
-    f_lock_hz: float
     status: dict
     config: dict
 
@@ -249,7 +248,7 @@ class LockRun:
         traces = {"dt_s": laser.dt_s, "update_stride": self.update_stride,
                   "laser_offset": {"nominal_hz": laser.nominal_hz, "seed": laser.seed},
                   "inloop_beat": {"nominal_hz": beat.nominal_hz, "seed": beat.seed}}
-        write_json({"f_lock_hz": self.f_lock_hz, "status": self.status, "config": self.config,
+        write_json({"f_lock_hz": self.config["f_lock_hz"], "status": self.status, "config": self.config,
                     "traces": traces}, written[-1])
         return written
 
@@ -395,7 +394,6 @@ def simulate_lock(
         error_trace=err_upd,
         actuator_trace=act_upd,
         update_stride=stride,
-        f_lock_hz=f0,
         status=status,
         config=config,
     )

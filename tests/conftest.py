@@ -121,7 +121,7 @@ def tracked_lock_point(run, disc, thermal):
     ``thermal``: each update holds the delay ``thermal.delays`` gives at its first sample."""
     stride, n = run.update_stride, len(run.inloop_beat_trace)
     starts = np.arange(run.error_trace.size) * stride * run.inloop_beat_trace.dt_s
-    return np.repeat(run.f_lock_hz * disc.delay_s / thermal.delays(disc, starts), stride)[:n]
+    return np.repeat(run.config["f_lock_hz"] * disc.delay_s / thermal.delays(disc, starts), stride)[:n]
 
 
 def nested(value, depth):

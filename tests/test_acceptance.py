@@ -198,7 +198,7 @@ def test_criterion_08_chain_budget(capfd):
     sigma_ok = abs(photon606.sigma_abs_hz - np.hypot(710.0, 1000.0)) <= 10.0
     budget = afc_budget(photon606, AfcSpec(center_hz=495_000_076_000_000,
                                            width_hz=4e6, stability_target_hz=1e5))
-    budget_ok = budget.stability_pass and budget.offset_pass
+    budget_ok = budget["stability_pass"] and budget["offset_pass"]
 
     comb = CombModel(f_rep_hz=107_000_000, f_ceo_hz=20_000_000)
     base = comb.line_hz(1000)

@@ -177,19 +177,19 @@ class TestAfcBudget:
     def test_conversion_chain_passes(self):
         node = sfg(pdc_degenerate(shg(L1514)), L1010)
         report = afc_budget(node, self.AFC)
-        assert report.stability_pass and report.offset_pass
-        assert report.stability_margin_hz == pytest.approx(1e5 - 1226.4, rel=1e-3)
+        assert report["stability_pass"] and report["offset_pass"]
+        assert report["stability_margin_hz"] == pytest.approx(1e5 - 1226.4, rel=1e-3)
 
     def test_stability_fail(self):
         node = ChainNode(495_000_000_000_000, sigma_abs_hz=5e5)
         report = afc_budget(node, self.AFC)
-        assert not report.stability_pass
+        assert not report["stability_pass"]
 
     def test_offset_fail_beyond_halfwidth(self):
         node = ChainNode(495_000_000_000_000, offset_hz=2.1e6)
         report = afc_budget(node, self.AFC)
-        assert not report.offset_pass
-        assert report.offset_margin_hz < 0.0
+        assert not report["offset_pass"]
+        assert report["offset_margin_hz"] < 0.0
 
     def test_afc_spec_invariant(self):
         with pytest.raises(ParameterError):
@@ -257,7 +257,7 @@ class TestEvaluateChain:
             evaluate_chain(doc)
         assert message in str(info.value)
 
-    # the op is checked before the output node, and any value that is not an op's name,
+    # the output node is checked before the op, and any value that is not an op's name,
     # hashable or not, is an unknown op
     @pytest.mark.parametrize("op, message", [
         ({"op": [1], "in": "a", "out": "b"}, "operations[0]: unknown op [1]"),

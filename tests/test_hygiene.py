@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from offsetlock import ParameterError
+from offsetlock.chain import _OPS, evaluate_chain
 from offsetlock.scenario import validate_config
 
 from conftest import run_python
@@ -140,10 +142,6 @@ def test_scanner_finds_unread_fields():
 
 #: Dataclass fields that no src/ module reads as an attribute, each with why it stays.
 UNREAD_FIELDS = {
-    **{f"chain.py: BudgetReport.{name}": "asdict writes the report whole into the chain "
-       "budget, whose stability_pass and offset_pass validation then reads by key"
-       for name in ("afc", "node", "offset_margin_hz", "offset_pass", "stability_margin_hz",
-                    "stability_pass")},
     **{f"scenario.py: RunReport.{name}": "asdict writes the report whole into report.json"
        for name in ("config_echo", "series")},
 }
@@ -290,7 +288,6 @@ def readme_key_table():
     ("chain source", "chain_afc_606.json", ("chain", "sources", "laser1514"),
      "chain: sources.laser1514"),
     ("`afc`", "chain_afc_606.json", ("chain", "afc"), "chain: afc"),
-    # The chain operation row is not checked: which keys an operation takes depends on its op.
 ])
 def test_readme_key_table_matches_parsers(row, golden, where, path):
     """Every key a row lists is known to the parser; a key it does not list is not."""
@@ -307,3 +304,15 @@ def test_readme_key_table_matches_parsers(row, golden, where, path):
     assert keys and any(e.startswith(f"{path}: ") and "unknown key 'no_such_key'" in e
                         for e in errors), errors
     assert not [e for e in errors for key in keys if f"unknown key {key!r}" in e]
+
+
+@pytest.mark.parametrize("kind", sorted(_OPS))
+def test_readme_chain_operation_row_matches_ops(kind):
+    """The row lists op, in and out, then each op that takes more keys and those keys; each
+    op's parser knows the keys the row gives it, and no other."""
+    more = [word for op, (_, _, keys) in _OPS.items() if keys for word in (op, *keys)]
+    assert readme_key_table()["chain operation"] == ["op", "in", "out"] + more
+    op = dict.fromkeys(["in", "out", *_OPS[kind][2], "no_such_key"], 1.0) | {"op": kind}
+    with pytest.raises(ParameterError) as info:
+        evaluate_chain({"operations": [op]})
+    assert str(info.value) == "operations[0]: unknown key 'no_such_key'"

@@ -219,6 +219,49 @@ class TestSynthPowerLaw:
         assert np.mean(psd[mid]) == pytest.approx(2.0, rel=0.15)
 
 
+#: A fractional ADEV profile read off sigma^2(tau) = A/tau + B + C tau at three taus, so its
+#: fit is exact and each of white, flicker and random-walk FM leads somewhere in 8 s..4096 s.
+ORACLE_ABC = (64e-24, 1e-24, 1e-24 / 512)
+ORACLE_PROFILE = [(tau, math.sqrt(ORACLE_ABC[0] / tau + ORACLE_ABC[1] + ORACLE_ABC[2] * tau))
+                  for tau in (1.0, 64.0, 4096.0)]
+ORACLE_NU = 198_000_019_000_000
+
+
+def closed_form_avar(h0=0.0, h_1=0.0, h_2=0.0, drift=0.0):
+    """The Allan variance (Hz^2) of white, flicker and random-walk FM plus a linear drift
+    (Hz/s): NIST SP 1065's continuous-time forms, written here apart from the library."""
+    return lambda tau: (h0 / (2.0 * tau) + 2.0 * math.log(2.0) * h_1
+                        + 2.0 * math.pi**2 / 3.0 * h_2 * tau + drift**2 * tau**2 / 2.0)
+
+
+# A statistical oracle for changes that move synthesis's bytes: 24 seeds of 2^15 samples at
+# dt 0.5 s, counted at 1 s, and the overlapping ADEV at octave taus from 16 samples (the
+# closed forms are continuous-time, and flicker and random walk read high near dt) to T/4.
+# Each seed-mean sigma^2 / closed-form ratio lies within 5 standard errors of 1: 50 cells
+# of roughly normal z stay under 5 unless synthesis is off.
+@pytest.mark.parametrize("spec, avar", [
+    pytest.param(NoiseSpec({0: 1.0}), closed_form_avar(h0=1.0), id="white"),
+    pytest.param(NoiseSpec({-1: 1.0}), closed_form_avar(h_1=1.0), id="flicker"),
+    pytest.param(NoiseSpec({-2: 1.0}), closed_form_avar(h_2=1.0), id="random-walk"),
+    pytest.param(NoiseSpec({0: 1.0, -1: 0.1, -2: 1e-3}, drift_rate_hz_per_s=0.01),
+                 closed_form_avar(h0=1.0, h_1=0.1, h_2=1e-3, drift=0.01), id="mixed-with-drift"),
+    pytest.param(noise_spec_from_profile(ORACLE_PROFILE).scaled(float(ORACLE_NU)),
+                 lambda tau: ORACLE_NU**2 * (ORACLE_ABC[0] / tau + ORACLE_ABC[1]
+                                             + ORACLE_ABC[2] * tau), id="adev-profile"),
+])
+def test_synthesis_meets_closed_form_allan_variance(spec, avar):
+    taus = [8.0 * 2**k for k in range(10)]  # 16 samples .. T/4 = 4096 s
+    ratios = []
+    for seed in range(24):
+        trace = oscillator_trace(OscillatorModel(ORACLE_NU, spec), 2**15 * 0.5, 0.5, seed)
+        result = adev_overlapping(count(trace, CounterConfig(gate_s=1.0)), taus)
+        assert list(result.taus_s) == taus
+        ratios.append(result.sigmas**2 / np.array([avar(tau) for tau in taus]))
+    ratios = np.array(ratios)
+    z = (ratios.mean(axis=0) - 1.0) / (ratios.std(axis=0, ddof=1) / math.sqrt(len(ratios)))
+    assert np.all(np.abs(z) < 5.0), dict(zip(taus, np.round(z, 2)))
+
+
 class TestFastLen:
     """``_fast_len`` against the scipy routine it replaced on the synthesis path."""
 
@@ -635,7 +678,7 @@ class TestWriteColumn:
                       inloop_beat_trace=FrequencyTrace(198_000_019_000_000, 1.0 / 3.0,
                                                        np.roll(values, 1), seed=2**63 - 1),
                       error_trace=per_update[::-1].copy(), actuator_trace=-per_update,
-                      update_stride=3, f_lock_hz=29_679_453.0, status={}, config={})
+                      update_stride=3, status={}, config={"f_lock_hz": 29_679_453.0})
         assert_lockrun_dir(run, run.export(tmp_path), tmp_path)
 
 
